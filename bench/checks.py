@@ -51,23 +51,19 @@ def normalized_adjacency(node_ids, src, dst) -> sp.csr_matrix:
     return sp.diags(d) @ a @ sp.diags(d)
 
 
-def check_ingest(inputs, node_ids, labels, features, num_edges, t_min, t_max, feature_dim) -> list:
+def check_ingest(inputs, node_ids, labels, features, num_edges, t_min, t_max) -> list:
     problems = []
     if not np.array_equal(node_ids, inputs.node_ids):
         problems.append("node table differs from the ids in the input files")
         return problems
     if not np.array_equal(labels, inputs.labels):
         problems.append("labels differ from the labels file")
+    if not np.array_equal(features, inputs.features):
+        problems.append("features differ from the features file")
     if num_edges != inputs.timestamps.size:
         problems.append(f"{num_edges} edges loaded, {inputs.timestamps.size} written")
     if (t_min, t_max) != (inputs.timestamps.min(), inputs.timestamps.max()):
         problems.append(f"timespan [{t_min}, {t_max}] differs from the edges file")
-    if inputs.features is not None:
-        if not np.array_equal(features, inputs.features):
-            problems.append("features differ from the features file")
-    elif features.shape != (node_ids.size, feature_dim) or not np.allclose(
-            np.linalg.norm(features, axis=1), 1.0, rtol=0, atol=1e-12):
-        problems.append("synthesized features are not unit rows of the requested dim")
     return problems
 
 

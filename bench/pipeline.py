@@ -36,12 +36,12 @@ def main(argv=None) -> int:
 
     import tgcl
     from tracer import Tracer
-    from workloads import TGCL_SEED, input_paths, workload
+    from workloads import BATCH_SIZE, READOUT_STAT, TAU, TGCL_SEED, input_paths, workload
 
     if Path(tgcl.__file__).resolve().parent != ROOT / "src" / "tgcl":
         raise SystemExit(f"tgcl imported from {tgcl.__file__}, not from this checkout")
     w = workload(args.workload)
-    paths = input_paths(args.workdir / "inputs", w)
+    paths = input_paths(args.workdir / "inputs")
 
     np.ones((256, 256)) @ np.ones((256, 256))  # first BLAS call: its pool exists from here on
     threads = len(os.listdir("/proc/self/task"))
@@ -74,15 +74,13 @@ def main(argv=None) -> int:
         return out
 
     graph = stage("ingest", lambda: tgcl.load_temporal_graph(
-        paths["edges"], features_path=paths.get("features"), labels_path=paths["labels"],
-        feature_policy="random", feature_dim=w.feature_dim, feature_seed=TGCL_SEED))
+        paths["edges"], features_path=paths["features"], labels_path=paths["labels"]))
     ckpt = args.workdir / f"round-{args.round}.ckpt"
     cfg = tgcl.TrainConfig(
         sampler=tgcl.SamplerConfig(w.strategy, w.s, w.v),
-        loss=tgcl.LossConfig(w.level, w.tau),
-        batch_size=w.batch_size, epochs=w.epochs, seed=TGCL_SEED, readout_stat=w.readout_stat,
-        checkpoint_path=str(ckpt), feature_policy="random", feature_dim=w.feature_dim,
-        feature_seed=TGCL_SEED,
+        loss=tgcl.LossConfig(w.level, TAU),
+        batch_size=BATCH_SIZE, epochs=w.epochs, seed=TGCL_SEED, readout_stat=READOUT_STAT,
+        checkpoint_path=str(ckpt),
     )
     trained = stage("train", lambda: tgcl.train(graph, cfg))
     emb = stage("embed", lambda: tgcl.embed_all(graph, trained[0]))

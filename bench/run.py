@@ -9,10 +9,15 @@ Each round is a fresh process (pipeline.py) with BLAS capped at one
 thread before NumPy loads. It runs the whole pipeline, and its outputs
 are checked against computations made apart from tgcl (checks.py).
 
-Each round attempts four operations, one per stage; a stage that raises
-or whose output fails a check counts as failed, and a failed check also
-makes ``correct`` false. The last line of stdout is one JSON object with
-``correct``, ``attempted``, ``failed`` and ``metrics``: the end-to-end
+Each round attempts four operations, one per stage. A stage that raises,
+or whose output fails a check, counts in ``failed``; a round whose process
+dies counts all four. ``correct`` speaks of the stages that completed: it
+is false only when a completed stage's output fails a check. A stage that
+raises leaves ``correct`` true, so ``failed`` is the figure to read for
+those, and the metrics then come from the rounds that completed.
+
+The last line of stdout is one JSON object with ``correct``,
+``attempted``, ``failed`` and ``metrics``: the end-to-end
 metrics (medians over every timed run of a stage) with --trace 0, the
 per-layer metrics of the traced run (per pipeline pass, median over
 rounds) with --trace 1. A summary of each round goes to stderr.
@@ -34,7 +39,8 @@ import numpy as np
 
 import checks
 import tracer
-from workloads import SMOKE, WORKLOADS, planted_communities, workload, write_inputs
+from workloads import (BATCH_SIZE, SMOKE, TAU, WORKLOADS, planted_communities, workload,
+                       write_inputs)
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -82,13 +88,13 @@ def check_round(w, inputs, result) -> dict:
     if "ingest" not in result["errors"]:
         found["ingest"] = checks.check_ingest(
             inputs, arr["node_ids"], arr["labels"], arr["features"], result["num_edges"],
-            result["t_min"], result["t_max"], w.feature_dim)
+            result["t_min"], result["t_max"])
     if "train" not in result["errors"]:
         # a couple of epochs need not lower the loss; a training workload must
         found["train"] = (
             checks.check_windows(inputs.timestamps, arr["windows"], w.s, w.strategy)
             + checks.check_shared(inputs, arr["windows"], arr["shared"])
-            + checks.check_losses(arr["losses"], arr["shared"], w.batch_size, w.tau,
+            + checks.check_losses(arr["losses"], arr["shared"], BATCH_SIZE, TAU,
                                   must_fall=w.epochs >= 4))
     if "embed" not in result["errors"]:
         try:
@@ -135,7 +141,7 @@ def trace_summary(rounds) -> dict:
         aggs = [(r["trace"][stage], r["repeats"][stage]) for r in rounds]
         out[stage] = {
             "wall_s": statistics.median(a["wall_s"] / k for a, k in aggs),
-            "covered": min(sum(a.get(m, 0.0) for m in tracer.TIME_METRICS) / a["wall_s"]
+            "covered": min(sum(a.get(m, 0.0) for m in tracer.TIME_NAMES) / a["wall_s"]
                            for a, _ in aggs),
         }
     return out
@@ -159,7 +165,7 @@ def main(argv=None) -> int:
     trace_dir.mkdir(parents=True, exist_ok=True)
     try:
         inputs = planted_communities(w, args.seed)
-        write_inputs(inputs, w, workdir / "inputs")
+        write_inputs(inputs, workdir / "inputs")
 
         rounds, attempted, failed, correct = [], 0, 0, True
         start = time.perf_counter()

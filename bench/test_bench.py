@@ -19,7 +19,7 @@ sys.path.insert(0, str(HERE))
 import checks  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
-from workloads import SMOKE, planted_communities, write_inputs  # noqa: E402
+from workloads import BATCH_SIZE, SMOKE, TAU, planted_communities, write_inputs  # noqa: E402
 
 SEED = 3
 
@@ -28,7 +28,7 @@ SEED = 3
 def smoke_round(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("smoke")
     inputs = planted_communities(SMOKE, SEED)
-    write_inputs(inputs, SMOKE, workdir / "inputs")
+    write_inputs(inputs, workdir / "inputs")
     result = run.run_round(SMOKE, workdir, 0, False, workdir / "trace.json")
     assert result is not None and not result["errors"]
     return inputs, result
@@ -77,9 +77,9 @@ def test_loss_check_rejects_loss_outside_infonce_bounds(smoke_round):
     _, result = smoke_round
     arr = result["arrays"]
     losses = arr["losses"].copy()
-    _, hi = checks.infonce_bounds(min(SMOKE.batch_size, int(arr["shared"][0])), SMOKE.tau)
+    _, hi = checks.infonce_bounds(min(BATCH_SIZE, int(arr["shared"][0])), TAU)
     losses[0] = hi + 1e-3
-    assert checks.check_losses(losses, arr["shared"], SMOKE.batch_size, SMOKE.tau, must_fall=False)
+    assert checks.check_losses(losses, arr["shared"], BATCH_SIZE, TAU, must_fall=False)
 
 
 @pytest.mark.parametrize("trace", [0, 1])

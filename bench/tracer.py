@@ -7,8 +7,8 @@ module that imported it by name (``training`` imports ``embed_views``,
 namespace. A span records its name, start, end and parent; a function's
 self time is its span time minus the time of its child spans.
 
-Each per-layer metric sums the self times of the functions listed for it
-in ``TIME_METRICS``. A wrapped function listed nowhere (``relu``,
+Each time metric sums the self times of the functions that
+``TIME_METRICS`` maps to it. A wrapped function listed nowhere (``relu``,
 ``add_bias``, ``infonce``, ``save_params``, ...) folds its self time into
 its nearest listed ancestor, so per stage the metrics plus the stage's
 own remainder add up to the stage's wall time.
@@ -26,34 +26,37 @@ from collections import defaultdict
 
 LAYERS = ("graph", "sampling", "model", "kernels", "losses", "training", "evaluation")
 
+# traced function -> the per-layer metric that sums its self time
 TIME_METRICS = {
-    "graph.load_temporal_graph_s": ("graph.load_temporal_graph",),
-    "graph.build_graph_s": ("graph.build_graph",),
-    "graph.slice_interval_s": ("graph.slice_interval",),
-    "graph.full_view_s": ("graph.full_view",),
-    "sampling.sample_windows_s": ("sampling.sample_windows",),
-    "model.normalize_adjacency_s": ("model.normalize_adjacency",),
-    "model.adj_matmul_s": ("model.adj_matmul",),
-    "model.encode_s": ("model.encode",),
-    "model.encode_backward_s": ("model.encode_backward",),
-    "model.readout_s": ("model.readout",),
-    "model.readout_backward_s": ("model.readout_backward",),
-    "model.project_s": ("model.project",),
-    "model.project_backward_s": ("model.project_backward",),
-    "model.embed_views_self_s": ("model.embed_views",),
-    "model.embed_views_backward_self_s": ("model.embed_views_backward",),
-    "kernels.matmul_s": ("kernels.matmul", "kernels.matmul_backward"),
-    "kernels.segment_reduce_s": ("kernels.segment_reduce",),
-    "kernels.segment_reduce_backward_s": ("kernels.segment_reduce_backward",),
-    "kernels.adam_step_s": ("kernels.adam_step",),
-    "losses.multi_view_loss_s": ("losses.multi_view_loss",),
-    "training.train_self_s": ("training.train",),
-    "training.shared_nodes_s": ("training.shared_nodes",),
-    "evaluation.make_split_s": ("evaluation.make_split",),
-    "evaluation.train_linear_probe_s": ("evaluation.train_linear_probe",),
-    "evaluation.evaluate_s": ("evaluation.evaluate",),
+    "graph.load_temporal_graph": "graph.load_temporal_graph_s",
+    "graph.build_graph": "graph.build_graph_s",
+    "graph.slice_interval": "graph.slice_interval_s",
+    "graph.full_view": "graph.full_view_s",
+    "sampling.sample_windows": "sampling.sample_windows_s",
+    "model.normalize_adjacency": "model.normalize_adjacency_s",
+    "model.adj_matmul": "model.adj_matmul_s",
+    "model.encode": "model.encode_s",
+    "model.encode_backward": "model.encode_backward_s",
+    "model.readout": "model.readout_s",
+    "model.readout_backward": "model.readout_backward_s",
+    "model.project": "model.project_s",
+    "model.project_backward": "model.project_backward_s",
+    "model.embed_views": "model.embed_views_self_s",
+    "model.embed_views_backward": "model.embed_views_backward_self_s",
+    "kernels.matmul": "kernels.matmul_s",
+    "kernels.matmul_backward": "kernels.matmul_s",
+    "kernels.segment_reduce": "kernels.segment_reduce_s",
+    "kernels.segment_reduce_backward": "kernels.segment_reduce_backward_s",
+    "kernels.adam_step": "kernels.adam_step_s",
+    "losses.multi_view_loss": "losses.multi_view_loss_s",
+    "training.train": "training.train_self_s",
+    "training.shared_nodes": "training.shared_nodes_s",
+    "evaluation.make_split": "evaluation.make_split_s",
+    "evaluation.train_linear_probe": "evaluation.train_linear_probe_s",
+    "evaluation.evaluate": "evaluation.evaluate_s",
 }
 
+# per-layer metric -> the traced function whose calls it counts
 COUNT_METRICS = {
     "graph.slice_interval_calls": "graph.slice_interval",
     "sampling.sample_windows_calls": "sampling.sample_windows",
@@ -62,22 +65,12 @@ COUNT_METRICS = {
     "losses.infonce_calls": "losses.infonce",
 }
 
-# span name -> the per-layer metric that sums its "work" field
-WORK_METRICS = {"model.adj_matmul_nnz_cols": "model.adj_matmul"}
+# sum over model.adj_matmul calls of the adjacency's nonzeros times the
+# columns of the dense operand
+NNZ_COLS = "model.adj_matmul_nnz_cols"
 
-PER_LAYER = (*TIME_METRICS, *COUNT_METRICS, *WORK_METRICS)
-
-_OWNER = {fn: metric for metric, fns in TIME_METRICS.items() for fn in fns}
-
-
-def _adj_matmul_work(args, kwargs) -> float:
-    """Nonzeros of the adjacency times columns of the dense operand."""
-    adj, x = args[0], args[1]
-    nnz = adj.nnz if hasattr(adj, "nnz") else adj.vals.size
-    return float(nnz) * (x.shape[1] if x.ndim == 2 else 1)
-
-
-_WORK = {"model.adj_matmul": _adj_matmul_work}
+TIME_NAMES = tuple(dict.fromkeys(TIME_METRICS.values()))
+PER_LAYER = (*TIME_NAMES, *COUNT_METRICS, NNZ_COLS)
 
 
 class Tracer:
@@ -107,11 +100,15 @@ class Tracer:
             self._close(rec)
 
     def _wrap(self, name: str, fn):
-        work = _WORK.get(name)
+        is_adj_matmul = name == "model.adj_matmul"
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            rec = self._open(name, work(args, kwargs) if work else 0.0)
+            work = 0.0
+            if is_adj_matmul:  # adj_matmul(adj, x)
+                adj, x = args[0], args[1]
+                work = float(adj.vals.size) * (x.shape[1] if x.ndim == 2 else 1)
+            rec = self._open(name, work)
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -149,7 +146,7 @@ class Tracer:
         for i, (name, start, end, parent, work) in enumerate(spans):
             # parents are recorded before their children
             root[i] = i if parent < 0 else root[parent]
-            owner[i] = _OWNER.get(name) or (owner[parent] if parent >= 0 else "")
+            owner[i] = TIME_METRICS.get(name) or (owner[parent] if parent >= 0 else "")
             stage = out[spans[root[i]][0]]
             if parent < 0:
                 stage["wall_s"] += end - start
@@ -157,7 +154,7 @@ class Tracer:
             stage[key] += (end - start) - child_time[i]
             stage[f"calls:{name}"] += 1
             if work:
-                stage[f"work:{name}"] += work
+                stage[NNZ_COLS] += work
         return {stage: dict(vals) for stage, vals in out.items()}
 
 
@@ -167,10 +164,8 @@ def per_layer(stage_aggregates: dict, repeats: dict) -> dict:
     values = dict.fromkeys(PER_LAYER, 0.0)
     for stage, agg in stage_aggregates.items():
         r = repeats[stage]
-        for metric in TIME_METRICS:
+        for metric in (*TIME_NAMES, NNZ_COLS):
             values[metric] += agg.get(metric, 0.0) / r
         for metric, fn in COUNT_METRICS.items():
             values[metric] += agg.get(f"calls:{fn}", 0.0) / r
-        for metric, fn in WORK_METRICS.items():
-            values[metric] += agg.get(f"work:{fn}", 0.0) / r
     return values
