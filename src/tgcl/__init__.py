@@ -14,8 +14,6 @@ from .errors import DataError, NumericError
 from .graph import (
     FEATURE_POLICIES,
     SampledView,
-    SnapshotSequence,
-    TemporalEdge,
     TemporalGraph,
     build_graph,
     full_view,
@@ -81,8 +79,6 @@ __all__ = [
     "NumericError",
     "FEATURE_POLICIES",
     "SampledView",
-    "SnapshotSequence",
-    "TemporalEdge",
     "TemporalGraph",
     "build_graph",
     "full_view",

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
 from .graph import SampledView, TemporalGraph, build_graph, to_snapshots
@@ -262,24 +263,6 @@ class InvarianceResult:
         return float(vals.mean())
 
 
-def _snapshot_view(snap: TemporalGraph, full_features: np.ndarray) -> SampledView:
-    active = np.unique(np.concatenate([snap.src, snap.dst])) if snap.num_edges else np.empty(0, dtype=np.int64)
-    return SampledView(
-        lo=snap.t_min if snap.t_min is not None else 0.0,
-        hi=snap.t_max if snap.t_max is not None else 0.0,
-        active=active,
-        src=np.searchsorted(active, snap.src),
-        dst=np.searchsorted(active, snap.dst),
-        timestamps=snap.timestamps,
-        features=full_features[active] if active.size else full_features[:0],
-    )
-
-
-def _identity_adjacency(n: int) -> NormalizedAdjacency:
-    idx = np.arange(n, dtype=np.int64)
-    return NormalizedAdjacency(n=n, rows=idx, cols=idx, vals=np.ones(n), indptr=np.arange(n + 1, dtype=np.int64))
-
-
 def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.ndarray,
                         num_classes: int, cfg: InvarianceConfig, stream: int) -> np.ndarray:
     """Train one independent supervised encoder; returns per-active-node logits."""
@@ -289,7 +272,11 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     limit = np.sqrt(6.0 / (cfg.d_out + num_classes))
     head_w = base.uniform(-limit, limit, size=(cfg.d_out, num_classes))
     head_b = np.zeros(num_classes)
-    adj = normalize_adjacency(view) if cfg.encoder == "gcn" else _identity_adjacency(view.num_active)
+    if cfg.encoder == "gcn":
+        adj = normalize_adjacency(view)
+    else:
+        eye = sp.eye_array(view.num_active, format="csr")
+        adj = NormalizedAdjacency(norm=eye, nbr=eye)
 
     trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
                  "head_w": head_w, "head_b": head_b}
@@ -325,8 +312,7 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
         if len(labels_per_span) != s:
             raise DataError(f"got {len(labels_per_span)} label arrays for s={s} timespans")
 
-    snaps = to_snapshots(graph, s)
-    views = [_snapshot_view(snaps[t], graph.features) for t in range(s)]
+    views = to_snapshots(graph, s)
     split = make_split(labels_per_span[0], ratios=cfg.ratios, seed=cfg.seed)
 
     nonempty = [t for t in range(s) if not views[t].is_empty]

@@ -52,21 +52,6 @@ def fixture_views(graph: TemporalGraph):
     ]
 
 
-def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function at x, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy()
-        xm = x.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        grad[idx] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return grad
-
-
 def _fd_inplace(loss_fn, arr: np.ndarray, h: float) -> np.ndarray:
     """Central differences by perturbing arr in place (restored after)."""
     grad = np.zeros_like(arr)

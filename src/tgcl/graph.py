@@ -15,9 +15,9 @@ File formats:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,23 +26,14 @@ from .errors import DataError
 FEATURE_POLICIES = ("degree-buckets", "random")
 
 
-@dataclass(frozen=True)
-class TemporalEdge:
-    """One timestamped interaction, kept in stored direction."""
-
-    src: int
-    dst: int
-    timestamp: float
-
-
 @dataclass(frozen=True, eq=False)
 class TemporalGraph:
     """Immutable dynamic graph: node table, timestamped edges, features.
 
     ``src``/``dst`` hold dense internal indices; ``node_ids`` maps an
-    internal index back to the external id. ``labels`` uses -1 for
-    unlabeled nodes. ``t_min``/``t_max`` are None only for edge-free
-    snapshots produced by :func:`to_snapshots`.
+    internal index back to the external id. Edges are sorted by timestamp
+    (stably, so ties keep file order), which makes every time window a
+    contiguous slice. ``labels`` uses -1 for unlabeled nodes.
     """
 
     node_ids: np.ndarray
@@ -50,10 +41,10 @@ class TemporalGraph:
     dst: np.ndarray
     timestamps: np.ndarray
     features: np.ndarray
+    t_min: float
+    t_max: float
     labels: Optional[np.ndarray] = None
     label_names: Optional[tuple] = None
-    t_min: Optional[float] = None
-    t_max: Optional[float] = None
 
     @property
     def num_nodes(self) -> int:
@@ -65,8 +56,6 @@ class TemporalGraph:
 
     @property
     def timespan(self) -> float:
-        if self.t_min is None or self.t_max is None:
-            return 0.0
         return self.t_max - self.t_min
 
     @property
@@ -86,13 +75,10 @@ class TemporalGraph:
             return np.empty(0, dtype=np.int64)
         return np.nonzero(self.labels >= 0)[0].astype(np.int64)
 
-    def edge_list(self) -> list:
-        """Edges as TemporalEdge records with external ids (test helper)."""
-        ids = self.node_ids
-        return [
-            TemporalEdge(int(ids[s]), int(ids[d]), float(t))
-            for s, d, t in zip(self.src, self.dst, self.timestamps)
-        ]
+    def edge_range(self, lo: float, hi: float) -> tuple:
+        """Bounds [i, j) of the edges with lo <= timestamp <= hi."""
+        ts = self.timestamps
+        return int(np.searchsorted(ts, lo, "left")), int(np.searchsorted(ts, hi, "right"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,19 +127,6 @@ class SampledView:
             missing = nodes[bad][:5].tolist()
             raise DataError(f"nodes not active in view [{self.lo}, {self.hi}]: {missing}")
         return pos
-
-
-@dataclass(frozen=True)
-class SnapshotSequence:
-    """Ordered discrete-time snapshots over a shared node table."""
-
-    snapshots: tuple
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __getitem__(self, i: int) -> TemporalGraph:
-        return self.snapshots[i]
 
 
 def _parse_edges(path: Path):
@@ -271,6 +244,8 @@ def synthesize_features(
     the degree, capped at dim-1). random: per-node unit-norm vectors from a
     seeded generator, tied to the node ordering.
     """
+    if dim < 1:
+        raise DataError(f"feature dimension must be at least 1, got {dim}")
     if policy == "degree-buckets":
         buckets = np.minimum([int(d).bit_length() for d in degrees], dim - 1)
         feats = np.zeros((num_nodes, dim), dtype=np.float64)
@@ -295,41 +270,46 @@ def build_graph(
     feature_dim: int = 32,
     feature_seed: int = 0,
 ) -> TemporalGraph:
-    """Assemble a TemporalGraph from parsed pieces (external ids)."""
-    extra = list((feature_rows or {}).keys()) + list((label_rows or {}).keys())
-    node_ids = np.unique(np.concatenate([src_ext, dst_ext, np.array(extra, dtype=np.int64)]))
-    index = {int(e): i for i, e in enumerate(node_ids)}
-    src = np.array([index[int(u)] for u in src_ext], dtype=np.int64)
-    dst = np.array([index[int(v)] for v in dst_ext], dtype=np.int64)
+    """Assemble a TemporalGraph from parsed pieces (external ids).
+
+    Edges are stored sorted by timestamp; the sort is stable, so edges
+    with equal timestamps keep their input order.
+    """
+    feature_rows = feature_rows or {}
+    extra = np.fromiter([*feature_rows, *(label_rows or {})], dtype=np.int64)
+    node_ids = np.unique(np.concatenate([src_ext, dst_ext, extra]))
+
+    def index(ids) -> np.ndarray:
+        return np.searchsorted(node_ids, np.fromiter(ids, dtype=np.int64, count=len(ids)))
+
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    order = np.argsort(timestamps, kind="stable")
+    src = np.searchsorted(node_ids, np.asarray(src_ext)[order])
+    dst = np.searchsorted(node_ids, np.asarray(dst_ext)[order])
 
     n = node_ids.shape[0]
     if feature_rows:
-        dim = len(next(iter(feature_rows.values())))
-        features = np.zeros((n, dim), dtype=np.float64)
-        for nid, vec in feature_rows.items():
-            features[index[int(nid)]] = vec
+        features = np.zeros((n, len(next(iter(feature_rows.values())))), dtype=np.float64)
+        features[index(feature_rows)] = list(feature_rows.values())
     else:
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, src, 1)
-        np.add.at(deg, dst, 1)
+        deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
         features = synthesize_features(n, deg, feature_policy, feature_dim, feature_seed)
 
     labels = None
     if label_rows is not None:
         labels = np.full(n, -1, dtype=np.int64)
-        for nid, lab in label_rows.items():
-            labels[index[int(nid)]] = lab
+        labels[index(label_rows)] = list(label_rows.values())
 
     return TemporalGraph(
         node_ids=node_ids,
         src=src,
         dst=dst,
-        timestamps=np.asarray(timestamps, dtype=np.float64),
+        timestamps=timestamps[order],
         features=features,
+        t_min=float(timestamps[order[0]]),
+        t_max=float(timestamps[order[-1]]),
         labels=labels,
         label_names=label_names,
-        t_min=float(np.min(timestamps)),
-        t_max=float(np.max(timestamps)),
     )
 
 
@@ -375,9 +355,12 @@ def slice_interval(graph: TemporalGraph, lo: float, hi: float) -> SampledView:
     """
     if lo > hi:
         raise DataError(f"window lo {lo} > hi {hi}")
-    mask = (graph.timestamps >= lo) & (graph.timestamps <= hi)
-    src = graph.src[mask]
-    dst = graph.dst[mask]
+    return _edge_slice_view(graph, lo, hi, *graph.edge_range(lo, hi))
+
+
+def _edge_slice_view(graph: TemporalGraph, lo: float, hi: float, i: int, j: int) -> SampledView:
+    """View of the time-sorted edges i..j-1, labelled with the window [lo, hi]."""
+    src, dst = graph.src[i:j], graph.dst[i:j]
     active = np.unique(np.concatenate([src, dst]))
     return SampledView(
         lo=float(lo),
@@ -385,18 +368,17 @@ def slice_interval(graph: TemporalGraph, lo: float, hi: float) -> SampledView:
         active=active,
         src=np.searchsorted(active, src),
         dst=np.searchsorted(active, dst),
-        timestamps=graph.timestamps[mask],
-        features=graph.features[active] if active.size else graph.features[:0],
+        timestamps=graph.timestamps[i:j],
+        features=graph.features[active],
     )
 
 
 def full_view(graph: TemporalGraph) -> SampledView:
     """Whole-timespan view with every node active, isolated ones included."""
-    active = np.arange(graph.num_nodes, dtype=np.int64)
     return SampledView(
-        lo=float(graph.t_min) if graph.t_min is not None else 0.0,
-        hi=float(graph.t_max) if graph.t_max is not None else 0.0,
-        active=active,
+        lo=graph.t_min,
+        hi=graph.t_max,
+        active=np.arange(graph.num_nodes, dtype=np.int64),
         src=graph.src.copy(),
         dst=graph.dst.copy(),
         timestamps=graph.timestamps.copy(),
@@ -404,11 +386,14 @@ def full_view(graph: TemporalGraph) -> SampledView:
     )
 
 
-def to_snapshots(graph: TemporalGraph, s: int) -> SnapshotSequence:
-    """Partition the timespan into ``s`` equal intervals, one snapshot each.
+def to_snapshots(graph: TemporalGraph, s: int) -> list:
+    """Partition the timespan into ``s`` equal intervals, one view each.
 
-    Intervals are left-closed/right-open, the last right-closed, so every
-    edge lands in exactly one snapshot. Snapshots share the node table.
+    Edge k goes to bin floor(s * (t_k - t_min) / timespan), the last bin
+    also taking t_max, so the intervals are left-closed/right-open except
+    the last and every edge lands in exactly one snapshot. The bins are
+    non-decreasing along the time-sorted edges, so each snapshot is a
+    contiguous slice. A view's lo/hi are its interval's bounds.
     """
     if s < 1:
         raise DataError(f"snapshot count must be >= 1, got {s}")
@@ -416,21 +401,7 @@ def to_snapshots(graph: TemporalGraph, s: int) -> SnapshotSequence:
         raise DataError("degenerate timespan: all edges share one timestamp")
     rel = (graph.timestamps - graph.t_min) / graph.timespan
     bins = np.clip(np.floor(rel * s).astype(np.int64), 0, s - 1)
-    snaps = []
-    for k in range(s):
-        mask = bins == k
-        ts = graph.timestamps[mask]
-        snaps.append(
-            TemporalGraph(
-                node_ids=graph.node_ids,
-                src=graph.src[mask],
-                dst=graph.dst[mask],
-                timestamps=ts,
-                features=graph.features,
-                labels=graph.labels,
-                label_names=graph.label_names,
-                t_min=float(np.min(ts)) if ts.size else None,
-                t_max=float(np.max(ts)) if ts.size else None,
-            )
-        )
-    return SnapshotSequence(snapshots=tuple(snaps))
+    cuts = np.searchsorted(bins, np.arange(s + 1))
+    bounds = graph.t_min + graph.timespan / s * np.arange(s + 1)
+    bounds[-1] = graph.t_max
+    return [_edge_slice_view(graph, bounds[k], bounds[k + 1], cuts[k], cuts[k + 1]) for k in range(s)]

@@ -60,14 +60,6 @@ def leaky_relu_backward(grad: np.ndarray, x: np.ndarray, slope: float = 0.01) ->
     return grad * np.where(x > 0.0, 1.0, slope)
 
 
-def scale(x: np.ndarray, alpha: float) -> np.ndarray:
-    return alpha * x
-
-
-def scale_backward(grad: np.ndarray, alpha: float) -> np.ndarray:
-    return alpha * grad
-
-
 def row_l2_normalize(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
@@ -83,45 +75,25 @@ def row_l2_normalize_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (grad - z * np.sum(z * grad, axis=1, keepdims=True)) / norms
 
 
-def segment_reduce(values: np.ndarray, indptr: np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Reduce consecutive row segments of ``values``.
+def segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Column-wise max over consecutive row segments of ``values``.
 
     Segment i is values[indptr[i]:indptr[i+1]]; segments must be non-empty.
     """
-    starts = indptr[:-1]
-    lengths = np.diff(indptr)
-    if np.any(lengths <= 0):
+    if np.any(np.diff(indptr) <= 0):
         raise ValueError("segment_reduce: empty segment")
-    if mode == "sum":
-        return np.add.reduceat(values, starts, axis=0)
-    if mode == "mean":
-        return np.add.reduceat(values, starts, axis=0) / lengths[:, None]
-    if mode == "max":
-        out = np.empty((len(starts), values.shape[1]), dtype=values.dtype)
-        for i, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
-            out[i] = values[a:b].max(axis=0)
-        return out
-    raise ValueError(f"unknown segment_reduce mode {mode!r}")
+    return np.maximum.reduceat(values, indptr[:-1], axis=0)
 
 
-def segment_reduce_backward(
-    grad: np.ndarray, values: np.ndarray, indptr: np.ndarray, mode: str = "mean"
-) -> np.ndarray:
-    lengths = np.diff(indptr)
+def segment_reduce_backward(grad: np.ndarray, values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Route each segment's gradient, per column, to the first row that holds its max."""
+    starts = indptr[:-1]
+    top = np.repeat(np.maximum.reduceat(values, starts, axis=0), np.diff(indptr), axis=0)
+    pos = np.where(values == top, np.arange(values.shape[0])[:, None], values.shape[0])
+    first = np.minimum.reduceat(pos, starts, axis=0)
     out = np.zeros_like(values)
-    if mode == "sum":
-        out[:] = np.repeat(grad, lengths, axis=0)
-        return out
-    if mode == "mean":
-        out[:] = np.repeat(grad / lengths[:, None], lengths, axis=0)
-        return out
-    if mode == "max":
-        # route gradient to the first max in each segment (matches forward)
-        for i, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
-            arg = np.argmax(values[a:b], axis=0)
-            out[a + arg, np.arange(values.shape[1])] += grad[i]
-        return out
-    raise ValueError(f"unknown segment_reduce mode {mode!r}")
+    out[first, np.arange(values.shape[1])] = grad
+    return out
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import kernels
 from .errors import DataError
@@ -84,61 +85,56 @@ def init_params(d_in: int, d_hidden: int = 128, d_out: int = 64, seed: int = 0) 
 
 @dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
-    """Sparse symmetric D^-1/2 (A + I) D^-1/2 over a view's active nodes.
+    """A view's two sparse neighbour matrices over its active nodes.
 
-    COO entries sorted by row; ``indptr`` gives per-row extents so
-    matrix-vector products reduce over contiguous slices. Self-loops make
-    every row non-empty.
+    ``norm`` is the symmetric D^-1/2 (A + I) D^-1/2 the encoder propagates
+    with. ``nbr`` is the 0/1 neighbour matrix A with a self-loop on each
+    node that has no other neighbour, so every row is non-empty; the
+    readout aggregates its rows. Both are CSR with sorted column indices.
     """
 
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    indptr: np.ndarray
+    norm: sp.csr_array
+    nbr: sp.csr_array
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        dense[self.rows, self.cols] = self.vals
-        return dense
-
-
-def _undirected_pairs(view: SampledView):
-    """Distinct unordered non-self edges as (a, b) with a < b."""
-    a = np.minimum(view.src, view.dst)
-    b = np.maximum(view.src, view.dst)
-    keep = a != b
-    a, b = a[keep], b[keep]
-    if a.size == 0:
-        return a, b
-    code = a * np.int64(view.num_active) + b
-    uniq = np.unique(code)
-    return uniq // view.num_active, uniq % view.num_active
+    @property
+    def vals(self) -> np.ndarray:
+        """The nonzeros of ``norm``, read-only."""
+        vals = self.norm.data.view()
+        vals.flags.writeable = False
+        return vals
 
 
 def normalize_adjacency(view: SampledView) -> NormalizedAdjacency:
-    """Symmetrize, add self-loops, normalize by sqrt of augmented degrees."""
+    """Symmetrize, add self-loops, normalize by sqrt of augmented degrees.
+
+    Duplicate, reversed and self edges collapse, so both matrices depend
+    only on the set of distinct undirected pairs, not on edge order.
+    """
     if view.is_empty:
         raise DataError("cannot normalize adjacency of an empty view")
     n = view.num_active
-    a, b = _undirected_pairs(view)
-    deg = np.ones(n, dtype=np.float64)  # self-loop
-    np.add.at(deg, a, 1.0)
-    np.add.at(deg, b, 1.0)
-    rows = np.concatenate([a, b, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([b, a, np.arange(n, dtype=np.int64)])
-    order = np.lexsort((cols, rows))
+    a = np.minimum(view.src, view.dst)
+    b = np.maximum(view.src, view.dst)
+    pairs = np.unique((a * np.int64(n) + b)[a != b])
+    a, b = pairs // n, pairs % n
+    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) + 1  # self-loop
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([a, b, loops])
+    cols = np.concatenate([b, a, loops])
+    order = np.argsort(rows * n + cols)
     rows, cols = rows[order], cols[order]
-    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NormalizedAdjacency(n=n, rows=rows, cols=cols, vals=vals, indptr=indptr)
+    norm_indptr = np.concatenate(([0], np.cumsum(deg)))
+    norm = sp.csr_array((1.0 / np.sqrt(deg[rows] * deg[cols]), cols, norm_indptr), shape=(n, n))
+    # drop the self-loop of every node that has another neighbour
+    nbr_cols = cols[(rows != cols) | (deg[rows] == 1)]
+    nbr_indptr = np.concatenate(([0], np.cumsum(np.maximum(deg - 1, 1))))
+    nbr = sp.csr_array((np.ones(nbr_cols.size), nbr_cols, nbr_indptr), shape=(n, n))
+    return NormalizedAdjacency(norm=norm, nbr=nbr)
 
 
 def adj_matmul(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
-    """Sparse @ dense; the adjacency is symmetric so this is its own adjoint."""
-    contrib = adj.vals[:, None] * x[adj.cols]
-    return np.add.reduceat(contrib, adj.indptr[:-1], axis=0)
+    """Â @ x; Â is symmetric, so this is also its own adjoint."""
+    return adj.norm @ x
 
 
 @dataclass(eq=False)
@@ -177,49 +173,41 @@ def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, adj: NormalizedAdja
 
 @dataclass(eq=False)
 class ReadoutCache:
-    flat: np.ndarray
-    indptr: np.ndarray
+    rows: sp.csr_array  # the batch rows of the neighbour matrix
     stat: str
 
 
-def readout(view: SampledView, h: np.ndarray, batch_local: np.ndarray, stat: str = "mean"):
+def readout(adj: NormalizedAdjacency, h: np.ndarray, batch_local: np.ndarray,
+            stat: str = "mean"):
     """Aggregate each batch node's 1-hop in-view neighbor rows of ``h``.
 
     The node itself is excluded; a batch node with no in-view neighbor
-    falls back to its own row. Returns (matrix, cache).
+    falls back to its own row. Mean and sum are one sparse product with
+    the batch rows of ``adj.nbr``; max reduces over those rows' index
+    segments. Returns (matrix, cache).
     """
     if stat not in READOUT_STATS:
         raise ValueError(f"unknown readout stat {stat!r}; expected one of {READOUT_STATS}")
-    a, b = _undirected_pairs(view)
-    nbr_src = np.concatenate([a, b])
-    nbr_dst = np.concatenate([b, a])
-    order = np.argsort(nbr_src, kind="stable")
-    nbr_src, nbr_dst = nbr_src[order], nbr_dst[order]
-    starts = np.searchsorted(nbr_src, np.arange(view.num_active))
-    ends = np.searchsorted(nbr_src, np.arange(view.num_active) + 1)
-
-    chunks = []
-    counts = np.empty(batch_local.shape[0], dtype=np.int64)
-    for i, node in enumerate(batch_local):
-        lo, hi = starts[node], ends[node]
-        if hi > lo:
-            chunks.append(nbr_dst[lo:hi])
-            counts[i] = hi - lo
-        else:
-            chunks.append(np.array([node], dtype=np.int64))
-            counts[i] = 1
-    flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    indptr = np.zeros(batch_local.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    out = kernels.segment_reduce(h[flat], indptr, mode=stat)
-    return out, ReadoutCache(flat=flat, indptr=indptr, stat=stat)
+    rows = adj.nbr[batch_local]
+    if stat == "max":
+        out = kernels.segment_reduce(h[rows.indices], rows.indptr)
+    else:
+        out = rows @ h
+        if stat == "mean":
+            out /= np.diff(rows.indptr)[:, None]
+    return out, ReadoutCache(rows=rows, stat=stat)
 
 
 def readout_backward(grad_out: np.ndarray, cache: ReadoutCache, h: np.ndarray) -> np.ndarray:
-    grad_values = kernels.segment_reduce_backward(grad_out, h[cache.flat], cache.indptr, cache.stat)
-    grad_h = np.zeros_like(h)
-    np.add.at(grad_h, cache.flat, grad_values)
-    return grad_h
+    rows = cache.rows
+    if cache.stat == "max":
+        grad_values = kernels.segment_reduce_backward(grad_out, h[rows.indices], rows.indptr)
+        grad_h = np.zeros_like(h)
+        np.add.at(grad_h, rows.indices, grad_values)
+        return grad_h
+    if cache.stat == "mean":
+        grad_out = grad_out / np.diff(rows.indptr)[:, None]
+    return rows.T @ grad_out
 
 
 @dataclass(eq=False)
@@ -297,7 +285,7 @@ def embed_views(
         node_z, proj_node = project(h[batch_local], params)
         neigh_z = proj_neigh = read_cache = None
         if with_neighborhood:
-            r, read_cache = readout(view, h, batch_local, stat=stat)
+            r, read_cache = readout(adj, h, batch_local, stat=stat)
             neigh_z, proj_neigh = project(r, params)
         embeddings.append(ViewEmbeddings(node_z=node_z, neigh_z=neigh_z, node_index=batch_nodes))
         caches.append(
@@ -368,10 +356,15 @@ def load_params(path):
     """Read a checkpoint back; returns (params, meta). Bit-exact round trip."""
     path = Path(path)
     with path.open("rb") as fh:
-        magic = fh.readline().decode("utf-8").rstrip("\n")
+        magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: malformed checkpoint header: {exc}") from None
+        if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+            raise DataError(f"{path}: checkpoint header has no tensor list")
         arrays = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])

@@ -159,12 +159,12 @@ def sample_windows(graph: TemporalGraph, cfg: SamplerConfig, epoch: int) -> list
         raise DataError("degenerate timespan: view sampling needs t_max > t_min")
     rng = epoch_rng(cfg.seed, epoch)
     center_fn = _CENTER_FNS[cfg.strategy]
-    ts = graph.timestamps
     last_empty = None
     for _ in range(_MAX_RESAMPLE):
         centers = center_fn(cfg, dt, graph.t_min, rng)
         windows = _windows_from_centers(centers, cfg, dt, epoch)
-        empty = [w for w in windows if not np.any((ts >= w.lo) & (ts <= w.hi))]
+        bounds = [graph.edge_range(w.lo, w.hi) for w in windows]
+        empty = [w for w, (i, j) in zip(windows, bounds) if i == j]
         if not empty:
             return windows
         last_empty = empty[0]

@@ -204,6 +204,25 @@ def test_embed_dim_mismatch(tmp_path, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [b"{not json\n", b"\xff\xfe\n", b'{"dims": {}}\n'])
+def test_malformed_checkpoint_is_data_error(tmp_path, capsys, header):
+    edges, _ = _synth(tmp_path)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"tgcl-checkpoint v1\n" + header)
+    code = dispatch(["embed", "--edges", str(edges), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "emb.csv")])
+    assert code == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
+def test_train_feature_dim_zero_is_data_error(tmp_path, capsys):
+    edges, _ = _synth(tmp_path)
+    code = dispatch(["train", "--edges", str(edges), "--out", str(tmp_path / "run"),
+                     "--epochs", "1", "--feature-dim", "0"])
+    assert code == 2
+    assert "feature dimension" in capsys.readouterr().err
+
+
 def test_linear_eval_report(tmp_path, capsys):
     edges, labels = _synth(tmp_path)
     run = _train(tmp_path, edges)

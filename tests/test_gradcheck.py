@@ -1,8 +1,8 @@
 import numpy as np
 
 from tgcl import fixture_graph, fixture_views, model_grad_errors, run_grad_check
-from tgcl.gradcheck import central_difference, max_relative_error
-from tgcl.model import PARAM_FIELDS
+from tgcl.gradcheck import max_relative_error
+from tgcl.model import PARAM_FIELDS, READOUT_STATS
 
 
 def test_fixture_shape():
@@ -19,12 +19,6 @@ def test_fixture_shape():
     assert np.array_equal(g.features, g2.features)
 
 
-def test_central_difference_quadratic():
-    x = np.array([[1.0, -2.0], [0.5, 3.0]])
-    grad = central_difference(lambda z: float(np.sum(z**2)), x)
-    np.testing.assert_allclose(grad, 2 * x, atol=1e-9)
-
-
 def test_max_relative_error():
     assert max_relative_error(np.array([1.0]), np.array([1.0])) == 0.0
     assert max_relative_error(np.array([2.0]), np.array([1.0])) == 0.5
@@ -36,6 +30,12 @@ def test_model_grad_errors_all_params_small():
     errors = model_grad_errors(level="node")
     assert set(errors) == set(PARAM_FIELDS)
     assert all(e < 1e-4 for e in errors.values())
+
+
+def test_graph_level_grad_errors_every_readout_stat():
+    for stat in READOUT_STATS:
+        errors = model_grad_errors(level="graph", stat=stat)
+        assert max(errors.values()) < 1e-4, (stat, errors)
 
 
 def test_run_grad_check_structure():

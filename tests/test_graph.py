@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tgcl import (
     DataError,
+    build_graph,
     full_view,
     load_temporal_graph,
     slice_interval,
@@ -217,7 +220,7 @@ def test_snapshot_partition_boundaries(tmp_path):
     p = _write(tmp_path, "e.csv", "\n".join(lines) + "\n")
     g = load_temporal_graph(p)
     seq = to_snapshots(g, 4)
-    counts = [snap.num_edges for snap in seq.snapshots]
+    counts = [snap.num_edges for snap in seq]
     # [0,25) [25,50) [50,75) [75,100]: boundary edges open the next bin
     assert counts == [2, 1, 2, 2]
     assert seq[3].timestamps.tolist() == [75.0, 100.0]
@@ -229,7 +232,7 @@ def test_snapshot_identity_case(tmp_path):
     seq = to_snapshots(g, 1)
     assert len(seq) == 1
     assert np.array_equal(seq[0].timestamps, g.timestamps)
-    assert np.array_equal(seq[0].src, g.src)
+    assert np.array_equal(seq[0].active[seq[0].src], g.src)
 
 
 def test_snapshot_edge_conservation(tmp_path):
@@ -239,8 +242,8 @@ def test_snapshot_edge_conservation(tmp_path):
     g = load_temporal_graph(p)
     for s in (1, 3, 7):
         seq = to_snapshots(g, s)
-        assert sum(snap.num_edges for snap in seq.snapshots) == 1000
-        merged = np.sort(np.concatenate([snap.timestamps for snap in seq.snapshots]))
+        assert sum(snap.num_edges for snap in seq) == 1000
+        merged = np.sort(np.concatenate([snap.timestamps for snap in seq]))
         assert np.array_equal(merged, np.sort(g.timestamps))
 
 
@@ -248,9 +251,10 @@ def test_snapshots_share_node_table(tmp_path):
     p = _write(tmp_path, "e.csv", "0,1,0.0\n2,3,10.0\n")
     g = load_temporal_graph(p)
     seq = to_snapshots(g, 2)
-    for snap in seq.snapshots:
-        assert np.array_equal(snap.node_ids, g.node_ids)
-        assert snap.features is g.features
+    assert [snap.active.tolist() for snap in seq] == [[0, 1], [2, 3]]
+    for snap in seq:
+        # active ids index the graph's node table and feature rows
+        np.testing.assert_array_equal(snap.features, g.features[snap.active])
 
 
 def test_degree_bucket_features(tmp_path):
@@ -287,3 +291,48 @@ def test_full_view_includes_isolated_nodes(tmp_path):
     view = full_view(g)
     assert view.num_active == 3
     assert view.features.shape == (3, 1)
+
+
+@st.composite
+def _edges_with_ties(draw):
+    """(src, dst, timestamps) over few ids, drawing timestamps from a small
+    pool so that equal timestamps are common."""
+    pool = draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=1, max_size=6))
+    m = draw(st.integers(1, 40))
+    ids = st.lists(st.integers(0, 9), min_size=m, max_size=m)
+    ts = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    return np.array(draw(ids)), np.array(draw(ids)), np.array(ts)
+
+
+def _external_edges(g, view):
+    return list(zip(g.node_ids[view.active[view.src]].tolist(),
+                    g.node_ids[view.active[view.dst]].tolist(), view.timestamps.tolist()))
+
+
+@settings(deadline=None, derandomize=True)
+@given(_edges_with_ties(), st.data())
+def test_slice_interval_keeps_exactly_the_closed_window(edges, data):
+    src, dst, ts = edges
+    g = build_graph(src, dst, ts, feature_policy="random", feature_dim=2)
+    ends = st.sampled_from(sorted(set(ts.tolist())) + [-101.0, 101.0])
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    # a stable sort by time of the input edges, then the closed-window filter
+    expected = sorted(
+        [(int(u), int(v), float(t)) for u, v, t in zip(src, dst, ts) if lo <= t <= hi],
+        key=lambda e: e[2])
+    assert _external_edges(g, slice_interval(g, lo, hi)) == expected
+
+
+@settings(deadline=None, derandomize=True)
+@given(_edges_with_ties(), st.integers(1, 8))
+def test_to_snapshots_bins_by_floor(edges, s):
+    src, dst, ts = edges
+    t_min, t_max = ts.min(), ts.max()
+    assume(t_max > t_min)
+    g = build_graph(src, dst, ts, feature_policy="random", feature_dim=2)
+    bins = np.clip(np.floor((ts - t_min) / (t_max - t_min) * s).astype(np.int64), 0, s - 1)
+    snaps = to_snapshots(g, s)
+    assert len(snaps) == s
+    for k, snap in enumerate(snaps):
+        expected = [(int(u), int(v), float(t)) for u, v, t, b in zip(src, dst, ts, bins) if b == k]
+        assert sorted(_external_edges(g, snap)) == sorted(expected)

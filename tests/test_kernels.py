@@ -14,8 +14,6 @@ from tgcl.kernels import (
     relu_backward,
     row_l2_normalize,
     row_l2_normalize_backward,
-    scale,
-    scale_backward,
     segment_reduce,
     segment_reduce_backward,
 )
@@ -81,13 +79,9 @@ def test_leaky_relu_values():
 def test_segment_reduce_examples():
     vals = np.array([[1.0, 3.0], [3.0, 5.0]])
     ptr = np.array([0, 2])
-    np.testing.assert_allclose(segment_reduce(vals, ptr, "mean"), [[2.0, 4.0]])
-    np.testing.assert_allclose(segment_reduce(vals, ptr, "sum"), [[4.0, 8.0]])
-    np.testing.assert_allclose(segment_reduce(vals, ptr, "max"), [[3.0, 5.0]])
+    np.testing.assert_allclose(segment_reduce(vals, ptr), [[3.0, 5.0]])
     with pytest.raises(ValueError, match="empty segment"):
-        segment_reduce(vals, np.array([0, 0, 2]), "mean")
-    with pytest.raises(ValueError, match="unknown"):
-        segment_reduce(vals, ptr, "median")
+        segment_reduce(vals, np.array([0, 0, 2]))
 
 
 def test_matmul_backward_fd():
@@ -121,13 +115,6 @@ def test_relu_backward_fd():
     assert _rel_err(g, _fd_grad(lambda z: np.sum(w * leaky_relu(z)), x)) < TOL
 
 
-def test_scale_backward_fd():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((4, 3))
-    w = rng.standard_normal((4, 3))
-    assert _rel_err(scale_backward(w, 2.5), _fd_grad(lambda z: np.sum(w * scale(z, 2.5)), x)) < TOL
-
-
 def test_row_l2_backward_fd():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 3)) + 0.5
@@ -141,10 +128,9 @@ def test_segment_reduce_backward_fd():
     vals = rng.standard_normal((7, 3))
     ptr = np.array([0, 2, 3, 7])
     w = rng.standard_normal((3, 3))
-    for mode in ("mean", "sum", "max"):
-        g = segment_reduce_backward(w, vals, ptr, mode)
-        fd = _fd_grad(lambda z: np.sum(w * segment_reduce(z, ptr, mode)), vals)
-        assert _rel_err(g, fd) < TOL, mode
+    g = segment_reduce_backward(w, vals, ptr)
+    fd = _fd_grad(lambda z: np.sum(w * segment_reduce(z, ptr)), vals)
+    assert _rel_err(g, fd) < TOL
 
 
 def test_adjoint_inner_product_identity():

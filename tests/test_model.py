@@ -57,23 +57,23 @@ def test_adjacency_single_isolated_node():
     view = slice_interval(g, 0.0, 2.0)
     assert view.num_active == 1
     adj = normalize_adjacency(view)
-    np.testing.assert_allclose(adj.to_dense(), [[1.0]])
+    np.testing.assert_allclose(adj.norm.toarray(), [[1.0]])
 
 
 def test_adjacency_two_nodes_one_edge():
     g = build_graph(np.array([0]), np.array([1]), np.array([1.0]),
                     feature_policy="random", feature_dim=3)
     adj = normalize_adjacency(slice_interval(g, 0.0, 2.0))
-    np.testing.assert_allclose(adj.to_dense(), np.full((2, 2), 0.5))
+    np.testing.assert_allclose(adj.norm.toarray(), np.full((2, 2), 0.5))
 
 
 def test_adjacency_matches_dense_oracle():
     view = _random_view(seed=3)
     adj = normalize_adjacency(view)
-    assert np.max(np.abs(adj.to_dense() - _dense_norm_adj(view))) < 1e-12
+    assert np.max(np.abs(adj.norm.toarray() - _dense_norm_adj(view))) < 1e-12
     # entries in (0, 1], diagonal strictly positive, symmetric
     assert np.all(adj.vals > 0.0) and np.all(adj.vals <= 1.0)
-    dense = adj.to_dense()
+    dense = adj.norm.toarray()
     np.testing.assert_array_equal(dense, dense.T)
     assert np.all(np.diag(dense) > 0.0)
 
@@ -83,7 +83,7 @@ def test_adjacency_ignores_duplicate_and_reversed_edges():
     g = build_graph(np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
                     feature_policy="random", feature_dim=3)
     adj = normalize_adjacency(slice_interval(g, 0.0, 4.0))
-    np.testing.assert_allclose(adj.to_dense(), np.full((2, 2), 0.5))
+    np.testing.assert_allclose(adj.norm.toarray(), np.full((2, 2), 0.5))
 
 
 def test_adjacency_empty_view_rejected():
@@ -171,11 +171,11 @@ def test_readout_mean_sum_hand_case():
     view = slice_interval(g, 0.0, 3.0)
     h = view.features  # use raw features as the hidden rows
     batch = view.local_index_of(np.array([0]))
-    out, _ = readout(view, h, batch, stat="mean")
+    out, _ = readout(normalize_adjacency(view), h, batch, stat="mean")
     np.testing.assert_allclose(out, [[2.0, 4.0]])
-    out, _ = readout(view, h, batch, stat="sum")
+    out, _ = readout(normalize_adjacency(view), h, batch, stat="sum")
     np.testing.assert_allclose(out, [[4.0, 8.0]])
-    out, _ = readout(view, h, batch, stat="max")
+    out, _ = readout(normalize_adjacency(view), h, batch, stat="max")
     np.testing.assert_allclose(out, [[3.0, 5.0]])
 
 
@@ -187,7 +187,7 @@ def test_readout_excludes_self_and_falls_back_when_isolated():
     view = slice_interval(g, 0.0, 2.0)
     h = view.features
     batch = view.local_index_of(np.array([0, 1, 2]))
-    out, _ = readout(view, h, batch, stat="mean")
+    out, _ = readout(normalize_adjacency(view), h, batch, stat="mean")
     # neighbors only: 0 sees 1, 1 sees 0; 2 has none and keeps its own row
     np.testing.assert_allclose(out, [[10.0], [1.0], [7.0]])
 
@@ -205,7 +205,7 @@ def test_readout_matches_naive_loop():
             nbrs[int(v)].add(int(u))
 
     for stat, red in (("mean", np.mean), ("sum", np.sum), ("max", np.max)):
-        out, _ = readout(view, h, batch, stat=stat)
+        out, _ = readout(normalize_adjacency(view), h, batch, stat=stat)
         for i in range(view.num_active):
             rows = h[sorted(nbrs[i])] if nbrs[i] else h[[i]]
             np.testing.assert_allclose(out[i], red(rows, axis=0), err_msg=f"{stat} node {i}")
@@ -223,15 +223,15 @@ def test_readout_permutation_invariance():
         timestamps=view.timestamps[perm], features=view.features,
     )
     for stat in ("mean", "sum", "max"):
-        a, _ = readout(view, h, batch, stat=stat)
-        b, _ = readout(shuffled, h, batch, stat=stat)
+        a, _ = readout(normalize_adjacency(view), h, batch, stat=stat)
+        b, _ = readout(normalize_adjacency(shuffled), h, batch, stat=stat)
         np.testing.assert_allclose(a, b, atol=1e-12, err_msg=stat)
 
 
 def test_readout_unknown_stat():
     view = _random_view()
     with pytest.raises(ValueError, match="unknown readout stat"):
-        readout(view, view.features, np.array([0]), stat="median")
+        readout(normalize_adjacency(view), view.features, np.array([0]), stat="median")
 
 
 def test_project_rows_unit_norm():
@@ -316,7 +316,7 @@ def test_embed_views_compositional_oracle():
         h, _ = encode(view, adj, params)
         local = view.local_index_of(batch)
         node_z, _ = project(h[local], params)
-        r, _ = readout(view, h, local, stat="sum")
+        r, _ = readout(adj, h, local, stat="sum")
         neigh_z, _ = project(r, params)
         np.testing.assert_allclose(e.node_z, node_z, atol=1e-12)
         np.testing.assert_allclose(e.neigh_z, neigh_z, atol=1e-12)
