@@ -27,8 +27,7 @@ from .sampling import (
     SamplerConfig,
     ViewWindow,
     epoch_rng,
-    high_overlap_centers,
-    low_overlap_centers,
+    overlap_centers,
     random_centers,
     sample_windows,
     sequential_centers,
@@ -91,8 +90,7 @@ __all__ = [
     "ViewWindow",
     "epoch_rng",
     "sequential_centers",
-    "high_overlap_centers",
-    "low_overlap_centers",
+    "overlap_centers",
     "random_centers",
     "sample_windows",
     "AdamState",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -112,10 +111,7 @@ _EMBED_OPTS = {
     "edges": (str, _REQUIRED, "edges csv"),
     "ckpt": (str, _REQUIRED, "checkpoint from train"),
     "out": (str, _REQUIRED, "output embeddings csv"),
-    "features": (str, None, "optional node features csv"),
-    "feature-policy": (str, None, "override checkpoint feature policy"),
-    "feature-dim": (int, None, "override checkpoint feature dim"),
-    "feature-seed": (int, None, "override checkpoint feature seed"),
+    "features": (str, None, "node features csv; required if the checkpoint's were read from a file"),
 }
 
 _EVAL_OPTS = {
@@ -155,7 +151,7 @@ _GRADCHECK_OPTS = {
 
 def _build_parser(name: str, opts: dict) -> _Parser:
     parser = _Parser(prog=f"tgcl {name}", add_help=True)
-    for flag, (typ, default, help_text) in opts.items():
+    for flag, (typ, _default, help_text) in opts.items():
         kwargs = {"type": typ, "default": argparse.SUPPRESS, "help": help_text}
         if flag == "strategy":
             kwargs["choices"] = _STRATEGY_CHOICES
@@ -165,13 +161,11 @@ def _build_parser(name: str, opts: dict) -> _Parser:
             kwargs["choices"] = list(READOUT_STATS)
         elif flag == "encoder":
             kwargs["choices"] = list(PROBE_ENCODERS)
-        elif flag in ("feature-policy",) and default is not None:
+        elif flag == "feature-policy":
             kwargs["choices"] = list(FEATURE_POLICIES)
         parser.add_argument(f"--{flag}", **kwargs)
     parser.add_argument("--config", type=str, default=argparse.SUPPRESS,
                         help="key=value file; flags override its entries")
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="cap numeric thread pools (default 1)")
     return parser
 
 
@@ -188,9 +182,6 @@ def _read_config_file(path: str, opts: dict) -> dict:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "threads":
-            conf["threads"] = int(value)
-            continue
         if key not in opts:
             raise DataError(f"{path}:{lineno}: unknown option {key!r}")
         typ = opts[key][0]
@@ -217,19 +208,7 @@ def _merge_config(parser: _Parser, ns: argparse.Namespace, opts: dict) -> dict:
             parser.error(f"--{flag} is required (flag or config file)")
         else:
             conf[dest] = default
-    conf["threads"] = given.get("threads", file_conf.get("threads", 1))
     return conf
-
-
-def _limit_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass
 
 
 def _fmt_value(value) -> str:
@@ -256,11 +235,10 @@ def _canonical_strategy(name: str) -> str:
 
 def _run_sample_views(conf: dict) -> int:
     graph = load_temporal_graph(conf["edges"])
-    cfg = SamplerConfig(strategy=_canonical_strategy(conf["strategy"]),
-                        s=conf["s"], v=conf["v"], seed=conf["seed"])
+    cfg = SamplerConfig(strategy=_canonical_strategy(conf["strategy"]), s=conf["s"], v=conf["v"])
     lines = []
     for epoch in range(1, conf["epochs"] + 1):
-        for index, w in enumerate(sample_windows(graph, cfg, epoch)):
+        for index, w in enumerate(sample_windows(graph, cfg, epoch, conf["seed"])):
             lines.append(f"{epoch},{index},{float(w.lo)!r},{float(w.hi)!r}\n")
     if conf["out"]:
         out = Path(conf["out"])
@@ -302,9 +280,9 @@ def _load_graph_from_conf(conf: dict):
         conf["edges"],
         features_path=conf.get("features"),
         labels_path=conf.get("labels"),
-        feature_policy=conf.get("feature_policy") or "degree-buckets",
-        feature_dim=conf.get("feature_dim") if conf.get("feature_dim") is not None else 32,
-        feature_seed=conf.get("feature_seed") if conf.get("feature_seed") is not None else 0,
+        feature_policy=conf["feature_policy"],
+        feature_dim=conf["feature_dim"],
+        feature_seed=conf["feature_seed"],
     )
 
 
@@ -314,7 +292,7 @@ def _run_train(conf: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(
         sampler=SamplerConfig(strategy=_canonical_strategy(conf["strategy"]),
-                              s=conf["s"], v=conf["v"], seed=conf["seed"]),
+                              s=conf["s"], v=conf["v"]),
         loss=LossConfig(level=conf["level"], tau=conf["tau"]),
         d_hidden=conf["d_hidden"],
         d_out=conf["d_out"],
@@ -327,9 +305,6 @@ def _run_train(conf: dict) -> int:
         checkpoint_path=str(out_dir / "params.ckpt"),
         checkpoint_every=conf["checkpoint_every"],
         batches_per_epoch=conf["batches_per_epoch"],
-        feature_policy=conf["feature_policy"],
-        feature_dim=conf["feature_dim"],
-        feature_seed=conf["feature_seed"],
     )
     params, log = train(graph, cfg)
     (out_dir / "train_log.csv").write_text("".join(log.csv_lines()), encoding="utf-8")
@@ -340,16 +315,22 @@ def _run_train(conf: dict) -> int:
     return 0
 
 
+def _checkpoint_feature_spec(ckpt: str, meta: dict) -> dict:
+    """The synthesized-feature settings a checkpoint records, as
+    load_temporal_graph arguments."""
+    try:
+        return {"feature_policy": str(meta["feature_policy"]),
+                "feature_dim": int(meta["feature_dim"]),
+                "feature_seed": int(meta["feature_seed"])}
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise DataError(f"{ckpt} does not record how its features were synthesized; pass the "
+                        f"features file it was trained on with --features") from None
+
+
 def _run_embed(conf: dict) -> int:
     params, meta = load_params(conf["ckpt"])
-    merged = dict(conf)
-    if merged.get("feature_policy") is None:
-        merged["feature_policy"] = meta.get("feature_policy")
-    if merged.get("feature_dim") is None and "feature_dim" in meta:
-        merged["feature_dim"] = int(meta["feature_dim"])
-    if merged.get("feature_seed") is None and "feature_seed" in meta:
-        merged["feature_seed"] = int(meta["feature_seed"])
-    graph = _load_graph_from_conf(merged)
+    spec = {} if conf["features"] else _checkpoint_feature_spec(conf["ckpt"], meta)
+    graph = load_temporal_graph(conf["edges"], features_path=conf["features"], **spec)
     if graph.feature_dim != params.d_in:
         raise DataError(
             f"graph features have dim {graph.feature_dim} but checkpoint expects {params.d_in}")
@@ -501,7 +482,6 @@ def dispatch(argv) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        _limit_threads(conf["threads"])
         return runner(conf)
     except DataError as exc:
         sys.stderr.write(f"error: {exc}\n")

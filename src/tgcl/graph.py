@@ -34,6 +34,9 @@ class TemporalGraph:
     internal index back to the external id. Edges are sorted by timestamp
     (stably, so ties keep file order), which makes every time window a
     contiguous slice. ``labels`` uses -1 for unlabeled nodes.
+    ``feature_spec`` records how synthesized features were made
+    (``{"policy", "dim", "seed"}``, the arguments of
+    :func:`synthesize_features`); it is None when they were given.
     """
 
     node_ids: np.ndarray
@@ -45,6 +48,7 @@ class TemporalGraph:
     t_max: float
     labels: Optional[np.ndarray] = None
     label_names: Optional[tuple] = None
+    feature_spec: Optional[dict] = None
 
     @property
     def num_nodes(self) -> int:
@@ -246,6 +250,8 @@ def synthesize_features(
     """
     if dim < 1:
         raise DataError(f"feature dimension must be at least 1, got {dim}")
+    if seed < 0:
+        raise DataError(f"feature seed must be non-negative, got {seed}")
     if policy == "degree-buckets":
         buckets = np.minimum([int(d).bit_length() for d in degrees], dim - 1)
         feats = np.zeros((num_nodes, dim), dtype=np.float64)
@@ -288,12 +294,14 @@ def build_graph(
     dst = np.searchsorted(node_ids, np.asarray(dst_ext)[order])
 
     n = node_ids.shape[0]
+    feature_spec = None
     if feature_rows:
         features = np.zeros((n, len(next(iter(feature_rows.values())))), dtype=np.float64)
         features[index(feature_rows)] = list(feature_rows.values())
     else:
         deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
         features = synthesize_features(n, deg, feature_policy, feature_dim, feature_seed)
+        feature_spec = {"policy": feature_policy, "dim": feature_dim, "seed": feature_seed}
 
     labels = None
     if label_rows is not None:
@@ -310,6 +318,7 @@ def build_graph(
         t_max=float(timestamps[order[-1]]),
         labels=labels,
         label_names=label_names,
+        feature_spec=feature_spec,
     )
 
 

@@ -16,7 +16,7 @@ from .errors import NumericError
 
 
 def check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {name}")
 
 
@@ -110,11 +110,12 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, checked: bool = False) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """One Adam update, in place on the arrays of ``params``.
 
     Weight decay is coupled L2: added to the gradient before the moment
-    updates. Bias correction is the standard 1/(1-beta^t) form.
+    updates. Bias correction is the standard 1/(1-beta^t) form. A
+    non-finite gradient raises NumericError.
     """
     state.step_count += 1
     t = state.step_count
@@ -124,8 +125,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, checked: bool = False
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"adam_step shape mismatch for {name}: {g.shape} vs {p.shape}")
-        if checked:
-            check_finite(f"grad[{name}]", g)
+        check_finite(f"grad[{name}]", g)
         if state.weight_decay != 0.0:
             g = g + state.weight_decay * p
         if name not in state.m:

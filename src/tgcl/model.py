@@ -12,6 +12,7 @@ one parameter object.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ from .graph import SampledView
 CHECKPOINT_MAGIC = "tgcl-checkpoint v1"
 PARAM_FIELDS = ("gcn_w1", "gcn_w2", "proj_w1", "proj_b1", "proj_w2", "proj_b2")
 READOUT_STATS = ("mean", "max", "sum")
+_MAX_HEADER_BYTES = 1 << 20
 
 
 @dataclass
@@ -144,29 +146,28 @@ class EncodeCache:
     p1: np.ndarray
 
 
-def encode(view: SampledView, adj: NormalizedAdjacency, params: ModelParams,
-           activation: str = "relu"):
-    """Two-layer graph convolution of the view's features.
+def encode(view: SampledView, adj: NormalizedAdjacency, params: ModelParams):
+    """Two-layer graph convolution of the view's features, ReLU between
+    the layers.
 
-    Returns (H, cache); H has one row per active node. ``activation``
-    applies between the layers ("relu" or "linear").
+    Returns (H, cache); H has one row per active node.
     """
     h0 = view.features
     if h0.shape[1] != params.d_in:
         raise ValueError(f"feature dim {h0.shape[1]} != encoder input dim {params.d_in}")
     p0 = adj_matmul(adj, h0)
     s1 = kernels.matmul(p0, params.gcn_w1)
-    h1 = kernels.relu(s1) if activation == "relu" else s1
+    h1 = kernels.relu(s1)
     p1 = adj_matmul(adj, h1)
     h2 = kernels.matmul(p1, params.gcn_w2)
     return h2, EncodeCache(p0=p0, s1=s1, p1=p1)
 
 
 def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, adj: NormalizedAdjacency,
-                    params: ModelParams, activation: str = "relu") -> dict:
+                    params: ModelParams) -> dict:
     g_p1, g_w2 = kernels.matmul_backward(grad_h2, cache.p1, params.gcn_w2)
     g_h1 = adj_matmul(adj, g_p1)  # symmetric adjoint
-    g_s1 = kernels.relu_backward(g_h1, cache.s1) if activation == "relu" else g_h1
+    g_s1 = kernels.relu_backward(g_h1, cache.s1)
     _, g_w1 = kernels.matmul_backward(g_s1, cache.p0, params.gcn_w1)
     return {"gcn_w1": g_w1, "gcn_w2": g_w2}
 
@@ -260,7 +261,6 @@ class ViewCache:
     proj_node: ProjectCache
     proj_neigh: ProjectCache | None
     read: ReadoutCache | None
-    activation: str
 
 
 def embed_views(
@@ -269,7 +269,6 @@ def embed_views(
     params: ModelParams,
     stat: str = "mean",
     with_neighborhood: bool = True,
-    activation: str = "relu",
 ):
     """Encode every view with the same parameters and project the batch rows.
 
@@ -280,7 +279,7 @@ def embed_views(
     embeddings, caches = [], []
     for view in views:
         adj = normalize_adjacency(view)
-        h, enc_cache = encode(view, adj, params, activation=activation)
+        h, enc_cache = encode(view, adj, params)
         batch_local = view.local_index_of(batch_nodes)
         node_z, proj_node = project(h[batch_local], params)
         neigh_z = proj_neigh = read_cache = None
@@ -297,7 +296,6 @@ def embed_views(
                 proj_node=proj_node,
                 proj_neigh=proj_neigh,
                 read=read_cache,
-                activation=activation,
             )
         )
     return embeddings, caches
@@ -323,7 +321,7 @@ def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
             grad_h += readout_backward(g_read, cache.read, cache.h)
             for k, g in proj_grads_n.items():
                 total[k] += g
-        enc_grads = encode_backward(grad_h, cache.enc, cache.adj, params, cache.activation)
+        enc_grads = encode_backward(grad_h, cache.enc, cache.adj, params)
         for k, g in enc_grads.items():
             total[k] += g
     return total
@@ -353,27 +351,49 @@ def save_params(path, params: ModelParams, meta: dict | None = None) -> None:
 
 
 def load_params(path):
-    """Read a checkpoint back; returns (params, meta). Bit-exact round trip."""
+    """Read a checkpoint back; returns (params, meta). Bit-exact round trip.
+
+    Anything but the layout :func:`save_params` writes is a DataError: the
+    header's tensor list must match its dims, the file must end with the
+    last tensor, and every value must be finite.
+    """
     path = Path(path)
     with path.open("rb") as fh:
-        magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
+        magic = fh.readline(len(CHECKPOINT_MAGIC) + 1).decode("utf-8", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic {magic!r})")
+        line = fh.readline(_MAX_HEADER_BYTES + 1)
+        if len(line) > _MAX_HEADER_BYTES:
+            raise DataError(f"{path}: checkpoint header exceeds {_MAX_HEADER_BYTES} bytes")
         try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            header = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8
             raise DataError(f"{path}: malformed checkpoint header: {exc}") from None
-        if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
-            raise DataError(f"{path}: checkpoint header has no tensor list")
-        arrays = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise DataError(f"{path}: truncated tensor {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    missing = [f for f in PARAM_FIELDS if f not in arrays]
-    if missing:
-        raise DataError(f"{path}: checkpoint missing tensors {missing}")
-    return ModelParams(**arrays), header.get("meta", {})
+        body = fh.read()
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    dims = header.get("dims")
+    keys = ("d_in", "d_hidden", "d_out")
+    if not isinstance(dims, dict) or not all(type(dims.get(k)) is int and dims[k] > 0 for k in keys):
+        raise DataError(f"{path}: checkpoint dims must give positive integers {', '.join(keys)}")
+    d_in, d_hidden, d_out = (dims[k] for k in keys)
+    shapes = {"gcn_w1": [d_in, d_hidden], "gcn_w2": [d_hidden, d_out], "proj_w1": [d_out, d_out],
+              "proj_b1": [d_out], "proj_w2": [d_out, d_out], "proj_b2": [d_out]}
+    if header.get("tensors") != [{"name": f, "shape": shapes[f]} for f in PARAM_FIELDS]:
+        raise DataError(f"{path}: checkpoint tensor list does not match its dims {dims}")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint meta is not a JSON object")
+    sizes = {f: math.prod(shapes[f]) for f in PARAM_FIELDS}
+    need = 8 * sum(sizes.values())
+    if len(body) != need:
+        what = "truncated checkpoint" if len(body) < need else "trailing bytes in checkpoint"
+        raise DataError(f"{path}: {what}: {len(body)} tensor bytes where its dims need {need}")
+    flat = np.frombuffer(body, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"{path}: non-finite values in checkpoint tensors")
+    arrays, start = {}, 0
+    for f in PARAM_FIELDS:
+        arrays[f] = flat[start:start + sizes[f]].reshape(shapes[f]).copy()
+        start += sizes[f]
+    return ModelParams(**arrays), meta

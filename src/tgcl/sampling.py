@@ -57,7 +57,6 @@ class SamplerConfig:
     strategy: str = "sequential"
     s: int = 4
     v: int = 2
-    seed: int = 0
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -84,39 +83,26 @@ def _uniform_grid(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 def sequential_centers(cfg: SamplerConfig, dt: float, t_min: float, rng) -> list:
     """v distinct midpoints of the s-way partition, in random order."""
-    if cfg.v > cfg.s:
-        raise DataError(f"sequential sampling needs v <= s, got v={cfg.v} s={cfg.s}")
     half = dt / (2 * cfg.s)
     slots = rng.choice(cfg.s, size=cfg.v, replace=False)
     return [t_min + (2 * int(k) + 1) * half for k in slots]
 
 
-def high_overlap_centers(cfg: SamplerConfig, dt: float, t_min: float, rng) -> list:
-    """First center uniform on its feasible range, then steps of dt/(4s)."""
-    lo = t_min + dt / (2 * cfg.s)
-    hi = t_min + dt - (2 + cfg.v) * dt / (4 * cfg.s)
-    if hi < lo:
-        raise DataError(
-            f"high_overlap infeasible: first-center range [{lo}, {hi}] is empty "
-            f"(need (2+v)*dt/(4s) <= dt - dt/(2s); v={cfg.v} s={cfg.s})"
-        )
-    step = dt / (4 * cfg.s)
-    centers = [_uniform_grid(rng, lo, hi)]
-    for _ in range(cfg.v - 1):
-        centers.append(centers[-1] + step)
-    return centers
+_OVERLAP_QUARTERS = {"high_overlap": 1, "low_overlap": 3}
 
 
-def low_overlap_centers(cfg: SamplerConfig, dt: float, t_min: float, rng) -> list:
-    """First center uniform on its feasible range, then steps of 3*dt/(4s)."""
+def overlap_centers(cfg: SamplerConfig, dt: float, t_min: float, rng) -> list:
+    """First center uniform on its feasible range, then steps of q*dt/(4s),
+    with q = 1 for high_overlap and q = 3 for low_overlap."""
+    q = _OVERLAP_QUARTERS[cfg.strategy]
     lo = t_min + dt / (2 * cfg.s)
-    hi = t_min + dt - (2 + 3 * cfg.v) * dt / (4 * cfg.s)
+    hi = t_min + dt - (2 + q * cfg.v) * dt / (4 * cfg.s)
     if hi < lo:
         raise DataError(
-            f"low_overlap infeasible: first-center range [{lo}, {hi}] is empty "
-            f"(need (2+3v)*dt/(4s) <= dt - dt/(2s); v={cfg.v} s={cfg.s})"
+            f"{cfg.strategy} infeasible: first-center range [{lo}, {hi}] is empty "
+            f"(need (2+q*v)*dt/(4s) <= dt - dt/(2s); q={q} v={cfg.v} s={cfg.s})"
         )
-    step = 3 * dt / (4 * cfg.s)
+    step = q * dt / (4 * cfg.s)
     centers = [_uniform_grid(rng, lo, hi)]
     for _ in range(cfg.v - 1):
         centers.append(centers[-1] + step)
@@ -132,8 +118,8 @@ def random_centers(cfg: SamplerConfig, dt: float, t_min: float, rng) -> list:
 
 _CENTER_FNS = {
     "sequential": sequential_centers,
-    "high_overlap": high_overlap_centers,
-    "low_overlap": low_overlap_centers,
+    "high_overlap": overlap_centers,
+    "low_overlap": overlap_centers,
     "random": random_centers,
 }
 
@@ -146,10 +132,10 @@ def _windows_from_centers(centers, cfg, dt, epoch) -> list:
     ]
 
 
-def sample_windows(graph: TemporalGraph, cfg: SamplerConfig, epoch: int) -> list:
+def sample_windows(graph: TemporalGraph, cfg: SamplerConfig, epoch: int, seed: int) -> list:
     """Draw the epoch's v view windows for ``graph``.
 
-    Deterministic in (cfg.seed, epoch). A draw in which some window
+    Deterministic in (seed, epoch). A draw in which some window
     contains no edges at all is retried with fresh randomness, up to
     20 times, before giving up.
     """
@@ -157,7 +143,7 @@ def sample_windows(graph: TemporalGraph, cfg: SamplerConfig, epoch: int) -> list
     dt = graph.timespan
     if dt <= 0.0:
         raise DataError("degenerate timespan: view sampling needs t_max > t_min")
-    rng = epoch_rng(cfg.seed, epoch)
+    rng = epoch_rng(seed, epoch)
     center_fn = _CENTER_FNS[cfg.strategy]
     last_empty = None
     for _ in range(_MAX_RESAMPLE):

@@ -9,7 +9,6 @@ bit-identical loss sequences and checkpoints in 64-bit mode.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +35,6 @@ from .sampling import SamplerConfig, sample_windows
 class TrainConfig:
     sampler: SamplerConfig = SamplerConfig()
     loss: LossConfig = LossConfig()
-    d_in: int | None = None  # None: take the graph's feature dim
     d_hidden: int = 128
     d_out: int = 64
     lr: float = 4e-3
@@ -48,10 +46,6 @@ class TrainConfig:
     checkpoint_path: str | None = None
     checkpoint_every: int = 0  # 0: only after the final epoch
     batches_per_epoch: int = 1
-    # audit metadata for the checkpoint; lets `embed` rebuild synthesized features
-    feature_policy: str = "degree-buckets"
-    feature_dim: int = 32
-    feature_seed: int = 0
 
     def validate(self) -> "TrainConfig":
         self.sampler.validate()
@@ -140,19 +134,14 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
     checkpoint_every epochs when set).
     """
     cfg.validate()
-    d_in = cfg.d_in if cfg.d_in is not None else graph.feature_dim
-    if d_in != graph.feature_dim:
-        raise DataError(f"configured d_in {d_in} != graph feature dim {graph.feature_dim}")
-
-    params = init_params(d_in, cfg.d_hidden, cfg.d_out, seed=cfg.seed)
+    params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=cfg.seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    sampler = dataclasses.replace(cfg.sampler, seed=cfg.seed)
     with_neigh = cfg.loss.level == "graph"
     log = TrainLog()
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        windows = sample_windows(graph, sampler, epoch)
+        windows = sample_windows(graph, cfg.sampler, epoch, cfg.seed)
         views = [slice_interval(graph, w.lo, w.hi) for w in windows]
         shared = shared_nodes(views)
         batch_rng = np.random.default_rng([cfg.seed, epoch, 101])
@@ -179,15 +168,17 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
             wall_time=time.perf_counter() - t0,
         ))
         if cfg.checkpoint_path and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            save_params(cfg.checkpoint_path, params, meta=_checkpoint_meta(cfg, epoch))
+            save_params(cfg.checkpoint_path, params, meta=_checkpoint_meta(cfg, graph, epoch))
 
     if cfg.checkpoint_path:
-        save_params(cfg.checkpoint_path, params, meta=_checkpoint_meta(cfg, cfg.epochs))
+        save_params(cfg.checkpoint_path, params, meta=_checkpoint_meta(cfg, graph, cfg.epochs))
     return params, log
 
 
-def _checkpoint_meta(cfg: TrainConfig, epoch: int) -> dict:
-    return {
+def _checkpoint_meta(cfg: TrainConfig, graph: TemporalGraph, epoch: int) -> dict:
+    """Run settings for the checkpoint header. The graph's feature record
+    goes in too, so that `embed` can rebuild synthesized features."""
+    meta = {
         "epoch": epoch,
         "level": cfg.loss.level,
         "tau": cfg.loss.tau,
@@ -196,13 +187,13 @@ def _checkpoint_meta(cfg: TrainConfig, epoch: int) -> dict:
         "v": cfg.sampler.v,
         "seed": cfg.seed,
         "readout_stat": cfg.readout_stat,
-        "feature_policy": cfg.feature_policy,
-        "feature_dim": cfg.feature_dim,
-        "feature_seed": cfg.feature_seed,
     }
+    for key, value in (graph.feature_spec or {}).items():
+        meta[f"feature_{key}"] = value
+    return meta
 
 
-def embed_all(graph: TemporalGraph, params: ModelParams, activation: str = "relu") -> np.ndarray:
+def embed_all(graph: TemporalGraph, params: ModelParams) -> np.ndarray:
     """Frozen-encoder representations for every node.
 
     Encodes the whole timespan as a single view and returns the
@@ -211,5 +202,5 @@ def embed_all(graph: TemporalGraph, params: ModelParams, activation: str = "relu
     """
     view = full_view(graph)
     adj = normalize_adjacency(view)
-    h, _ = encode(view, adj, params, activation=activation)
+    h, _ = encode(view, adj, params)
     return h

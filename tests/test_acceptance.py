@@ -75,7 +75,7 @@ def _trained(level: str):
     if key not in _CACHE:
         graph = _community_graph()
         cfg = TrainConfig(
-            sampler=SamplerConfig("sequential", 4, 2, 0),
+            sampler=SamplerConfig("sequential", 4, 2),
             loss=LossConfig(level, 0.5),
             epochs=100,
             batch_size=256,
@@ -115,9 +115,9 @@ def test_acceptance_2_sampling_invariants():
         return max(0.0, min(a.hi, b.hi) - max(a.lo, b.lo))
 
     for strategy in ("sequential", "high_overlap", "low_overlap", "random"):
-        cfg = SamplerConfig(strategy, 4, 3, seed=11)
+        cfg = SamplerConfig(strategy, 4, 3)
         for epoch in range(1000):
-            ws = sample_windows(graph, cfg, epoch)
+            ws = sample_windows(graph, cfg, epoch, seed=11)
             for w in ws:
                 worst_len = max(worst_len, abs((w.hi - w.lo) - 25.0))
                 assert 0.0 <= w.lo <= w.hi <= 100.0

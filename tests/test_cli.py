@@ -1,12 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tgcl import __version__
+import tgcl
+from tgcl import (
+    DataError,
+    LossConfig,
+    SamplerConfig,
+    TrainConfig,
+    __version__,
+    embed_all,
+    load_params,
+    load_temporal_graph,
+    train,
+)
 from tgcl.cli import dispatch
+from tgcl.model import PARAM_FIELDS
 
 
 def _synth(tmp_path, **over):
@@ -20,6 +34,18 @@ def _synth(tmp_path, **over):
     ])
     assert code == 0
     return prefix.with_name("toy.edges.csv"), prefix.with_name("toy.labels.csv")
+
+
+def _features_file(path, n, dim):
+    rng = np.random.default_rng(dim)
+    path.write_text("".join(f"{i}," + ",".join(repr(float(x)) for x in rng.standard_normal(dim))
+                            + "\n" for i in range(n)), encoding="utf-8")
+    return path
+
+
+def _read_embeddings(path):
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    return [int(r[0]) for r in rows], np.array([[float(x) for x in r[1:]] for r in rows])
 
 
 def _train(tmp_path, edges, extra=()):
@@ -194,17 +220,76 @@ def test_embed_uses_checkpoint_feature_policy(tmp_path, capsys):
     assert sorted(ids) == list(range(45))
 
 
+def test_embed_matches_embed_all_of_the_trained_graph(tmp_path, capsys):
+    # trained through the Python API on synthesized features: the checkpoint
+    # records how they were made, and embed rebuilds exactly those (the
+    # width is the default's, so degree buckets would fit it too)
+    edges, _ = _synth(tmp_path)
+    graph = load_temporal_graph(edges, feature_policy="random", feature_dim=32, feature_seed=4)
+    ckpt = tmp_path / "params.ckpt"
+    cfg = TrainConfig(sampler=SamplerConfig("random", 3, 2), loss=LossConfig("node", 0.5),
+                      d_hidden=8, d_out=4, batch_size=16, epochs=2, checkpoint_path=str(ckpt))
+    params, _ = train(graph, cfg)
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(ckpt), "--out", str(out)]) == 0
+    capsys.readouterr()
+    ids, table = _read_embeddings(out)
+    assert ids == graph.node_ids.tolist()
+    np.testing.assert_array_equal(table, embed_all(graph, params))
+
+
+def test_embed_with_the_training_features_file(tmp_path, capsys):
+    edges, _ = _synth(tmp_path)
+    # as wide as the features _train would synthesize, so only the record
+    # tells embed that they came from this file
+    feats = _features_file(tmp_path / "feats.csv", 45, 8)
+    run = _train(tmp_path, edges, extra=("--features", str(feats)))
+    out = tmp_path / "emb.csv"
+    args = ["embed", "--edges", str(edges), "--ckpt", str(run / "params.ckpt"), "--out", str(out)]
+    assert dispatch(args) == 2
+    assert "--features" in capsys.readouterr().err
+    assert not out.exists()
+    assert dispatch([*args, "--features", str(feats)]) == 0
+    capsys.readouterr()
+    graph = load_temporal_graph(edges, features_path=feats)
+    _, table = _read_embeddings(out)
+    np.testing.assert_array_equal(table, embed_all(graph, load_params(run / "params.ckpt")[0]))
+
+
 def test_embed_dim_mismatch(tmp_path, capsys):
     edges, _ = _synth(tmp_path)
     run = _train(tmp_path, edges)
     out = tmp_path / "emb.csv"
     code = dispatch(["embed", "--edges", str(edges), "--ckpt", str(run / "params.ckpt"),
-                     "--out", str(out), "--feature-dim", "16"])
+                     "--out", str(out),
+                     "--features", str(_features_file(tmp_path / "feats.csv", 45, 16))])
     assert code == 2
     assert "dim" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("header", [b"{not json\n", b"\xff\xfe\n", b'{"dims": {}}\n'])
+_SHAPES = ([1, 1], [1, 1], [1, 1], [1], [1, 1], [1])  # each tensor's shape for dims (1, 1, 1)
+
+
+def _ckpt_bytes(dims=(1, 1, 1), shapes=_SHAPES, values=6):
+    d_in, d_hidden, d_out = dims
+    header = {"dims": {"d_in": d_in, "d_hidden": d_hidden, "d_out": d_out},
+              "tensors": [{"name": f, "shape": s} for f, s in zip(PARAM_FIELDS, shapes)]}
+    body = values if isinstance(values, bytes) else np.zeros(values).tobytes()
+    return json.dumps(header).encode() + b"\n" + body
+
+
+@pytest.mark.parametrize("header", [
+    b"{not json\n", b"\xff\xfe\n", b'{"dims": {}}\n',
+    pytest.param(b'{"tensors": [{}]}\n', id="empty-tensor-entry"),
+    pytest.param(b'{"tensors": [5]}\n', id="tensor-entry-not-an-object"),
+    pytest.param(_ckpt_bytes(shapes=([-1], *_SHAPES[1:])), id="negative-shape"),
+    pytest.param(_ckpt_bytes(shapes=("ab", *_SHAPES[1:])), id="shape-is-a-string"),
+    pytest.param(_ckpt_bytes(dims=(2, 1, 1)), id="shapes-disagree-with-dims"),
+    pytest.param(_ckpt_bytes(values=5), id="truncated"),
+    pytest.param(_ckpt_bytes(values=7), id="trailing-bytes"),
+    pytest.param(_ckpt_bytes(values=np.array([0, 0, np.nan, 0, 0, 0]).tobytes()), id="nan"),
+    pytest.param(b"[]\n", id="header-not-an-object"),
+])
 def test_malformed_checkpoint_is_data_error(tmp_path, capsys, header):
     edges, _ = _synth(tmp_path)
     ckpt = tmp_path / "bad.ckpt"
@@ -213,6 +298,17 @@ def test_malformed_checkpoint_is_data_error(tmp_path, capsys, header):
                      "--out", str(tmp_path / "emb.csv")])
     assert code == 2
     assert "checkpoint" in capsys.readouterr().err
+    with pytest.raises(DataError):
+        load_params(ckpt)
+
+
+def test_hand_written_checkpoint_loads(tmp_path):
+    # the well-formed file each malformed case above departs from
+    ckpt = tmp_path / "good.ckpt"
+    ckpt.write_bytes(b"tgcl-checkpoint v1\n" + _ckpt_bytes())
+    params, meta = load_params(ckpt)
+    assert params.gcn_w1.shape == (1, 1) and params.proj_b2.shape == (1,)
+    assert meta == {}
 
 
 def test_train_feature_dim_zero_is_data_error(tmp_path, capsys):
@@ -291,7 +387,10 @@ def test_grad_check_tol_failure(capsys):
 
 
 def test_module_entrypoint_subprocess():
+    # the child imports the same tgcl as this test, installed or not
+    src = str(Path(tgcl.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "tgcl.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__

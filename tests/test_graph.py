@@ -284,6 +284,19 @@ def test_unknown_feature_policy():
         synthesize_features(2, np.array([1, 1]), "fancy", 8)
 
 
+def test_negative_feature_seed_rejected():
+    with pytest.raises(DataError, match="feature seed"):
+        synthesize_features(2, np.array([1, 1]), "random", 8, seed=-1)
+
+
+def test_feature_spec_records_synthesized_features(tmp_path):
+    e = _write(tmp_path, "e.csv", "0,1,1.0\n")
+    g = load_temporal_graph(e, feature_policy="random", feature_dim=4, feature_seed=2)
+    assert g.feature_spec == {"policy": "random", "dim": 4, "seed": 2}
+    f = _write(tmp_path, "f.csv", "0,1.0\n1,2.0\n")
+    assert load_temporal_graph(e, features_path=f).feature_spec is None
+
+
 def test_full_view_includes_isolated_nodes(tmp_path):
     e = _write(tmp_path, "e.csv", "0,1,1.0\n")
     f = _write(tmp_path, "f.csv", "0,1.0\n1,2.0\n7,3.0\n")

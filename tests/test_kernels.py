@@ -196,4 +196,4 @@ def test_adam_shape_mismatch():
 def test_adam_checked_nonfinite():
     st = AdamState()
     with pytest.raises(NumericError):
-        adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.inf])}, st, checked=True)
+        adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.inf])}, st)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tgcl import (
     DataError,
@@ -16,7 +20,7 @@ from tgcl import (
     save_params,
     slice_interval,
 )
-from tgcl.model import PARAM_FIELDS, encode_backward, project_backward
+from tgcl.model import CHECKPOINT_MAGIC, PARAM_FIELDS, encode_backward, project_backward
 
 
 def _random_view(n=30, m=90, d=6, seed=0):
@@ -99,8 +103,8 @@ def test_encode_isolated_identity_returns_features():
                     feature_rows=feats)
     view = slice_interval(g, 0.0, 2.0)  # only the self-loop edge at node 0
     adj = normalize_adjacency(view)
-    h, _ = encode(view, adj, _identity_params(3), activation="linear")
-    np.testing.assert_allclose(h, [[1.5, -2.0, 0.5]])
+    h, _ = encode(view, adj, _identity_params(3))
+    np.testing.assert_allclose(h, [[1.5, 0.0, 0.5]])  # relu between the layers
 
 
 def test_encode_path_graph_dense_oracle():
@@ -112,7 +116,7 @@ def test_encode_path_graph_dense_oracle():
     w2 = np.array([[2.0, 0.0], [-1.0, 1.0]])
     params = ModelParams(gcn_w1=w1, gcn_w2=w2, proj_w1=np.eye(2),
                          proj_b1=np.zeros(2), proj_w2=np.eye(2), proj_b2=np.zeros(2))
-    h, _ = encode(view, normalize_adjacency(view), params, activation="relu")
+    h, _ = encode(view, normalize_adjacency(view), params)
 
     x = np.stack([feats[i] for i in range(3)])
     a_hat = _dense_norm_adj(view)
@@ -414,3 +418,39 @@ def test_checkpoint_truncated(tmp_path):
     p.write_bytes(data[:-16])
     with pytest.raises(DataError, match="truncated"):
         load_params(p)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _checkpoint_files(draw):
+    """A well-formed checkpoint with any of its header parts, its whole
+    header or its tensor bytes possibly replaced by arbitrary values."""
+    params = init_params(*draw(st.tuples(*[st.integers(1, 3)] * 3)))
+    good = {
+        "dims": {"d_in": params.d_in, "d_hidden": params.d_hidden, "d_out": params.d_out},
+        "tensors": [{"name": f, "shape": list(getattr(params, f).shape)} for f in PARAM_FIELDS],
+        "meta": {},
+    }
+    header = draw(st.just({k: draw(st.just(v) | _JSON) for k, v in good.items()}) | _JSON)
+    size = 8 * params.num_params
+    body = draw(st.binary(min_size=size, max_size=size) | st.binary(max_size=size + 16))
+    return json.dumps(header).encode() + b"\n" + body
+
+
+@settings(deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_checkpoint_files())
+def test_load_params_returns_or_raises_data_error(tmp_path, data):
+    path = tmp_path / "p.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC.encode() + b"\n" + data)
+    try:
+        params, meta = load_params(path)
+    except DataError:
+        return
+    assert all(np.all(np.isfinite(getattr(params, f))) for f in PARAM_FIELDS)
+    assert isinstance(meta, dict)

@@ -5,8 +5,7 @@ from tgcl import (
     DataError,
     SamplerConfig,
     build_graph,
-    high_overlap_centers,
-    low_overlap_centers,
+    overlap_centers,
     random_centers,
     sample_windows,
     sequential_centers,
@@ -43,8 +42,8 @@ def test_config_validation():
 
 def test_window_geometry_all_strategies():
     for strategy in ("sequential", "high_overlap", "low_overlap", "random"):
-        cfg = SamplerConfig(strategy, 4, 2, seed=0)
-        ws = sample_windows(GRAPH, cfg, epoch=0)
+        cfg = SamplerConfig(strategy, 4, 2)
+        ws = sample_windows(GRAPH, cfg, epoch=0, seed=0)
         assert len(ws) == 2
         for w in ws:
             assert w.hi - w.lo == 25.0  # exactly Dt/s
@@ -61,9 +60,9 @@ def test_sequential_candidate_centers():
 
 def test_sequential_windows_partition_slots():
     slots = {12.5, 37.5, 62.5, 87.5}
-    cfg = SamplerConfig("sequential", 4, 2, seed=9)
+    cfg = SamplerConfig("sequential", 4, 2)
     for epoch in range(50):
-        ws = sample_windows(GRAPH, cfg, epoch)
+        ws = sample_windows(GRAPH, cfg, epoch, seed=9)
         cs = [w.center for w in ws]
         assert set(cs) <= slots
         assert len(set(cs)) == 2
@@ -72,18 +71,18 @@ def test_sequential_windows_partition_slots():
 
 
 def test_sequential_exhaustive_when_v_equals_s():
-    cfg = SamplerConfig("sequential", 4, 4, seed=1)
-    ws = sample_windows(GRAPH, cfg, epoch=3)
+    cfg = SamplerConfig("sequential", 4, 4)
+    ws = sample_windows(GRAPH, cfg, epoch=3, seed=1)
     assert sorted(w.center for w in ws) == [12.5, 37.5, 62.5, 87.5]
 
 
 def test_sequential_slot_frequencies_uniform():
     # 1,000 draws of 3-of-10 slots; per-slot count ~ Binomial(1000, 0.3)
-    cfg = SamplerConfig("sequential", 10, 3, seed=5)
+    cfg = SamplerConfig("sequential", 10, 3)
     counts = np.zeros(10)
     n = 1000
     for epoch in range(n):
-        ws = sample_windows(GRAPH, cfg, epoch)
+        ws = sample_windows(GRAPH, cfg, epoch, seed=5)
         cs = {w.center for w in ws}
         assert len(cs) == 3
         for c in cs:
@@ -96,9 +95,9 @@ def test_sequential_slot_frequencies_uniform():
 
 
 def test_high_overlap_spacing_and_ratio():
-    cfg = SamplerConfig("high_overlap", 4, 3, seed=2)
+    cfg = SamplerConfig("high_overlap", 4, 3)
     for epoch in range(200):
-        ws = sample_windows(GRAPH, cfg, epoch)
+        ws = sample_windows(GRAPH, cfg, epoch, seed=2)
         for a, b in zip(ws, ws[1:]):
             assert b.center - a.center == pytest.approx(6.25, abs=1e-9)
             assert _overlap(a, b) / 25.0 == pytest.approx(0.75, abs=1e-9)
@@ -112,22 +111,22 @@ def test_high_overlap_hand_case():
         def integers(self, lo, hi):
             return 0  # grid point 0 -> center = range lo = 12.5
 
-    centers = high_overlap_centers(cfg, 100.0, 0.0, Fixed())
+    centers = overlap_centers(cfg, 100.0, 0.0, Fixed())
     assert centers == [12.5, 18.75, 25.0]
     shifted = [c + 7.5 for c in centers]  # translate to the quoted case
     assert shifted == [20.0, 26.25, 32.5]
 
 
 def test_high_overlap_infeasible():
-    cfg = SamplerConfig("high_overlap", 4, 20, seed=0)
+    cfg = SamplerConfig("high_overlap", 4, 20)
     with pytest.raises(DataError, match="infeasible"):
-        sample_windows(GRAPH, cfg, epoch=0)
+        sample_windows(GRAPH, cfg, epoch=0, seed=0)
 
 
 def test_low_overlap_spacing_and_ratio():
-    cfg = SamplerConfig("low_overlap", 4, 3, seed=3)
+    cfg = SamplerConfig("low_overlap", 4, 3)
     for epoch in range(200):
-        ws = sample_windows(GRAPH, cfg, epoch)
+        ws = sample_windows(GRAPH, cfg, epoch, seed=3)
         for a, b in zip(ws, ws[1:]):
             assert b.center - a.center == pytest.approx(18.75, abs=1e-9)
             assert _overlap(a, b) / 25.0 == pytest.approx(0.25, abs=1e-9)
@@ -143,7 +142,7 @@ def test_low_overlap_hand_case():
         def integers(self, lo, hi):
             return 0
 
-    centers = low_overlap_centers(cfg, 100.0, 0.0, Fixed())
+    centers = overlap_centers(cfg, 100.0, 0.0, Fixed())
     assert centers == [12.5, 31.25]
     shifted = [c + 2.5 for c in centers]  # the T1=15 case from the docs
     assert shifted == [15.0, 33.75]
@@ -154,15 +153,15 @@ def test_low_overlap_hand_case():
 
 
 def test_low_overlap_infeasible():
-    cfg = SamplerConfig("low_overlap", 4, 8, seed=0)
+    cfg = SamplerConfig("low_overlap", 4, 8)
     with pytest.raises(DataError, match="infeasible"):
-        sample_windows(GRAPH, cfg, epoch=0)
+        sample_windows(GRAPH, cfg, epoch=0, seed=0)
 
 
 def test_random_centers_bounds():
-    cfg = SamplerConfig("random", 5, 4, seed=7)
+    cfg = SamplerConfig("random", 5, 4)
     for epoch in range(500):
-        ws = sample_windows(GRAPH, cfg, epoch)
+        ws = sample_windows(GRAPH, cfg, epoch, seed=7)
         for w in ws:
             assert 10.0 <= w.center <= 90.0
         for a in ws:
@@ -172,10 +171,10 @@ def test_random_centers_bounds():
 
 def test_random_center_distribution_uniform():
     # KS distance of 10,000 centers against Uniform[10, 90]
-    cfg = SamplerConfig("random", 5, 2, seed=13)
+    cfg = SamplerConfig("random", 5, 2)
     centers = []
     for epoch in range(5000):
-        centers.extend(w.center for w in sample_windows(GRAPH, cfg, epoch))
+        centers.extend(w.center for w in sample_windows(GRAPH, cfg, epoch, seed=13))
     x = np.sort(np.array(centers))
     n = x.shape[0]
     assert n == 10000
@@ -190,32 +189,32 @@ def test_random_s1_degenerate_point():
     rng = np.random.default_rng(0)
     centers = random_centers(SamplerConfig("random", 1, 2), 100.0, 0.0, rng)
     assert centers == [50.0, 50.0]
-    ws = sample_windows(GRAPH, SamplerConfig("random", 1, 2, seed=0), epoch=0)
+    ws = sample_windows(GRAPH, SamplerConfig("random", 1, 2), epoch=0, seed=0)
     assert (ws[0].lo, ws[0].hi) == (0.0, 100.0)
 
 
 def test_determinism_and_epoch_variation():
     for strategy in ("sequential", "high_overlap", "low_overlap", "random"):
-        cfg = SamplerConfig(strategy, 4, 2, seed=21)
-        a = sample_windows(GRAPH, cfg, epoch=6)
-        b = sample_windows(GRAPH, cfg, epoch=6)
+        cfg = SamplerConfig(strategy, 4, 2)
+        a = sample_windows(GRAPH, cfg, epoch=6, seed=21)
+        b = sample_windows(GRAPH, cfg, epoch=6, seed=21)
         assert [(w.lo, w.hi) for w in a] == [(w.lo, w.hi) for w in b]
     # continuous strategies re-draw every epoch (sequential's finite slot
     # grid can repeat, so it is excluded here)
     for strategy in ("high_overlap", "low_overlap", "random"):
-        cfg = SamplerConfig(strategy, 4, 2, seed=21)
-        a = sample_windows(GRAPH, cfg, epoch=6)
-        c = sample_windows(GRAPH, cfg, epoch=7)
+        cfg = SamplerConfig(strategy, 4, 2)
+        a = sample_windows(GRAPH, cfg, epoch=6, seed=21)
+        c = sample_windows(GRAPH, cfg, epoch=7, seed=21)
         assert [(w.lo, w.hi) for w in a] != [(w.lo, w.hi) for w in c]
     # sequential still varies across a run of epochs
-    cfg = SamplerConfig("sequential", 4, 2, seed=21)
-    draws = {tuple(w.center for w in sample_windows(GRAPH, cfg, e)) for e in range(12)}
+    cfg = SamplerConfig("sequential", 4, 2)
+    draws = {tuple(w.center for w in sample_windows(GRAPH, cfg, e, seed=21)) for e in range(12)}
     assert len(draws) > 1
 
 
 def test_seed_changes_draw():
-    a = sample_windows(GRAPH, SamplerConfig("random", 4, 2, seed=0), epoch=0)
-    b = sample_windows(GRAPH, SamplerConfig("random", 4, 2, seed=1), epoch=0)
+    a = sample_windows(GRAPH, SamplerConfig("random", 4, 2), epoch=0, seed=0)
+    b = sample_windows(GRAPH, SamplerConfig("random", 4, 2), epoch=0, seed=1)
     assert [(w.lo, w.hi) for w in a] != [(w.lo, w.hi) for w in b]
 
 
@@ -223,7 +222,7 @@ def test_degenerate_timespan_rejected():
     ts = np.full(5, 3.0)
     g = build_graph(np.arange(5), (np.arange(5) + 1) % 5, ts, feature_policy="random", feature_dim=4)
     with pytest.raises(DataError, match="degenerate timespan"):
-        sample_windows(g, SamplerConfig("random", 2, 2, seed=0), epoch=0)
+        sample_windows(g, SamplerConfig("random", 2, 2), epoch=0, seed=0)
 
 
 def test_empty_window_resampled_then_error():
@@ -232,14 +231,14 @@ def test_empty_window_resampled_then_error():
     src = np.tile(np.arange(6), 20)
     dst = np.tile((np.arange(6) + 1) % 6, 20)
     g = build_graph(src, dst, ts, feature_policy="random", feature_dim=4)
-    cfg = SamplerConfig("random", 50, 2, seed=0)
+    cfg = SamplerConfig("random", 50, 2)
     with pytest.raises(DataError, match="no edges after"):
         # windows of length 2 centered in (1, 99) can never catch the clusters
-        sample_windows(g, cfg, epoch=0)
+        sample_windows(g, cfg, epoch=0, seed=0)
 
 
 def test_sampled_windows_slice_nonempty():
-    cfg = SamplerConfig("random", 4, 3, seed=2)
+    cfg = SamplerConfig("random", 4, 3)
     for epoch in range(20):
-        for w in sample_windows(GRAPH, cfg, epoch):
+        for w in sample_windows(GRAPH, cfg, epoch, seed=2):
             assert not slice_interval(GRAPH, w.lo, w.hi).is_empty

@@ -31,7 +31,7 @@ GRAPH = _train_graph()
 
 def _small_cfg(**kw):
     base = dict(
-        sampler=SamplerConfig("random", 3, 2, 0),
+        sampler=SamplerConfig("random", 3, 2),
         loss=LossConfig("node", 0.5),
         d_hidden=16,
         d_out=8,
@@ -107,11 +107,11 @@ def test_train_one_epoch_bookkeeping():
 
 
 def test_train_windows_match_sampler_stream():
-    # the trainer overrides the sampler seed with cfg.seed
-    cfg = _small_cfg(epochs=2, seed=42, sampler=SamplerConfig("random", 3, 2, seed=7))
+    # the trainer samples windows with cfg.seed
+    cfg = _small_cfg(epochs=2, seed=42, sampler=SamplerConfig("random", 3, 2))
     _, log = train(GRAPH, cfg)
     for rec in log.records:
-        expect = sample_windows(GRAPH, SamplerConfig("random", 3, 2, seed=42), rec.epoch)
+        expect = sample_windows(GRAPH, SamplerConfig("random", 3, 2), rec.epoch, seed=42)
         assert [(w.lo, w.hi) for w in rec.windows] == [(w.lo, w.hi) for w in expect]
 
 
@@ -152,21 +152,27 @@ def test_train_seed_changes_outcome():
     assert not np.array_equal(p1.gcn_w1, p2.gcn_w1)
 
 
-def test_train_d_in_mismatch():
-    with pytest.raises(DataError, match="d_in"):
-        train(GRAPH, _small_cfg(d_in=99))
-
-
 def test_train_checkpoint_written(tmp_path):
     path = tmp_path / "params.ckpt"
-    cfg = _small_cfg(epochs=2, checkpoint_path=str(path),
-                     feature_policy="random", feature_dim=8)
+    cfg = _small_cfg(epochs=2, checkpoint_path=str(path))
     params, _ = train(GRAPH, cfg)
     loaded, meta = load_params(path)
     assert np.array_equal(loaded.gcn_w1, params.gcn_w1)
     assert meta["epoch"] == 2
     assert meta["level"] == "node" and meta["strategy"] == "random"
-    assert meta["feature_policy"] == "random" and meta["feature_dim"] == 8
+    # the graph's feature record, not a default
+    assert (meta["feature_policy"], meta["feature_dim"], meta["feature_seed"]) == ("random", 8, 0)
+
+
+def test_train_checkpoint_omits_features_read_from_rows(tmp_path):
+    rows = {int(nid): GRAPH.features[i] for i, nid in enumerate(GRAPH.node_ids)}
+    g = build_graph(GRAPH.node_ids[GRAPH.src], GRAPH.node_ids[GRAPH.dst], GRAPH.timestamps,
+                    feature_rows=rows)
+    assert g.feature_spec is None
+    path = tmp_path / "params.ckpt"
+    train(g, _small_cfg(epochs=1, checkpoint_path=str(path)))
+    _, meta = load_params(path)
+    assert not any(key.startswith("feature_") for key in meta)
 
 
 def test_csv_lines_format():
@@ -193,7 +199,7 @@ def test_train_no_shared_nodes_error():
     g = build_graph(
         np.concatenate([src_a, src_b]), np.concatenate([dst_a, dst_b]),
         np.concatenate([ts_a, ts_b]), feature_policy="random", feature_dim=4)
-    cfg = _small_cfg(sampler=SamplerConfig("sequential", 2, 2, 0), epochs=1)
+    cfg = _small_cfg(sampler=SamplerConfig("sequential", 2, 2), epochs=1)
     with pytest.raises(DataError, match="no shared nodes"):
         train(g, cfg)
 
