@@ -30,16 +30,13 @@ from .evaluation import (
     probe_invariance,
     train_linear_probe,
 )
-from .graph import FEATURE_POLICIES, _parse_labels, load_temporal_graph
+from .graph import FEATURE_POLICIES, label_codes, load_temporal_graph, read_table
 from .losses import LossConfig
 from .model import READOUT_STATS, load_params
-from .sampling import SamplerConfig, sample_windows
+from .sampling import STRATEGIES, SamplerConfig, sample_windows
 from .training import TrainConfig, embed_all, train
 
 _REQUIRED = object()
-
-_STRATEGY_ALIASES = {"high": "high_overlap", "low": "low_overlap"}
-_STRATEGY_CHOICES = ["sequential", "high", "low", "random", "high_overlap", "low_overlap"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +151,7 @@ def _build_parser(name: str, opts: dict) -> _Parser:
     for flag, (typ, _default, help_text) in opts.items():
         kwargs = {"type": typ, "default": argparse.SUPPRESS, "help": help_text}
         if flag == "strategy":
-            kwargs["choices"] = _STRATEGY_CHOICES
+            kwargs["choices"] = list(STRATEGIES)
         elif flag == "level":
             kwargs["choices"] = ["node", "graph"]
         elif flag == "readout":
@@ -208,12 +205,12 @@ def _merge_config(parser: _Parser, ns: argparse.Namespace, opts: dict) -> dict:
             parser.error(f"--{flag} is required (flag or config file)")
         else:
             conf[dest] = default
+    if conf.get("seed", 0) < 0:
+        raise DataError(f"seed must be non-negative, got {conf['seed']}")
     return conf
 
 
 def _fmt_value(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -222,20 +219,19 @@ def _fmt_value(value) -> str:
 
 
 def _write_resolved(directory: Path, command: str, conf: dict) -> None:
-    lines = [f"command={command}\n", f"version={__version__}\n"]
+    """Write the settings as a config file that --config reads back: unset
+    options are left out, and the command and version are comments."""
+    lines = [f"# command={command}\n", f"# version={__version__}\n"]
     for key in sorted(conf):
-        lines.append(f"{key.replace('_', '-')}={_fmt_value(conf[key])}\n")
+        if conf[key] is not None:
+            lines.append(f"{key.replace('_', '-')}={_fmt_value(conf[key])}\n")
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.resolved").write_text("".join(lines), encoding="utf-8")
 
 
-def _canonical_strategy(name: str) -> str:
-    return _STRATEGY_ALIASES.get(name, name)
-
-
 def _run_sample_views(conf: dict) -> int:
     graph = load_temporal_graph(conf["edges"])
-    cfg = SamplerConfig(strategy=_canonical_strategy(conf["strategy"]), s=conf["s"], v=conf["v"])
+    cfg = SamplerConfig(strategy=conf["strategy"], s=conf["s"], v=conf["v"])
     lines = []
     for epoch in range(1, conf["epochs"] + 1):
         for index, w in enumerate(sample_windows(graph, cfg, epoch, conf["seed"])):
@@ -291,8 +287,7 @@ def _run_train(conf: dict) -> int:
     out_dir = Path(conf["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(
-        sampler=SamplerConfig(strategy=_canonical_strategy(conf["strategy"]),
-                              s=conf["s"], v=conf["v"]),
+        sampler=SamplerConfig(strategy=conf["strategy"], s=conf["s"], v=conf["v"]),
         loss=LossConfig(level=conf["level"], tau=conf["tau"]),
         d_hidden=conf["d_hidden"],
         d_out=conf["d_out"],
@@ -347,50 +342,16 @@ def _run_embed(conf: dict) -> int:
     return 0
 
 
-def _parse_embeddings(path: str):
-    ids, rows = [], []
-    dim = None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read embeddings file {path}: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise DataError(f"{path}:{lineno}: expected node_id,e1,..., got {raw!r}")
-        try:
-            nid = int(parts[0])
-            vec = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed embedding row {raw!r}")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise DataError(f"{path}:{lineno}: dimension {len(vec)} != first row's {dim}")
-        if not np.all(np.isfinite(vec)):
-            raise DataError(f"{path}:{lineno}: non-finite embedding value")
-        ids.append(nid)
-        rows.append(vec)
-    if not ids:
-        raise DataError(f"{path}: no embeddings found")
-    ids = np.array(ids, dtype=np.int64)
-    if np.unique(ids).size != ids.size:
-        raise DataError(f"{path}: duplicate node ids")
-    order = np.argsort(ids)
-    return ids[order], np.array(rows, dtype=np.float64)[order]
-
-
 def _run_linear_eval(conf: dict) -> int:
-    ids, table = _parse_embeddings(conf["embeddings"])
-    label_rows, _names = _parse_labels(Path(conf["labels"]))
+    ids, table = read_table(conf["embeddings"], "embeddings")
+    order = np.argsort(ids)
+    ids, table = ids[order], table[order]
+    label_ids, values = read_table(conf["labels"], "labels")
+    codes, _names = label_codes(values)
+    pos = np.minimum(np.searchsorted(ids, label_ids), ids.size - 1)
+    known = ids[pos] == label_ids  # labels of nodes without an embedding are dropped
     labels = np.full(ids.size, -1, dtype=np.int64)
-    index = {int(nid): i for i, nid in enumerate(ids)}
-    for nid, lab in label_rows.items():
-        if int(nid) in index:
-            labels[index[int(nid)]] = lab
+    labels[pos[known]] = codes[known]
     split = make_split(labels, ratios=conf["ratios"], seed=conf["seed"])
     probe = train_linear_probe(table, labels, split, lr=conf["lr"],
                                weight_decay=conf["weight_decay"], epochs=conf["epochs"])

@@ -421,7 +421,7 @@ def generate_synthetic(
 
     return build_graph(
         src, dst, timestamps,
-        label_rows={int(i): int(comm[i]) for i in range(n)},
+        labels=(np.arange(n), comm),
         feature_policy=feature_policy,
         feature_dim=feature_dim,
         feature_seed=seed,

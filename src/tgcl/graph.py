@@ -6,17 +6,18 @@ ids are remapped to dense internal indices at load time (sorted ascending,
 so two loads of the same files always agree). Edges keep their stored
 direction; encoding layers symmetrize later.
 
-File formats:
-  edges     src,dst,timestamp     one edge per line, '#' lines ignored
-  features  node_id,f1,...,fd
-  labels    node_id,label         label is an integer or a string
+File formats, all read by :func:`read_table`:
+  edges       src,dst,timestamp   one edge per line
+  features    node_id,f1,...,fd
+  labels      node_id,label       label is an integer or a string
+  embeddings  node_id,e1,...,ed   written by `tgcl embed`
+In every table, blank lines and lines whose first non-blank character is
+'#' are skipped; a '#' anywhere else is part of the row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -133,106 +134,108 @@ class SampledView:
         return pos
 
 
-def _parse_edges(path: Path):
-    src, dst, ts = [], [], []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'src,dst,timestamp', got {line!r}")
+# table -> (row layout, leading id columns, row width; None: at least 2
+# and as wide as the first row)
+_TABLES = {
+    "edges": ("src,dst,timestamp", 2, 3),
+    "features": ("node_id,f1,...,fd", 1, None),
+    "labels": ("node_id,label", 1, 2),
+    "embeddings": ("node_id,e1,...,ed", 1, None),
+}
+
+
+def read_table(path, table: str) -> tuple:
+    """Read a CSV table: ``table`` is "edges", "features", "labels" or
+    "embeddings", in the layouts of the module docstring.
+
+    One pass over the lines skips blank lines and whole-line ``#``
+    comments, splits each row on commas and checks its width. Ids are
+    parsed with ``int`` into int64 and values with ``float`` into float64;
+    label values stay strings (see :func:`label_codes`). Returns
+    ``(ids, values)``: ids are (n,), or (n, 2) src/dst pairs for edges;
+    values are (n,) for edges and labels, (n, d) for features and
+    embeddings, in file order. A malformed row, a negative id, a
+    non-finite value, an id repeated in a per-node table and a table
+    without rows are DataErrors that name the file and the first
+    offending line.
+    """
+    layout, k, fixed = _TABLES[table]
+    width = fixed
+    cells, lines = [], []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line[0] == "#":
+                    continue
+                parts = line.split(",")
+                if len(parts) != width:
+                    if fixed or len(parts) < 2:
+                        raise DataError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
+                    if width:
+                        raise DataError(f"{path}:{lineno}: dimension {len(parts) - 1} != "
+                                        f"{width - 1} of earlier rows")
+                    width = len(parts)
+                cells += parts
+                lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    n = len(lines)
+    if not n:
+        raise DataError(f"{path}: no {table}")
+
+    def fail(bad: np.ndarray, problem: str) -> None:
+        if bad.any():
+            row = int(np.argmax(bad))
+            text = ",".join(cells[row * width:(row + 1) * width])
+            raise DataError(f"{path}:{lines[row]}: {problem} {text!r}")
+
+    numeric = table != "labels"
+    try:
+        ids, values = _columns(cells.copy(), n, k, numeric)
+    except (ValueError, OverflowError):
+        for row in range(n):  # only to name the first row that does not convert
             try:
-                u, v = int(parts[0]), int(parts[1])
-                t = float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed edge line {line!r}") from None
-            if u < 0 or v < 0:
-                raise DataError(f"{path}:{lineno}: negative node id in {line!r}")
-            if not math.isfinite(t):
-                raise DataError(f"{path}:{lineno}: non-finite timestamp {parts[2]!r}")
-            src.append(u)
-            dst.append(v)
-            ts.append(t)
-    if not ts:
-        raise DataError(f"{path}: no edges")
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(ts, dtype=np.float64)
+                _columns(cells[row * width:(row + 1) * width], 1, k, numeric)
+            except (ValueError, OverflowError):
+                fail(np.arange(n) == row, "malformed row")
+    fail((ids < 0).any(axis=1), "negative node id in")
+    if numeric:
+        fail(~np.isfinite(values).all(axis=1), "non-finite value in")
+    if k == 1:
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(ids, return_index=True)[1]] = False  # first occurrences
+        fail(repeat, "duplicate node id in")
+    return (ids[:, 0] if k == 1 else ids), (values[:, 0] if fixed else values)
 
 
-def _parse_features(path: Path):
-    rows = {}
-    dim = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: expected 'node_id,f1,...', got {line!r}")
-            try:
-                nid = int(parts[0])
-                vec = [float(x) for x in parts[1:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed feature line") from None
-            if nid < 0:
-                raise DataError(f"{path}:{lineno}: negative node id")
-            if any(not math.isfinite(x) for x in vec):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: feature dimension {len(vec)} != {dim} of earlier rows"
-                )
-            if nid in rows:
-                raise DataError(f"{path}:{lineno}: duplicate node id {nid}")
-            rows[nid] = np.array(vec, dtype=np.float64)
-    return rows, (dim or 0)
+def _columns(cells: list, n: int, k: int, numeric: bool) -> tuple:
+    """Split the flat row-major cells of n rows into (n, k) int64 ids and
+    the value columns, as float64 or (numeric False) as strings."""
+    ids = np.empty((n, k), dtype=np.int64)
+    for j in range(k):  # peel the leading id columns off, one at a time
+        width = len(cells) // n
+        ids[:, j] = np.fromiter(map(int, cells[::width]), np.int64, n)
+        del cells[::width]
+    if not numeric:
+        return ids, np.array(cells, dtype=object).reshape(n, -1)
+    return ids, np.fromiter(map(float, cells), np.float64, len(cells)).reshape(n, -1)
 
 
-def _parse_labels(path: Path):
-    raw_rows = []
-    seen = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'node_id,label', got {line!r}")
-            try:
-                nid = int(parts[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed node id") from None
-            if nid < 0:
-                raise DataError(f"{path}:{lineno}: negative node id")
-            if nid in seen:
-                raise DataError(f"{path}:{lineno}: duplicate node id {nid}")
-            seen.add(nid)
-            raw_rows.append((nid, parts[1]))
+def label_codes(values) -> tuple:
+    """Class codes (int64) for label values, and the class names.
 
-    all_int = True
-    for _, lab in raw_rows:
-        try:
-            int(lab)
-        except ValueError:
-            all_int = False
-            break
-    if all_int:
-        return {nid: int(lab) for nid, lab in raw_rows}, None
-    # intern strings by first occurrence
-    names: list = []
-    index = {}
-    out = {}
-    for nid, lab in raw_rows:
-        if lab not in index:
-            index[lab] = len(names)
-            names.append(lab)
-        out[nid] = index[lab]
-    return out, tuple(names)
+    When every value parses with ``int`` (and fits int64), the codes are
+    those integers and the names None. Otherwise each distinct string is
+    a class, numbered in first-occurrence order, and the names tuple maps
+    a code back to its string.
+    """
+    try:
+        return np.fromiter(map(int, values), np.int64, len(values)), None
+    except (ValueError, OverflowError):
+        names = tuple(dict.fromkeys(map(str, values)))
+        code = {name: i for i, name in enumerate(names)}
+        return np.fromiter(map(code.__getitem__, map(str, values)), np.int64, len(values)), names
 
 
 def synthesize_features(
@@ -269,54 +272,56 @@ def build_graph(
     src_ext: np.ndarray,
     dst_ext: np.ndarray,
     timestamps: np.ndarray,
-    feature_rows: Optional[dict] = None,
-    label_rows: Optional[dict] = None,
-    label_names: Optional[tuple] = None,
+    features: Optional[tuple] = None,
+    labels: Optional[tuple] = None,
     feature_policy: str = "degree-buckets",
     feature_dim: int = 32,
     feature_seed: int = 0,
 ) -> TemporalGraph:
     """Assemble a TemporalGraph from parsed pieces (external ids).
 
-    Edges are stored sorted by timestamp; the sort is stable, so edges
-    with equal timestamps keep their input order.
+    ``features`` is (ids, matrix) with one row per id, ``labels`` is (ids,
+    values) with values as :func:`label_codes` reads them; nodes without a
+    row get zero features and label -1. Edges are stored sorted by
+    timestamp; the sort is stable, so edges with equal timestamps keep
+    their input order.
     """
-    feature_rows = feature_rows or {}
-    extra = np.fromiter([*feature_rows, *(label_rows or {})], dtype=np.int64)
-    node_ids = np.unique(np.concatenate([src_ext, dst_ext, extra]))
-
-    def index(ids) -> np.ndarray:
-        return np.searchsorted(node_ids, np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    extra = [np.asarray(part[0], dtype=np.int64) for part in (features, labels) if part is not None]
+    node_ids, index = np.unique(np.concatenate([src_ext, dst_ext, *extra]), return_inverse=True)
 
     timestamps = np.asarray(timestamps, dtype=np.float64)
+    m = timestamps.shape[0]
     order = np.argsort(timestamps, kind="stable")
-    src = np.searchsorted(node_ids, np.asarray(src_ext)[order])
-    dst = np.searchsorted(node_ids, np.asarray(dst_ext)[order])
+    src, dst = index[:m][order], index[m:2 * m][order]
 
     n = node_ids.shape[0]
     feature_spec = None
-    if feature_rows:
-        features = np.zeros((n, len(next(iter(feature_rows.values())))), dtype=np.float64)
-        features[index(feature_rows)] = list(feature_rows.values())
+    if features is not None:
+        ids, matrix = features
+        matrix = np.asarray(matrix, dtype=np.float64)
+        feats = np.zeros((n, matrix.shape[1]), dtype=np.float64)
+        feats[np.searchsorted(node_ids, ids)] = matrix
     else:
         deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
-        features = synthesize_features(n, deg, feature_policy, feature_dim, feature_seed)
+        feats = synthesize_features(n, deg, feature_policy, feature_dim, feature_seed)
         feature_spec = {"policy": feature_policy, "dim": feature_dim, "seed": feature_seed}
 
-    labels = None
-    if label_rows is not None:
-        labels = np.full(n, -1, dtype=np.int64)
-        labels[index(label_rows)] = list(label_rows.values())
+    codes = label_names = None
+    if labels is not None:
+        ids, values = labels
+        values, label_names = label_codes(values)
+        codes = np.full(n, -1, dtype=np.int64)
+        codes[np.searchsorted(node_ids, ids)] = values
 
     return TemporalGraph(
         node_ids=node_ids,
         src=src,
         dst=dst,
         timestamps=timestamps[order],
-        features=features,
+        features=feats,
         t_min=float(timestamps[order[0]]),
         t_max=float(timestamps[order[-1]]),
-        labels=labels,
+        labels=codes,
         label_names=label_names,
         feature_spec=feature_spec,
     )
@@ -336,20 +341,13 @@ def load_temporal_graph(
     no features file is given, features are synthesized with the requested
     policy (see :func:`synthesize_features`).
     """
-    src_ext, dst_ext, ts = _parse_edges(Path(edges_path))
-    feature_rows = None
-    if features_path is not None:
-        feature_rows, _ = _parse_features(Path(features_path))
-    label_rows = label_names = None
-    if labels_path is not None:
-        label_rows, label_names = _parse_labels(Path(labels_path))
+    ends, timestamps = read_table(edges_path, "edges")
     return build_graph(
-        src_ext,
-        dst_ext,
-        ts,
-        feature_rows=feature_rows,
-        label_rows=label_rows,
-        label_names=label_names,
+        ends[:, 0],
+        ends[:, 1],
+        timestamps,
+        features=None if features_path is None else read_table(features_path, "features"),
+        labels=None if labels_path is None else read_table(labels_path, "labels"),
         feature_policy=feature_policy,
         feature_dim=feature_dim,
         feature_seed=feature_seed,

@@ -3,7 +3,7 @@
 Every kernel comes as a forward function and a matching ``*_backward``
 that maps the output gradient (plus whatever the forward saw) to input
 gradients. Compositions are wired by hand in the model module; there is
-no tape. Arrays are float64 unless the caller opts into float32.
+no tape. Arrays are float64.
 """
 
 from __future__ import annotations

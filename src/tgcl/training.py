@@ -9,7 +9,6 @@ bit-identical loss sequences and checkpoints in 64-bit mode.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +57,8 @@ class TrainConfig:
             raise DataError(f"batch size must be at least 2 for contrast, got {self.batch_size}")
         if self.epochs < 1:
             raise DataError(f"epochs must be at least 1, got {self.epochs}")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.batches_per_epoch < 1:
             raise DataError(f"batches_per_epoch must be at least 1, got {self.batches_per_epoch}")
         if self.readout_stat not in READOUT_STATS:
@@ -72,7 +73,6 @@ class EpochRecord:
     loss: float
     shared: int
     windows: tuple
-    wall_time: float
 
 
 @dataclass
@@ -83,8 +83,8 @@ class TrainLog:
         return np.array([r.loss for r in self.records])
 
     def csv_lines(self):
-        """Deterministic CSV serialization; wall time is deliberately
-        excluded so identical runs produce identical bytes."""
+        """Deterministic CSV serialization: identical runs produce
+        identical bytes."""
         if not self.records:
             return ["epoch,loss,shared\n"]
         v = len(self.records[0].windows)
@@ -140,7 +140,6 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
     log = TrainLog()
 
     for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
         windows = sample_windows(graph, cfg.sampler, epoch, cfg.seed)
         views = [slice_interval(graph, w.lo, w.hi) for w in windows]
         shared = shared_nodes(views)
@@ -165,7 +164,6 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
             loss=float(epoch_loss),
             shared=int(shared.size),
             windows=tuple(windows),
-            wall_time=time.perf_counter() - t0,
         ))
         if cfg.checkpoint_path and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
             save_params(cfg.checkpoint_path, params, meta=_checkpoint_meta(cfg, graph, epoch))

@@ -19,6 +19,7 @@ from tgcl import (
     load_temporal_graph,
     train,
 )
+from tgcl import cli
 from tgcl.cli import dispatch
 from tgcl.model import PARAM_FIELDS
 
@@ -96,7 +97,7 @@ def test_missing_edges_file_is_data_error(capsys):
 def test_sample_views_stdout(tmp_path, capsys):
     edges, _ = _synth(tmp_path)
     capsys.readouterr()
-    code = dispatch(["sample-views", "--edges", str(edges), "--strategy", "high",
+    code = dispatch(["sample-views", "--edges", str(edges), "--strategy", "high_overlap",
                      "--s", "4", "--v", "2", "--seed", "1", "--epochs", "2"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -193,6 +194,44 @@ def test_train_artifacts(tmp_path, capsys):
     resolved = (out / "config.resolved").read_text()
     assert "command=train\n" in resolved
     assert "level=node\n" in resolved and "tau=0.5\n" in resolved
+
+
+def test_train_reruns_from_its_config_resolved(tmp_path, capsys):
+    edges, labels = _synth(tmp_path)
+    feats = _features_file(tmp_path / "feats.csv", 45, 8)
+    first = _train(tmp_path / "a", edges, extra=("--labels", str(labels), "--features", str(feats)))
+    second = tmp_path / "b"
+    assert dispatch(["train", "--config", str(first / "config.resolved"), "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert (first / "train_log.csv").read_bytes() == (second / "train_log.csv").read_bytes()
+    assert (first / "params.ckpt").read_bytes() == (second / "params.ckpt").read_bytes()
+    # and without the optional files, which the file then leaves out
+    third = _train(tmp_path / "c", edges)
+    assert "features=" not in (third / "config.resolved").read_text()
+    fourth = tmp_path / "d"
+    assert dispatch(["train", "--config", str(third / "config.resolved"), "--out", str(fourth)]) == 0
+    capsys.readouterr()
+    assert (third / "params.ckpt").read_bytes() == (fourth / "params.ckpt").read_bytes()
+
+
+_SEED_ARGS = {
+    "sample-views": ["--edges", "e.csv"],
+    "synth": ["--k", "2", "--n", "4", "--T", "1", "--events", "8", "--ratio-in-out", "2",
+              "--out-prefix", "toy"],
+    "train": ["--edges", "e.csv", "--out", "run"],
+    "linear-eval": ["--embeddings", "emb.csv", "--labels", "l.csv", "--out", "r.json"],
+    "probe-invariance": ["--edges", "e.csv", "--labels", "l.csv", "--s", "2", "--out", "m.csv"],
+    "grad-check": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(
+    name for name, (opts, _run) in cli._SUBCOMMANDS.items() if "seed" in opts))
+def test_negative_seed_is_data_error(tmp_path, capsys, command):
+    args = [str(tmp_path / a) if a.endswith((".csv", ".json", "run", "toy")) else a
+            for a in _SEED_ARGS[command]]
+    assert dispatch([command, *args, "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_train_rerun_byte_identical(tmp_path, capsys):
@@ -347,6 +386,18 @@ def test_linear_eval_malformed_embeddings(tmp_path, capsys):
                      "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert ":2:" in capsys.readouterr().err
+
+
+def test_linear_eval_rejects_a_trailing_comment(tmp_path, capsys):
+    # only whole-line comments are skipped; `embed` never writes a '#'
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# node_id,e1,e2\n0,1.0,2.0\n1,3.0,4.0  # c\n", encoding="utf-8")
+    labels = tmp_path / "l.csv"
+    labels.write_text("0,0\n1,1\n", encoding="utf-8")
+    code = dispatch(["linear-eval", "--embeddings", str(bad), "--labels", str(labels),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert ":3:" in capsys.readouterr().err
 
 
 def test_linear_eval_duplicate_ids(tmp_path, capsys):

@@ -332,7 +332,7 @@ def test_invariance_missing_timespan_nan():
     ts[0], ts[1] = 0.0, 4.0  # pin the bounds
     from tgcl import build_graph
 
-    g = build_graph(src, dst, ts, label_rows={i: i % 2 for i in range(n)},
+    g = build_graph(src, dst, ts, labels=(np.arange(n), np.arange(n) % 2),
                     feature_policy="random", feature_dim=8)
     with pytest.warns(UserWarning, match="no edges"):
         res = probe_invariance(g, g.labels, 4, FAST_PROBE)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tgcl import (
@@ -12,6 +14,7 @@ from tgcl import (
     synthesize_features,
     to_snapshots,
 )
+from tgcl.graph import read_table
 
 
 def _write(tmp_path, name, text):
@@ -349,3 +352,138 @@ def test_to_snapshots_bins_by_floor(edges, s):
     for k, snap in enumerate(snaps):
         expected = [(int(u), int(v), float(t)) for u, v, t, b in zip(src, dst, ts, bins) if b == k]
         assert sorted(_external_edges(g, snap)) == sorted(expected)
+
+
+def test_comment_rule_is_whole_line_only(tmp_path):
+    # a '#' after the first non-blank character belongs to the row
+    e = _write(tmp_path, "e.csv", "  # header\n0,1,1.0\n1,2,3.0 # c\n")
+    with pytest.raises(DataError, match=r":3:"):
+        load_temporal_graph(e)
+    e = _write(tmp_path, "e.csv", "0,1,1.0\n")
+    l = _write(tmp_path, "l.csv", "0,C#\n1,C\n")
+    g = load_temporal_graph(e, labels_path=l)
+    assert g.label_names == ("C#", "C")
+
+
+def test_ids_above_2_to_the_53_are_exact(tmp_path):
+    big = 2**53 + 1  # float64 would round it to 2**53
+    e = _write(tmp_path, "e.csv", f"{big},{big + 2},1.0\n")
+    f = _write(tmp_path, "f.csv", f"{big},0.5\n{2**63 - 1},1.5\n")
+    ends, _ = read_table(e, "edges")
+    assert ends.tolist() == [[big, big + 2]]
+    ids, _ = read_table(f, "features")
+    assert ids.tolist() == [big, 2**63 - 1]
+    g = load_temporal_graph(e, features_path=f)
+    assert g.node_ids.tolist() == [big, big + 2, 2**63 - 1]
+
+
+@pytest.mark.parametrize("table,text,match", [
+    ("edges", f"{2**63},1,1.0\n", ":1: malformed"),
+    ("features", "", "no features"),
+    ("labels", "# only a comment\n", "no labels"),
+    ("embeddings", "0,1.0\n1,2.0,3.0\n", ":2: dimension"),
+    ("features", "0,1.0\n5\n", ":2: expected"),
+    ("features", "0,1.0\n1,-inf\n", ":2: non-finite"),
+    ("labels", "0,a\n-3,b\n", ":2: negative node id"),
+    ("labels", "4,a\n2,b\n4,c\n2,d\n", ":3: duplicate node id"),
+])
+def test_read_table_errors_name_the_first_offending_line(tmp_path, table, text, match):
+    with pytest.raises(DataError, match=match):
+        read_table(_write(tmp_path, "t.csv", text), table)
+
+
+def test_read_table_rejects_text_that_is_not_utf8(tmp_path):
+    p = tmp_path / "e.csv"
+    p.write_bytes(b"0,1,1.0\n\xff,2,3.0\n")
+    with pytest.raises(DataError, match="UTF-8"):
+        read_table(p, "edges")
+
+
+_TABLE_SHAPES = {"edges": (2, 3), "features": (1, None), "labels": (1, 2), "embeddings": (1, None)}
+
+
+def _oracle(path, table):
+    """Per-line reference for read_table: (ids, values) as nested lists, or
+    None where read_table must raise DataError."""
+    k, width = _TABLE_SHAPES[table]
+    ids, values = [], []
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) < 2 or len(parts) != (width or len(parts)):
+                return None
+            width = len(parts)
+            try:
+                row_ids = [int(p) for p in parts[:k]]
+                row_values = parts[k:] if table == "labels" else [float(p) for p in parts[k:]]
+            except ValueError:
+                return None
+            if not all(0 <= i < 2**63 for i in row_ids):
+                return None
+            if table != "labels" and not all(math.isfinite(v) for v in row_values):
+                return None
+            if k == 1 and [row_ids[0]] in ids:
+                return None
+            ids.append(row_ids)
+            values.append(row_values)
+    return (ids, values) if ids else None
+
+
+# any cell at all: ids, floats, the non-finite spellings, junk, '#'
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["-1", "2.5", "1e400", "nan", "inf", "-inf", "", "x", "#", "# c", "C#",
+                     str(2**63)]),
+    st.integers(-2, 2**64).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(codec="utf-8"), max_size=3),
+)
+
+
+@st.composite
+def _table_files(draw):
+    """(table, lines): rows mostly of the table's shape with well-formed
+    cells, some odd cells, ragged rows, blanks and comments."""
+    table = draw(st.sampled_from(sorted(_TABLE_SHAPES)))
+    k, width = _TABLE_SHAPES[table]
+    width = width or draw(st.integers(2, 4))
+    ids = st.one_of(st.integers(0, 1000).map(str),
+                    st.sampled_from([" 3", "+2", "1_0", str(2**53 + 1), str(2**63 - 1)]))
+    if table == "labels":
+        values = st.sampled_from(["0", "1", " 2", "a", "C#", "b c"])
+    else:
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                           st.sampled_from(["2", " 1.5 ", "1e3", "-0.0", "1_0.5"]))
+
+    def cell(good):
+        return draw(good if draw(st.sampled_from([True] * 14 + [False])) else _ODD_CELLS)
+
+    def line():
+        kind = draw(st.sampled_from(["row"] * 12 + ["ragged", "blank"]))
+        if kind == "ragged":
+            return ",".join(draw(st.lists(_ODD_CELLS, min_size=1, max_size=4)))
+        if kind == "blank":
+            return draw(st.sampled_from(["", "  ", "# comment", "  # indented", "\t"]))
+        return ",".join([cell(ids) for _ in range(k)] + [cell(values) for _ in range(width - k)])
+
+    return table, [line() for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_table_files(), st.sampled_from(["\n", "\r\n"]))
+def test_read_table_matches_a_per_line_oracle(tmp_path, file, newline):
+    table, lines = file
+    path = tmp_path / "t.csv"
+    path.write_text(newline.join(lines), encoding="utf-8", newline="")
+    expected = _oracle(path, table)
+    if expected is None:
+        with pytest.raises(DataError):
+            read_table(path, table)
+        return
+    ids, values = read_table(path, table)
+    n = len(expected[0])
+    assert ids.dtype == np.int64 and ids.reshape(n, -1).tolist() == expected[0]
+    assert values.reshape(n, -1).tolist() == expected[1]

@@ -98,9 +98,9 @@ def test_adjacency_empty_view_rejected():
 
 
 def test_encode_isolated_identity_returns_features():
-    feats = {0: np.array([1.5, -2.0, 0.5]), 1: np.zeros(3), 2: np.zeros(3)}
+    feats = np.array([[1.5, -2.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     g = build_graph(np.array([0, 1]), np.array([0, 2]), np.array([1.0, 9.0]),
-                    feature_rows=feats)
+                    features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 2.0)  # only the self-loop edge at node 0
     adj = normalize_adjacency(view)
     h, _ = encode(view, adj, _identity_params(3))
@@ -108,9 +108,9 @@ def test_encode_isolated_identity_returns_features():
 
 
 def test_encode_path_graph_dense_oracle():
-    feats = {0: np.array([1.0, 2.0]), 1: np.array([-1.0, 0.5]), 2: np.array([2.0, -3.0])}
+    feats = np.array([[1.0, 2.0], [-1.0, 0.5], [2.0, -3.0]])
     g = build_graph(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0]),
-                    feature_rows=feats)
+                    features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 3.0)
     w1 = np.array([[1.0, -2.0], [3.0, 1.0]])
     w2 = np.array([[2.0, 0.0], [-1.0, 1.0]])
@@ -169,9 +169,9 @@ def test_encode_backward_fd():
 
 def test_readout_mean_sum_hand_case():
     # star: node 0 adjacent to 1 and 2 with rows [1,3] and [3,5]
-    feats = {0: np.array([9.0, 9.0]), 1: np.array([1.0, 3.0]), 2: np.array([3.0, 5.0])}
+    feats = np.array([[9.0, 9.0], [1.0, 3.0], [3.0, 5.0]])
     g = build_graph(np.array([0, 0]), np.array([1, 2]), np.array([1.0, 2.0]),
-                    feature_rows=feats)
+                    features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 3.0)
     h = view.features  # use raw features as the hidden rows
     batch = view.local_index_of(np.array([0]))
@@ -185,9 +185,9 @@ def test_readout_mean_sum_hand_case():
 
 def test_readout_excludes_self_and_falls_back_when_isolated():
     # 0-1 edge plus a self-loop-only node 2
-    feats = {0: np.array([1.0]), 1: np.array([10.0]), 2: np.array([7.0])}
+    feats = np.array([[1.0], [10.0], [7.0]])
     g = build_graph(np.array([0, 2]), np.array([1, 2]), np.array([1.0, 1.5]),
-                    feature_rows=feats)
+                    features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 2.0)
     h = view.features
     batch = view.local_index_of(np.array([0, 1, 2]))

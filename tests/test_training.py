@@ -57,6 +57,8 @@ def test_config_validation():
         _small_cfg(readout_stat="median").validate()
     with pytest.raises(DataError, match="batches_per_epoch"):
         _small_cfg(batches_per_epoch=0).validate()
+    with pytest.raises(DataError, match="seed"):
+        _small_cfg(seed=-1).validate()
 
 
 def test_shared_nodes_intersection():
@@ -165,9 +167,8 @@ def test_train_checkpoint_written(tmp_path):
 
 
 def test_train_checkpoint_omits_features_read_from_rows(tmp_path):
-    rows = {int(nid): GRAPH.features[i] for i, nid in enumerate(GRAPH.node_ids)}
     g = build_graph(GRAPH.node_ids[GRAPH.src], GRAPH.node_ids[GRAPH.dst], GRAPH.timestamps,
-                    feature_rows=rows)
+                    features=(GRAPH.node_ids, GRAPH.features))
     assert g.feature_spec is None
     path = tmp_path / "params.ckpt"
     train(g, _small_cfg(epochs=1, checkpoint_path=str(path)))
