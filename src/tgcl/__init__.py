@@ -46,6 +46,7 @@ from .model import (
     project,
     readout,
     save_params,
+    view_entry,
 )
 from .losses import LOSS_LEVELS, LossConfig, infonce, multi_view_loss
 from .training import (
@@ -106,6 +107,7 @@ __all__ = [
     "project",
     "readout",
     "save_params",
+    "view_entry",
     "load_params",
     "LOSS_LEVELS",
     "LossConfig",

@@ -20,7 +20,8 @@ import scipy.sparse as sp
 from .errors import DataError
 from .graph import SampledView, TemporalGraph, build_graph, to_snapshots
 from .kernels import AdamState, adam_step
-from .model import NormalizedAdjacency, encode, encode_backward, init_params, normalize_adjacency
+from .model import (NormalizedAdjacency, adj_matmul, encode, encode_backward, init_params,
+                    normalize_adjacency)
 
 PROBE_ENCODERS = ("gcn", "mlp")
 
@@ -277,21 +278,24 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     else:
         eye = sp.eye_array(view.num_active, format="csr")
         adj = NormalizedAdjacency(norm=eye, nbr=eye)
+    p0 = adj_matmul(adj, view.features)
+    train_rows = np.zeros(view.num_active, dtype=bool)
+    train_rows[train_local] = True
 
     trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
                  "head_w": head_w, "head_b": head_b}
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     for _ in range(cfg.epochs):
-        h, cache = encode(view, adj, params)
+        h, cache = encode(adj, p0, params, train_rows)
         logits = h[train_local] @ head_w + head_b
         _, g_logits = softmax_cross_entropy(logits, y_train)
         g_h = np.zeros_like(h)
         g_h[train_local] = g_logits @ head_w.T
-        enc_grads = encode_backward(g_h, cache, adj, params)
+        enc_grads = encode_backward(g_h, cache, params)
         grads = {"gcn_w1": enc_grads["gcn_w1"], "gcn_w2": enc_grads["gcn_w2"],
                  "head_w": h[train_local].T @ g_logits, "head_b": g_logits.sum(axis=0)}
         adam_step(trainable, grads, state)
-    h, _ = encode(view, adj, params)
+    h, _ = encode(adj, p0, params, np.ones(view.num_active, dtype=bool))
     return h @ head_w + head_b
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .graph import TemporalGraph, build_graph, slice_interval
 from .losses import LossConfig, multi_view_loss
-from .model import PARAM_FIELDS, embed_views, embed_views_backward, init_params
+from .model import PARAM_FIELDS, embed_views, embed_views_backward, init_params, view_entry
 from .training import shared_nodes
 
 FIXTURE_NODES = 12
@@ -85,15 +85,16 @@ def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
     graph = fixture_graph(seed)
     views = fixture_views(graph)
     batch = shared_nodes(views)
+    entries = [view_entry(view) for view in views]
     params = init_params(graph.feature_dim, d_hidden, d_out, seed=seed)
     cfg = LossConfig(level=level, tau=tau)
     with_neigh = level == "graph"
 
     def loss_value():
-        embs, _ = embed_views(views, batch, params, stat=stat, with_neighborhood=with_neigh)
+        embs, _ = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
         return multi_view_loss(embs, cfg)[0]
 
-    embs, caches = embed_views(views, batch, params, stat=stat, with_neighborhood=with_neigh)
+    embs, caches = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
     _, zgrads = multi_view_loss(embs, cfg)
     analytic = embed_views_backward(zgrads, caches, params)
 

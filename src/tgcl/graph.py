@@ -155,9 +155,9 @@ def read_table(path, table: str) -> tuple:
     ``(ids, values)``: ids are (n,), or (n, 2) src/dst pairs for edges;
     values are (n,) for edges and labels, (n, d) for features and
     embeddings, in file order. A malformed row, a negative id, a
-    non-finite value, an id repeated in a per-node table and a table
-    without rows are DataErrors that name the file and the first
-    offending line.
+    non-finite value, a negative integer class label, an id repeated in a
+    per-node table and a table without rows are DataErrors that name the
+    file and the first offending line.
     """
     layout, k, fixed = _TABLES[table]
     width = fixed
@@ -202,6 +202,10 @@ def read_table(path, table: str) -> tuple:
     fail((ids < 0).any(axis=1), "negative node id in")
     if numeric:
         fail(~np.isfinite(values).all(axis=1), "non-finite value in")
+    else:  # labels: integer classes count from 0, and -1 would read as unlabelled
+        codes, names = label_codes(values[:, 0])
+        if names is None:
+            fail(codes < 0, "negative class label in")
     if k == 1:
         repeat = np.ones(n, dtype=bool)
         repeat[np.unique(ids, return_index=True)[1]] = False  # first occurrences

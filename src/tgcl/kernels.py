@@ -26,7 +26,14 @@ def _shape_check(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, each output row bit-identical to that row of any taller product.
+
+    NumPy hands a one-row product to gemv, whose sums round differently
+    from gemm's, so a single row goes through gemm as two copies.
+    """
     _shape_check(a, b)
+    if a.shape[0] == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
     return a @ b
 
 

@@ -4,7 +4,9 @@ projection head; plus hand-wired backward passes and checkpoint IO.
 The encoder is the standard two-layer graph convolution over the
 symmetrically normalized self-loop adjacency: ReLU after the first
 propagation, no activation after the second (the second layer's output is
-the representation handed to downstream consumers). The projection head
+the representation handed to downstream consumers). It computes only the
+rows it is asked for, from the parameter-free first propagation Â·X that
+the caller keeps per view (:func:`view_entry`). The projection head
 is linear -> LeakyReLU -> linear -> row L2 normalization. All views share
 one parameter object.
 """
@@ -16,6 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,37 +142,64 @@ def adj_matmul(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     return adj.norm @ x
 
 
+class ViewEntry(NamedTuple):
+    """One view with what the encoder needs of it: Â and P0 = Â·X.
+
+    P0 is the first propagation. It has no parameters, so one entry
+    serves every step that draws the view's window.
+    """
+
+    view: SampledView
+    adj: NormalizedAdjacency
+    p0: np.ndarray
+
+
+def view_entry(view: SampledView) -> ViewEntry:
+    adj = normalize_adjacency(view)
+    return ViewEntry(view, adj, adj_matmul(adj, view.features))
+
+
 @dataclass(eq=False)
 class EncodeCache:
-    p0: np.ndarray
-    s1: np.ndarray
-    p1: np.ndarray
+    rows: np.ndarray  # boolean mask of the rows asked for
+    frontier: np.ndarray  # boolean mask of F, the columns of Â[rows]
+    a_rows: sp.csr_array  # Â[rows]
+    p0: np.ndarray  # P0[F]
+    s1: np.ndarray  # P0[F] · W1
+    p1: np.ndarray  # Â[rows] · ReLU(s1)
 
 
-def encode(view: SampledView, adj: NormalizedAdjacency, params: ModelParams):
-    """Two-layer graph convolution of the view's features, ReLU between
-    the layers.
+def encode(adj: NormalizedAdjacency, p0: np.ndarray, params: ModelParams, rows: np.ndarray):
+    """Two-layer graph convolution, ReLU between the layers, on the rows
+    asked for.
 
-    Returns (H, cache); H has one row per active node.
+    ``p0`` is Â·X (see :func:`view_entry`) and ``rows`` a boolean mask over
+    the view's nodes. Layer 1 runs only on F, the columns of Â[rows]:
+    H[rows] = Â[rows] · ReLU(P0[F] · W1) · W2. Returns (H, cache); H is
+    full height, with zero rows outside ``rows``.
     """
-    h0 = view.features
-    if h0.shape[1] != params.d_in:
-        raise ValueError(f"feature dim {h0.shape[1]} != encoder input dim {params.d_in}")
-    p0 = adj_matmul(adj, h0)
+    if p0.shape[1] != params.d_in:
+        raise ValueError(f"feature dim {p0.shape[1]} != encoder input dim {params.d_in}")
+    n = rows.shape[0]
+    a_rows = adj.norm[rows]
+    frontier = np.zeros(n, dtype=bool)
+    frontier[a_rows.indices] = True
+    p0 = p0[frontier]
     s1 = kernels.matmul(p0, params.gcn_w1)
-    h1 = kernels.relu(s1)
-    p1 = adj_matmul(adj, h1)
-    h2 = kernels.matmul(p1, params.gcn_w2)
-    return h2, EncodeCache(p0=p0, s1=s1, p1=p1)
+    h1 = np.zeros((n, params.d_hidden))
+    h1[frontier] = kernels.relu(s1)
+    p1 = a_rows @ h1
+    h = np.zeros((n, params.d_out))
+    h[rows] = kernels.matmul(p1, params.gcn_w2)
+    return h, EncodeCache(rows=rows, frontier=frontier, a_rows=a_rows, p0=p0, s1=s1, p1=p1)
 
 
-def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, adj: NormalizedAdjacency,
-                    params: ModelParams) -> dict:
-    g_p1, g_w2 = kernels.matmul_backward(grad_h2, cache.p1, params.gcn_w2)
-    g_h1 = adj_matmul(adj, g_p1)  # symmetric adjoint
+def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, params: ModelParams) -> dict:
+    """Gradients of W1 and W2 from H's gradient, read on the cached rows only."""
+    g_p1, g_w2 = kernels.matmul_backward(grad_h2[cache.rows], cache.p1, params.gcn_w2)
+    g_h1 = (cache.a_rows.T @ g_p1)[cache.frontier]  # zero outside F
     g_s1 = kernels.relu_backward(g_h1, cache.s1)
-    _, g_w1 = kernels.matmul_backward(g_s1, cache.p0, params.gcn_w1)
-    return {"gcn_w1": g_w1, "gcn_w2": g_w2}
+    return {"gcn_w1": cache.p0.T @ g_s1, "gcn_w2": g_w2}
 
 
 @dataclass(eq=False)
@@ -254,7 +284,6 @@ class ViewEmbeddings:
 
 @dataclass(eq=False)
 class ViewCache:
-    adj: NormalizedAdjacency
     enc: EncodeCache
     batch_local: np.ndarray
     h: np.ndarray
@@ -264,7 +293,7 @@ class ViewCache:
 
 
 def embed_views(
-    views,
+    entries,
     batch_nodes: np.ndarray,
     params: ModelParams,
     stat: str = "mean",
@@ -272,15 +301,21 @@ def embed_views(
 ):
     """Encode every view with the same parameters and project the batch rows.
 
+    ``entries`` are :class:`ViewEntry` tuples (see :func:`view_entry`).
     ``batch_nodes`` are internal graph node indices that must be active in
-    every view. Returns (embeddings, caches), both lists indexed by view.
+    every view. The encoder produces the rows the projection reads: the
+    batch rows, and with the neighborhood also their readout neighbours.
+    Returns (embeddings, caches), both lists indexed by view.
     """
     batch_nodes = np.asarray(batch_nodes, dtype=np.int64)
     embeddings, caches = [], []
-    for view in views:
-        adj = normalize_adjacency(view)
-        h, enc_cache = encode(view, adj, params)
+    for view, adj, p0 in entries:
         batch_local = view.local_index_of(batch_nodes)
+        rows = np.zeros(view.num_active, dtype=bool)
+        rows[batch_local] = True
+        if with_neighborhood:
+            rows[adj.nbr[batch_local].indices] = True
+        h, enc_cache = encode(adj, p0, params, rows)
         node_z, proj_node = project(h[batch_local], params)
         neigh_z = proj_neigh = read_cache = None
         if with_neighborhood:
@@ -289,7 +324,6 @@ def embed_views(
         embeddings.append(ViewEmbeddings(node_z=node_z, neigh_z=neigh_z, node_index=batch_nodes))
         caches.append(
             ViewCache(
-                adj=adj,
                 enc=enc_cache,
                 batch_local=batch_local,
                 h=h,
@@ -321,7 +355,7 @@ def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
             grad_h += readout_backward(g_read, cache.read, cache.h)
             for k, g in proj_grads_n.items():
                 total[k] += g
-        enc_grads = encode_backward(grad_h, cache.enc, cache.adj, params)
+        enc_grads = encode_backward(grad_h, cache.enc, params)
         for k, g in enc_grads.items():
             total[k] += g
     return total

@@ -24,8 +24,8 @@ from .model import (
     embed_views_backward,
     encode,
     init_params,
-    normalize_adjacency,
     save_params,
+    view_entry,
 )
 from .sampling import SamplerConfig, sample_windows
 
@@ -129,27 +129,35 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
 
     Per epoch: sample v windows, slice views, intersect active sets, draw
     the minibatch, embed every view with shared weights, take the
-    configured InfoNCE objective, backpropagate, Adam step. A checkpoint
-    is written to cfg.checkpoint_path after the final epoch (and every
-    checkpoint_every epochs when set).
+    configured InfoNCE objective, backpropagate, Adam step. A window drawn
+    again while it is among the last s distinct ones reuses its view,
+    adjacency and Â·X. A checkpoint is written to cfg.checkpoint_path
+    after the final epoch (and every checkpoint_every epochs when set).
     """
     cfg.validate()
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=cfg.seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     with_neigh = cfg.loss.level == "graph"
     log = TrainLog()
+    entries = {}  # (lo, hi) -> ViewEntry of the last s distinct windows drawn
 
     for epoch in range(1, cfg.epochs + 1):
         windows = sample_windows(graph, cfg.sampler, epoch, cfg.seed)
-        views = [slice_interval(graph, w.lo, w.hi) for w in windows]
-        shared = shared_nodes(views)
+        drawn = []
+        for w in windows:
+            if (w.lo, w.hi) not in entries:
+                entries[w.lo, w.hi] = view_entry(slice_interval(graph, w.lo, w.hi))
+                if len(entries) > cfg.sampler.s:
+                    del entries[next(iter(entries))]  # the oldest
+            drawn.append(entries[w.lo, w.hi])
+        shared = shared_nodes([entry.view for entry in drawn])
         batch_rng = np.random.default_rng([cfg.seed, epoch, 101])
 
         epoch_loss = 0.0
         for _ in range(cfg.batches_per_epoch):
             batch = make_minibatch(shared, cfg.batch_size, batch_rng)
             embs, caches = embed_views(
-                views, batch, params, stat=cfg.readout_stat, with_neighborhood=with_neigh)
+                drawn, batch, params, stat=cfg.readout_stat, with_neighborhood=with_neigh)
             loss, zgrads = multi_view_loss(embs, cfg.loss)
             if not np.isfinite(loss):
                 raise NumericError(
@@ -198,7 +206,6 @@ def embed_all(graph: TemporalGraph, params: ModelParams) -> np.ndarray:
     pre-projection hidden matrix, one row per node in graph.node_ids
     order. Isolated nodes see only their self-loop.
     """
-    view = full_view(graph)
-    adj = normalize_adjacency(view)
-    h, _ = encode(view, adj, params)
+    _, adj, p0 = view_entry(full_view(graph))
+    h, _ = encode(adj, p0, params, np.ones(graph.num_nodes, dtype=bool))
     return h

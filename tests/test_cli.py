@@ -214,6 +214,31 @@ def test_train_reruns_from_its_config_resolved(tmp_path, capsys):
     assert (third / "params.ckpt").read_bytes() == (fourth / "params.ckpt").read_bytes()
 
 
+def test_config_resolved_round_trip_keeps_a_hash_in_a_path(tmp_path, capsys):
+    edges, _ = _synth(tmp_path / "a#b")
+    first = _train(tmp_path, edges)
+    assert f"edges={edges}\n" in (first / "config.resolved").read_text()
+    second = tmp_path / "again"
+    assert dispatch(["train", "--config", str(first / "config.resolved"), "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert (first / "params.ckpt").read_bytes() == (second / "params.ckpt").read_bytes()
+
+
+def test_negative_class_label_is_data_error(tmp_path, capsys):
+    edges, _ = _synth(tmp_path)
+    labels = tmp_path / "neg.labels.csv"
+    labels.write_text("0,0\n1,-2\n2,1\n", encoding="utf-8")
+    assert dispatch(["train", "--edges", str(edges), "--labels", str(labels),
+                     "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{labels}:2: negative class label in '1,-2'" in err
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{i},{i}.0,1.0\n" for i in range(3)), encoding="utf-8")
+    assert dispatch(["linear-eval", "--embeddings", str(emb), "--labels", str(labels),
+                     "--out", str(tmp_path / "r.json")]) == 2
+    assert "negative class label" in capsys.readouterr().err
+
+
 _SEED_ARGS = {
     "sample-views": ["--edges", "e.csv"],
     "synth": ["--k", "2", "--n", "4", "--T", "1", "--events", "8", "--ratio-in-out", "2",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tgcl import (
     DataError,
+    LossConfig,
     ModelParams,
     build_graph,
     embed_views,
@@ -14,13 +15,22 @@ from tgcl import (
     encode,
     init_params,
     load_params,
+    multi_view_loss,
     normalize_adjacency,
     project,
     readout,
     save_params,
     slice_interval,
+    view_entry,
 )
-from tgcl.model import CHECKPOINT_MAGIC, PARAM_FIELDS, encode_backward, project_backward
+from tgcl.model import (
+    CHECKPOINT_MAGIC,
+    PARAM_FIELDS,
+    ViewEmbeddings,
+    encode_backward,
+    project_backward,
+    readout_backward,
+)
 
 
 def _random_view(n=30, m=90, d=6, seed=0):
@@ -41,6 +51,12 @@ def _identity_params(d):
         proj_w2=np.eye(d),
         proj_b2=np.zeros(d),
     )
+
+
+def _encode_all(view, params):
+    """The encoder asked for every row of the view."""
+    _, adj, p0 = view_entry(view)
+    return encode(adj, p0, params, np.ones(view.num_active, dtype=bool))
 
 
 def _dense_norm_adj(view):
@@ -102,8 +118,7 @@ def test_encode_isolated_identity_returns_features():
     g = build_graph(np.array([0, 1]), np.array([0, 2]), np.array([1.0, 9.0]),
                     features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 2.0)  # only the self-loop edge at node 0
-    adj = normalize_adjacency(view)
-    h, _ = encode(view, adj, _identity_params(3))
+    h, _ = _encode_all(view, _identity_params(3))
     np.testing.assert_allclose(h, [[1.5, 0.0, 0.5]])  # relu between the layers
 
 
@@ -116,7 +131,7 @@ def test_encode_path_graph_dense_oracle():
     w2 = np.array([[2.0, 0.0], [-1.0, 1.0]])
     params = ModelParams(gcn_w1=w1, gcn_w2=w2, proj_w1=np.eye(2),
                          proj_b1=np.zeros(2), proj_w2=np.eye(2), proj_b2=np.zeros(2))
-    h, _ = encode(view, normalize_adjacency(view), params)
+    h, _ = _encode_all(view, params)
 
     x = np.stack([feats[i] for i in range(3)])
     a_hat = _dense_norm_adj(view)
@@ -127,7 +142,7 @@ def test_encode_path_graph_dense_oracle():
 def test_encode_dim_mismatch():
     view = _random_view(d=6)
     with pytest.raises(ValueError, match="dim"):
-        encode(view, normalize_adjacency(view), init_params(5, 8, 4))
+        _encode_all(view, init_params(5, 8, 4))
 
 
 def _fd_param_grad(loss_fn, arr, h=1e-5):
@@ -153,15 +168,14 @@ def _rel_err(a, b):
 def test_encode_backward_fd():
     view = _random_view(n=10, m=25, d=4, seed=5)
     params = init_params(4, d_hidden=5, d_out=3, seed=1)
-    adj = normalize_adjacency(view)
     w = np.random.default_rng(2).standard_normal((view.num_active, 3))
 
     def loss():
-        h, _ = encode(view, adj, params)
+        h, _ = _encode_all(view, params)
         return float(np.sum(w * h))
 
-    h, cache = encode(view, adj, params)
-    grads = encode_backward(w, cache, adj, params)
+    h, cache = _encode_all(view, params)
+    grads = encode_backward(w, cache, params)
     for name in ("gcn_w1", "gcn_w2"):
         fd = _fd_param_grad(loss, getattr(params, name))
         assert _rel_err(grads[name], fd) < 1e-4, name
@@ -288,7 +302,7 @@ def _two_view_graph(seed=0, d=5):
         np.concatenate([ts, extra_ts]), feature_policy="random", feature_dim=d,
         feature_seed=seed,
     )
-    return [slice_interval(g, 0.0, 5.0), slice_interval(g, 5.0, 10.0)]
+    return [view_entry(slice_interval(g, lo, hi)) for lo, hi in ((0.0, 5.0), (5.0, 10.0))]
 
 
 def test_embed_views_identical_windows_equal():
@@ -315,9 +329,8 @@ def test_embed_views_compositional_oracle():
     params = init_params(5, 8, 4, seed=1)
     batch = np.array([0, 2, 5])
     emb, _ = embed_views(views, batch, params, stat="sum")
-    for view, e in zip(views, emb):
-        adj = normalize_adjacency(view)
-        h, _ = encode(view, adj, params)
+    for (view, adj, _), e in zip(views, emb):
+        h, _ = _encode_all(view, params)
         local = view.local_index_of(batch)
         node_z, _ = project(h[local], params)
         r, _ = readout(adj, h, local, stat="sum")
@@ -366,6 +379,121 @@ def test_embed_views_backward_fd():
     for name in PARAM_FIELDS:
         fd = _fd_param_grad(loss, getattr(params, name))
         assert _rel_err(grads[name], fd) < 1e-4, name
+
+
+def _ring_views(n=40, chords=10, seed=0, d=5):
+    """Two view entries of a sparse graph. A ring in each half keeps every
+    node active in both, so a small batch has a small receptive field."""
+    rng = np.random.default_rng(seed)
+    ring = np.arange(n)
+    src = np.concatenate([ring, ring, rng.integers(0, n, 2 * chords)])
+    dst = np.concatenate([(ring + 1) % n, (ring + 1) % n, rng.integers(0, n, 2 * chords)])
+    ts = np.concatenate([np.full(n, 1.0), np.full(n, 9.0), rng.uniform(0.0, 10.0, 2 * chords)])
+    g = build_graph(src, dst, ts, feature_policy="random", feature_dim=d, feature_seed=seed)
+    return [view_entry(slice_interval(g, lo, hi)) for lo, hi in ((0.0, 5.0), (5.0, 10.0))]
+
+
+def _full_path(entries, batch, params, level, stat):
+    """Embeddings and the six gradients with the encoder run on every row,
+    forward and backward, with a dense Â: the oracle for the restriction."""
+    cfg = LossConfig(level=level, tau=0.5)
+    embs, saved = [], []
+    for view, adj, _ in entries:
+        a = adj.norm.toarray()
+        p0 = a @ view.features
+        s1 = p0 @ params.gcn_w1
+        p1 = a @ np.maximum(s1, 0.0)
+        h = p1 @ params.gcn_w2
+        local = view.local_index_of(batch)
+        node_z, proj_node = project(h[local], params)
+        neigh_z = proj_neigh = read = None
+        if level == "graph":
+            r, read = readout(adj, h, local, stat=stat)
+            neigh_z, proj_neigh = project(r, params)
+        embs.append(ViewEmbeddings(node_z=node_z, neigh_z=neigh_z, node_index=batch))
+        saved.append((a, p0, s1, p1, h, local, proj_node, proj_neigh, read))
+    _, zgrads = multi_view_loss(embs, cfg)
+    grads = params.zeros_like_grads()
+    for (g_node, g_neigh), (a, p0, s1, p1, h, local, proj_node, proj_neigh, read) in zip(
+            zgrads, saved):
+        g_h = np.zeros_like(h)
+        g_rows, proj_grads = project_backward(g_node, proj_node, params)
+        np.add.at(g_h, local, g_rows)
+        if g_neigh is not None:
+            g_read, more = project_backward(g_neigh, proj_neigh, params)
+            g_h += readout_backward(g_read, read, h)
+            proj_grads = {k: proj_grads[k] + more[k] for k in proj_grads}
+        g_s1 = (a @ (g_h @ params.gcn_w2.T)) * (s1 > 0.0)
+        proj_grads.update(gcn_w1=p0.T @ g_s1, gcn_w2=p1.T @ g_h)
+        for k, g in proj_grads.items():
+            grads[k] += g
+    return embs, zgrads, grads
+
+
+@pytest.mark.parametrize("level, stat", [
+    ("node", "mean"), ("graph", "mean"), ("graph", "sum"), ("graph", "max")])
+def test_restricted_encoder_matches_the_full_path(level, stat):
+    entries = _ring_views(seed=3)
+    params = init_params(5, 8, 4, seed=4)
+    batch = np.array([2, 3, 17, 30])
+    want, zgrads, want_grads = _full_path(entries, batch, params, level, stat)
+    embs, caches = embed_views(entries, batch, params, stat=stat,
+                               with_neighborhood=level == "graph")
+    for (view, _, _), cache, e, w in zip(entries, caches, embs, want):
+        assert cache.enc.frontier.sum() < view.num_active  # the restriction restricts
+        np.testing.assert_allclose(e.node_z, w.node_z, rtol=0, atol=1e-12)
+        if level == "graph":
+            np.testing.assert_allclose(e.neigh_z, w.neigh_z, rtol=0, atol=1e-12)
+    grads = embed_views_backward(zgrads, caches, params)
+    for name in PARAM_FIELDS:
+        np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+@st.composite
+def _small_views(draw):
+    """A view of every edge of a random small graph, self-loops and
+    repeated edges included."""
+    n = draw(st.integers(1, 9))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         min_size=1, max_size=24))
+    src, dst = np.array(ends).T
+    g = build_graph(src, dst, np.arange(len(ends), dtype=np.float64),
+                    feature_policy="random", feature_dim=3, feature_seed=n)
+    return slice_interval(g, g.t_min, g.t_max)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_small_views())
+def test_normalized_adjacency_is_the_symmetric_dense_reference(view):
+    norm = normalize_adjacency(view).norm.toarray()
+    np.testing.assert_array_equal(norm, norm.T)
+    np.testing.assert_allclose(norm, _dense_norm_adj(view), rtol=1e-15, atol=0)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_small_views())
+def test_neighbour_rows_sum_to_distinct_neighbour_counts(view):
+    neighbours = [set() for _ in range(view.num_active)]
+    for u, v in zip(view.src.tolist(), view.dst.tolist()):
+        if u != v:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+    expect = [len(s) or 1 for s in neighbours]
+    np.testing.assert_array_equal(normalize_adjacency(view).nbr.sum(axis=1), expect)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_small_views(), st.data())
+def test_restricted_encode_rows_equal_the_full_encode(view, data):
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=view.num_active,
+                                       max_size=view.num_active)))
+    params = init_params(3, 4, 2, seed=data.draw(st.integers(0, 3)))
+    _, adj, p0 = view_entry(view)
+    full, _ = encode(adj, p0, params, np.ones(view.num_active, dtype=bool))
+    h, _ = encode(adj, p0, params, rows)
+    np.testing.assert_array_equal(h[rows], full[rows])
+    assert not h[~rows].any()
 
 
 def test_param_count_formula():

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from tgcl import training
 from tgcl import (
     DataError,
     LossConfig,
@@ -115,6 +118,32 @@ def test_train_windows_match_sampler_stream():
     for rec in log.records:
         expect = sample_windows(GRAPH, SamplerConfig("random", 3, 2), rec.epoch, seed=42)
         assert [(w.lo, w.hi) for w in rec.windows] == [(w.lo, w.hi) for w in expect]
+
+
+@pytest.mark.parametrize("strategy, s, v", [("sequential", 3, 2), ("random", 3, 2),
+                                           ("random", 2, 3)])
+def test_train_slices_a_window_only_when_it_left_the_cache(monkeypatch, strategy, s, v):
+    sliced, views, most_alive = [], [], [0]
+
+    def counting_slice(graph, lo, hi):
+        most_alive[0] = max(most_alive[0], sum(ref() is not None for ref in views))
+        sliced.append((lo, hi))
+        view = slice_interval(graph, lo, hi)
+        views.append(weakref.ref(view))
+        return view
+
+    monkeypatch.setattr(training, "slice_interval", counting_slice)
+    _, log = train(GRAPH, _small_cfg(sampler=SamplerConfig(strategy, s, v), epochs=8))
+    cached, expect = [], []  # the last s distinct windows, oldest first
+    for record in log.records:
+        for w in record.windows:
+            if (w.lo, w.hi) not in cached:
+                expect.append((w.lo, w.hi))
+                cached = (cached + [(w.lo, w.hi)])[-s:]
+    assert sliced == expect
+    assert most_alive[0] <= s  # evicted views are let go
+    if strategy == "sequential":
+        assert len(sliced) == s
 
 
 def test_train_loss_decreases_on_average():
