@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -38,9 +37,6 @@ from .sampling import STRATEGIES, SamplerConfig, sample_windows
 from .training import TrainConfig, embed_all, train
 
 _REQUIRED = object()
-# a config-file comment starts with '#' at the start of a line or after
-# whitespace, so a '#' inside a value (a path such as a#b/e.csv) is kept
-_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,8 +173,8 @@ def _read_config_file(path: str, opts: dict) -> dict:
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _COMMENT.split(raw, 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line[0] == "#":  # the comment rule of every table
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")

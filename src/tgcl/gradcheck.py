@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import TemporalGraph, build_graph, slice_interval
-from .losses import LossConfig, multi_view_loss
+from .losses import multi_view_loss
 from .model import PARAM_FIELDS, embed_views, embed_views_backward, init_params, view_entry
 from .training import shared_nodes
 
@@ -87,15 +87,14 @@ def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
     batch = shared_nodes(views)
     entries = [view_entry(view) for view in views]
     params = init_params(graph.feature_dim, d_hidden, d_out, seed=seed)
-    cfg = LossConfig(level=level, tau=tau)
     with_neigh = level == "graph"
 
     def loss_value():
-        embs, _ = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
-        return multi_view_loss(embs, cfg)[0]
+        pairs, _ = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
+        return multi_view_loss(pairs, tau)[0]
 
-    embs, caches = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
-    _, zgrads = multi_view_loss(embs, cfg)
+    pairs, caches = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
+    _, zgrads = multi_view_loss(pairs, tau)
     analytic = embed_views_backward(zgrads, caches, params)
 
     errors = {}

@@ -67,19 +67,6 @@ class TemporalGraph:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def degrees(self) -> np.ndarray:
-        """Incident-edge count per node on the stored (multi)edge list."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.src, 1)
-        np.add.at(deg, self.dst, 1)
-        return deg
-
-    def labeled_nodes(self) -> np.ndarray:
-        """Internal indices of nodes that carry a label."""
-        if self.labels is None:
-            return np.empty(0, dtype=np.int64)
-        return np.nonzero(self.labels >= 0)[0].astype(np.int64)
-
     def edge_range(self, lo: float, hi: float) -> tuple:
         """Bounds [i, j) of the edges with lo <= timestamp <= hi."""
         ts = self.timestamps

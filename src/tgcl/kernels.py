@@ -103,14 +103,16 @@ def segment_reduce_backward(grad: np.ndarray, values: np.ndarray, indptr: np.nda
     return out
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Optimizer state for one named parameter set."""
 
     lr: float = 4e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     m: dict = field(default_factory=dict)
@@ -126,8 +128,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -140,8 +142,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -1,10 +1,11 @@
-"""InfoNCE objectives over multiple views.
+"""InfoNCE over multiple views.
 
-Node level contrasts the same node's projected embeddings across view
-pairs; graph level contrasts a node against neighborhood summaries. Both
-sum over ordered view pairs and divide by v(v-1), so the two-view case is
-the familiar (ctr(z1,z2) + ctr(z2,z1)) / 2. Gradients are analytic:
-with P = row-softmax(QK^T/tau), dL/dQ = (P - I)K / (N tau) and
+Each view brings queries and keys, one row per batch node in the same
+order in every view. View i's queries are contrasted with view j's keys
+for every ordered pair i != j, and the sum is divided by v(v-1), so with
+keys equal to queries the two-view case is the familiar
+(ctr(z1,z2) + ctr(z2,z1)) / 2. Gradients are analytic: with
+P = row-softmax(QK^T/tau), dL/dQ = (P - I)K / (N tau) and
 dL/dK = (P - I)^T Q / (N tau).
 """
 
@@ -21,6 +22,9 @@ LOSS_LEVELS = ("node", "graph")
 
 @dataclass(frozen=True)
 class LossConfig:
+    """``level`` picks each view's keys: the batch rows' own projections
+    (node) or their neighbourhood readouts' (graph)."""
+
     level: str = "node"
     tau: float = 0.5
 
@@ -62,57 +66,26 @@ def infonce(q: np.ndarray, k: np.ndarray, tau: float):
     return loss, coeff @ k, coeff.T @ q
 
 
-def _check_aligned(embeddings) -> int:
-    if len(embeddings) < 2:
-        raise ValueError(f"need at least 2 views, got {len(embeddings)}")
-    first = embeddings[0]
-    for emb in embeddings[1:]:
-        if emb.node_z.shape != first.node_z.shape:
-            raise ValueError("views disagree on embedding shape")
-        if not np.array_equal(emb.node_index, first.node_index):
-            raise ValueError("views have misaligned rows: node_index differs")
-    return first.node_z.shape[0]
+def multi_view_loss(pairs, tau: float):
+    """Average InfoNCE of view i's queries against view j's keys over all
+    ordered view pairs i != j.
 
-
-def multi_view_loss(embeddings, cfg: LossConfig):
-    """Average InfoNCE over all ordered view pairs at the configured level.
-
-    Returns (loss, zgrads) where zgrads[i] = (grad_node_z, grad_neigh_z or
-    None) for view i, ready for the embedding backward pass.
+    ``pairs[i]`` is view i's (queries, keys), as :func:`tgcl.embed_views`
+    returns them. Returns (loss, grads) with grads[i] = (g_queries,
+    g_keys) for view i, ready for the embedding backward pass.
     """
-    cfg.validate()
-    _check_aligned(embeddings)
-    v = len(embeddings)
-    pairs = v * (v - 1)
-
-    g_node = [np.zeros_like(e.node_z) for e in embeddings]
-    if cfg.level == "graph":
-        for i, e in enumerate(embeddings):
-            if e.neigh_z is None:
-                raise ValueError(f"view {i} lacks neighborhood embeddings required at graph level")
-        g_neigh = [np.zeros_like(e.neigh_z) for e in embeddings]
-    else:
-        g_neigh = [None] * v
-
+    v = len(pairs)
+    if v < 2:
+        raise ValueError(f"need at least 2 views, got {v}")
+    g_q = [np.zeros_like(q) for q, _ in pairs]
+    g_k = [np.zeros_like(k) for _, k in pairs]
     total = 0.0
-    for qi in range(v):
-        for ki in range(v):
-            if ki == qi:
-                continue
-            if cfg.level == "node":
-                loss, gq, gk = infonce(embeddings[qi].node_z, embeddings[ki].node_z, cfg.tau)
-                g_node[ki] += gk
-            else:
-                loss, gq, gk = infonce(embeddings[qi].node_z, embeddings[ki].neigh_z, cfg.tau)
-                g_neigh[ki] += gk
-            g_node[qi] += gq
-            total += loss
-
-    scale = 1.0 / pairs
-    total *= scale
-    zgrads = []
-    for i in range(v):
-        gn = g_node[i] * scale
-        gg = None if g_neigh[i] is None else g_neigh[i] * scale
-        zgrads.append((gn, gg))
-    return total, zgrads
+    for qi, (q, _) in enumerate(pairs):
+        for ki, (_, k) in enumerate(pairs):
+            if ki != qi:
+                loss, gq, gk = infonce(q, k, tau)
+                g_q[qi] += gq
+                g_k[ki] += gk
+                total += loss
+    scale = 1.0 / (v * (v - 1))
+    return total * scale, [(gq * scale, gk * scale) for gq, gk in zip(g_q, g_k)]

@@ -63,9 +63,6 @@ class ModelParams:
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in PARAM_FIELDS}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{f: getattr(self, f).copy() for f in PARAM_FIELDS})
-
     def zeros_like_grads(self) -> dict:
         return {f: np.zeros_like(getattr(self, f)) for f in PARAM_FIELDS}
 
@@ -273,22 +270,11 @@ def project_backward(grad_z: np.ndarray, cache: ProjectCache, params: ModelParam
 
 
 @dataclass(eq=False)
-class ViewEmbeddings:
-    """Projected node (and optionally neighborhood) embeddings for one view,
-    rows aligned with ``node_index`` across views."""
-
-    node_z: np.ndarray
-    neigh_z: np.ndarray | None
-    node_index: np.ndarray
-
-
-@dataclass(eq=False)
 class ViewCache:
     enc: EncodeCache
     batch_local: np.ndarray
     h: np.ndarray
-    proj_node: ProjectCache
-    proj_neigh: ProjectCache | None
+    proj: ProjectCache
     read: ReadoutCache | None
 
 
@@ -299,16 +285,19 @@ def embed_views(
     stat: str = "mean",
     with_neighborhood: bool = True,
 ):
-    """Encode every view with the same parameters and project the batch rows.
+    """Encode every view with the same parameters and project the batch
+    rows into queries and keys.
 
     ``entries`` are :class:`ViewEntry` tuples (see :func:`view_entry`).
     ``batch_nodes`` are internal graph node indices that must be active in
-    every view. The encoder produces the rows the projection reads: the
-    batch rows, and with the neighborhood also their readout neighbours.
-    Returns (embeddings, caches), both lists indexed by view.
+    every view. The queries are the projected batch rows. With the
+    neighborhood, the keys are the projected readouts of those rows; the
+    batch rows and the readouts go through one projection. Without it,
+    the keys are the queries. Returns (pairs, caches), both lists indexed
+    by view, with pairs[i] = (queries, keys).
     """
     batch_nodes = np.asarray(batch_nodes, dtype=np.int64)
-    embeddings, caches = [], []
+    pairs, caches = [], []
     for view, adj, p0 in entries:
         batch_local = view.local_index_of(batch_nodes)
         rows = np.zeros(view.num_active, dtype=bool)
@@ -316,47 +305,35 @@ def embed_views(
         if with_neighborhood:
             rows[adj.nbr[batch_local].indices] = True
         h, enc_cache = encode(adj, p0, params, rows)
-        node_z, proj_node = project(h[batch_local], params)
-        neigh_z = proj_neigh = read_cache = None
+        x, read_cache = h[batch_local], None
         if with_neighborhood:
             r, read_cache = readout(adj, h, batch_local, stat=stat)
-            neigh_z, proj_neigh = project(r, params)
-        embeddings.append(ViewEmbeddings(node_z=node_z, neigh_z=neigh_z, node_index=batch_nodes))
-        caches.append(
-            ViewCache(
-                enc=enc_cache,
-                batch_local=batch_local,
-                h=h,
-                proj_node=proj_node,
-                proj_neigh=proj_neigh,
-                read=read_cache,
-            )
-        )
-    return embeddings, caches
+            x = np.vstack([x, r])
+        z, proj_cache = project(x, params)
+        b = batch_local.size
+        pairs.append((z[:b], z[b:]) if with_neighborhood else (z, z))
+        caches.append(ViewCache(enc_cache, batch_local, h, proj_cache, read_cache))
+    return pairs, caches
 
 
 def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
-    """Accumulate parameter gradients from per-view (node_z, neigh_z) grads.
+    """Accumulate parameter gradients from per-view (queries, keys) grads.
 
-    ``zgrads`` is a list of (grad_node_z, grad_neigh_z_or_None) aligned
-    with the caches from :func:`embed_views`.
+    ``zgrads`` is a list of (g_queries, g_keys) aligned with the caches
+    from :func:`embed_views`. Where the keys are the queries, the two
+    gradients add.
     """
     total = params.zeros_like_grads()
-    for (g_node_z, g_neigh_z), cache in zip(zgrads, caches):
+    for (g_q, g_k), cache in zip(zgrads, caches):
+        b = cache.batch_local.size
+        g_z = g_q + g_k if cache.read is None else np.vstack([g_q, g_k])
+        g_x, proj_grads = project_backward(g_z, cache.proj, params)
         grad_h = np.zeros_like(cache.h)
-        g_rows, proj_grads = project_backward(g_node_z, cache.proj_node, params)
-        np.add.at(grad_h, cache.batch_local, g_rows)
+        np.add.at(grad_h, cache.batch_local, g_x[:b])
+        if cache.read is not None:
+            grad_h += readout_backward(g_x[b:], cache.read, cache.h)
+        proj_grads.update(encode_backward(grad_h, cache.enc, params))
         for k, g in proj_grads.items():
-            total[k] += g
-        if g_neigh_z is not None:
-            if cache.proj_neigh is None:
-                raise ValueError("neighborhood gradient given but forward skipped the readout path")
-            g_read, proj_grads_n = project_backward(g_neigh_z, cache.proj_neigh, params)
-            grad_h += readout_backward(g_read, cache.read, cache.h)
-            for k, g in proj_grads_n.items():
-                total[k] += g
-        enc_grads = encode_backward(grad_h, cache.enc, params)
-        for k, g in enc_grads.items():
             total[k] += g
     return total
 

@@ -44,10 +44,6 @@ class ViewWindow:
     strategy: str
     epoch: int
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class SamplerConfig:

@@ -156,9 +156,9 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
         epoch_loss = 0.0
         for _ in range(cfg.batches_per_epoch):
             batch = make_minibatch(shared, cfg.batch_size, batch_rng)
-            embs, caches = embed_views(
+            pairs, caches = embed_views(
                 drawn, batch, params, stat=cfg.readout_stat, with_neighborhood=with_neigh)
-            loss, zgrads = multi_view_loss(embs, cfg.loss)
+            loss, zgrads = multi_view_loss(pairs, cfg.loss.tau)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} at epoch {epoch}; windows {_window_desc(windows)}")

@@ -157,7 +157,7 @@ def test_synth_deterministic(tmp_path, capsys):
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     edges, _ = _synth(tmp_path)
     conf = tmp_path / "run.conf"
-    conf.write_text(f"edges={edges}\ns=5\nv=3  # comment\n", encoding="utf-8")
+    conf.write_text(f"edges={edges}\n# comment\ns=5\nv=3\n", encoding="utf-8")
     out = tmp_path / "w" / "windows.csv"
     code = dispatch(["sample-views", "--config", str(conf), "--v", "2",
                      "--strategy", "random", "--out", str(out)])
@@ -178,9 +178,12 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 def test_config_file_malformed_line(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
-    conf.write_text("just words\n", encoding="utf-8")
-    assert dispatch(["sample-views", "--config", str(conf)]) == 2
-    assert "key=value" in capsys.readouterr().err
+    # only whole lines are comments, as in every table
+    for text, message in (("just words\n", "key=value"),
+                          ("v=3  # comment\n", f"{conf}:1: bad value for v")):
+        conf.write_text(text, encoding="utf-8")
+        assert dispatch(["sample-views", "--config", str(conf)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_train_artifacts(tmp_path, capsys):
@@ -215,13 +218,15 @@ def test_train_reruns_from_its_config_resolved(tmp_path, capsys):
 
 
 def test_config_resolved_round_trip_keeps_a_hash_in_a_path(tmp_path, capsys):
-    edges, _ = _synth(tmp_path / "a#b")
-    first = _train(tmp_path, edges)
-    assert f"edges={edges}\n" in (first / "config.resolved").read_text()
-    second = tmp_path / "again"
-    assert dispatch(["train", "--config", str(first / "config.resolved"), "--out", str(second)]) == 0
-    capsys.readouterr()
-    assert (first / "params.ckpt").read_bytes() == (second / "params.ckpt").read_bytes()
+    for name in ("a#b", "a #b"):
+        edges, _ = _synth(tmp_path / name)
+        first = _train(tmp_path / name, edges)
+        assert f"edges={edges}\n" in (first / "config.resolved").read_text()
+        second = tmp_path / name / "again"
+        assert dispatch(["train", "--config", str(first / "config.resolved"),
+                         "--out", str(second)]) == 0
+        capsys.readouterr()
+        assert (first / "params.ckpt").read_bytes() == (second / "params.ckpt").read_bytes()
 
 
 def test_negative_class_label_is_data_error(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tgcl import DataError, LossConfig, infonce, multi_view_loss
-from tgcl.model import ViewEmbeddings
 
 
 def _unit_rows(rng, n, d):
@@ -18,6 +20,20 @@ def _brute_force(q, k, tau):
         logits = np.array([q[i] @ k[j] / tau for j in range(n)])
         total += -(logits[i] - np.log(np.sum(np.exp(logits))))
     return total / n
+
+
+def _fd(loss_fn, arr, h):
+    """Central differences of loss_fn() by perturbing arr in place."""
+    fd = np.zeros_like(arr)
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + h
+        up = loss_fn()
+        arr[i] = orig - h
+        dn = loss_fn()
+        arr[i] = orig
+        fd[i] = (up - dn) / (2 * h)
+    return fd
 
 
 def test_single_item_loss_zero():
@@ -69,18 +85,7 @@ def test_gradients_match_finite_differences():
     loss, gq, gk = infonce(q, k, tau)
     h = 1e-5
     for arr, grad in ((q, gq), (k, gk)):
-        fd = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            i = it.multi_index
-            orig = arr[i]
-            arr[i] = orig + h
-            up, _, _ = infonce(q, k, tau)
-            arr[i] = orig - h
-            dn, _, _ = infonce(q, k, tau)
-            arr[i] = orig
-            fd[i] = (up - dn) / (2 * h)
-            it.iternext()
+        fd = _fd(lambda: infonce(q, k, tau)[0], arr, h)
         rel = np.max(np.abs(grad - fd)) / max(1e-6, np.max(np.abs(grad)), np.max(np.abs(fd)))
         assert rel < 1e-6
 
@@ -103,59 +108,54 @@ def test_loss_config_validation():
         LossConfig("node", 0.0).validate()
 
 
-def _views(rng, v, n, d, with_neigh=True):
-    idx = np.arange(n)
+def _pairs(rng, v, n, d, level="node"):
+    """Per view (queries, keys): the keys are the queries at node level
+    and a second set of rows at graph level."""
     out = []
     for _ in range(v):
-        out.append(
-            ViewEmbeddings(
-                node_z=_unit_rows(rng, n, d),
-                neigh_z=_unit_rows(rng, n, d) if with_neigh else None,
-                node_index=idx,
-            )
-        )
+        q, r = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
+        out.append((q, q if level == "node" else r))
     return out
 
 
 def test_two_view_node_level_symmetric_average():
     rng = np.random.default_rng(2)
-    emb = _views(rng, 2, 7, 4)
-    loss, _ = multi_view_loss(emb, LossConfig("node", 0.5))
-    l12, _, _ = infonce(emb[0].node_z, emb[1].node_z, 0.5)
-    l21, _, _ = infonce(emb[1].node_z, emb[0].node_z, 0.5)
+    pairs = _pairs(rng, 2, 7, 4)
+    loss, _ = multi_view_loss(pairs, 0.5)
+    l12, _, _ = infonce(pairs[0][0], pairs[1][1], 0.5)
+    l21, _, _ = infonce(pairs[1][0], pairs[0][1], 0.5)
     assert loss == pytest.approx((l12 + l21) / 2, abs=1e-12)
 
 
 def test_two_view_graph_level_uses_neighborhoods():
     rng = np.random.default_rng(3)
-    emb = _views(rng, 2, 7, 4)
-    loss, _ = multi_view_loss(emb, LossConfig("graph", 0.5))
-    l12, _, _ = infonce(emb[0].node_z, emb[1].neigh_z, 0.5)
-    l21, _, _ = infonce(emb[1].node_z, emb[0].neigh_z, 0.5)
+    pairs = _pairs(rng, 2, 7, 4, "graph")
+    loss, _ = multi_view_loss(pairs, 0.5)
+    l12, _, _ = infonce(pairs[0][0], pairs[1][1], 0.5)
+    l21, _, _ = infonce(pairs[1][0], pairs[0][1], 0.5)
     assert loss == pytest.approx((l12 + l21) / 2, abs=1e-12)
 
 
 def test_three_view_matches_naive_triple_loop():
     rng = np.random.default_rng(4)
     for level in ("node", "graph"):
-        emb = _views(rng, 3, 6, 5)
-        loss, _ = multi_view_loss(emb, LossConfig(level, 0.4))
+        pairs = _pairs(rng, 3, 6, 5, level)
+        loss, _ = multi_view_loss(pairs, 0.4)
         total = 0.0
         for qi in range(3):
             for ki in range(3):
                 if qi == ki:
                     continue
-                k = emb[ki].node_z if level == "node" else emb[ki].neigh_z
-                total += _brute_force(emb[qi].node_z, k, 0.4)
+                total += _brute_force(pairs[qi][0], pairs[ki][1], 0.4)
         assert loss == pytest.approx(total / 6, abs=1e-10)
 
 
 def test_view_permutation_symmetry():
     rng = np.random.default_rng(5)
-    emb = _views(rng, 3, 6, 4)
-    base, _ = multi_view_loss(emb, LossConfig("node", 0.5))
+    pairs = _pairs(rng, 3, 6, 4)
+    base, _ = multi_view_loss(pairs, 0.5)
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-        loss, _ = multi_view_loss([emb[i] for i in perm], LossConfig("node", 0.5))
+        loss, _ = multi_view_loss([pairs[i] for i in perm], 0.5)
         assert loss == pytest.approx(base, abs=1e-12)
 
 
@@ -163,65 +163,72 @@ def test_aligned_views_are_a_minimum():
     # equal views score lower than independently drawn ones
     rng = np.random.default_rng(6)
     z = _unit_rows(rng, 16, 8)
-    idx = np.arange(16)
-    same = [ViewEmbeddings(z, None, idx), ViewEmbeddings(z.copy(), None, idx)]
-    aligned, _ = multi_view_loss(same, LossConfig("node", 0.5))
+    z2 = z.copy()
+    aligned, _ = multi_view_loss([(z, z), (z2, z2)], 0.5)
     worse = 0.0
     trials = 20
     for _ in range(trials):
-        other = [ViewEmbeddings(_unit_rows(rng, 16, 8), None, idx) for _ in range(2)]
-        l, _ = multi_view_loss(other, LossConfig("node", 0.5))
+        other = [(u, u) for u in (_unit_rows(rng, 16, 8) for _ in range(2))]
+        l, _ = multi_view_loss(other, 0.5)
         worse += l / trials
         assert aligned < l
     assert aligned < worse
+
+
+def _view_grads(pairs, grads):
+    """Each distinct array of every view with its gradient: keys that are
+    the queries take the sum of the two gradients."""
+    out = []
+    for (q, k), (gq, gk) in zip(pairs, grads):
+        out += [(q, gq + gk)] if k is q else [(q, gq), (k, gk)]
+    return out
 
 
 def test_multi_view_gradients_match_fd():
     rng = np.random.default_rng(7)
     h = 1e-5
     for level in ("node", "graph"):
-        emb = _views(rng, 3, 4, 3)
-        cfg = LossConfig(level, 0.6)
-        _, zgrads = multi_view_loss(emb, cfg)
-        for vi, e in enumerate(emb):
-            arrays = [("node_z", e.node_z, zgrads[vi][0])]
-            if level == "graph":
-                arrays.append(("neigh_z", e.neigh_z, zgrads[vi][1]))
-            for name, arr, grad in arrays:
-                fd = np.zeros_like(arr)
-                it = np.nditer(arr, flags=["multi_index"])
-                while not it.finished:
-                    i = it.multi_index
-                    orig = arr[i]
-                    arr[i] = orig + h
-                    up, _ = multi_view_loss(emb, cfg)
-                    arr[i] = orig - h
-                    dn, _ = multi_view_loss(emb, cfg)
-                    arr[i] = orig
-                    fd[i] = (up - dn) / (2 * h)
-                    it.iternext()
-                rel = np.max(np.abs(grad - fd)) / max(1e-6, np.max(np.abs(grad)), np.max(np.abs(fd)))
-                assert rel < 1e-6, (level, vi, name)
-        # node-level zgrads carry no neighborhood component
-        if level == "node":
-            assert all(g[1] is None for g in zgrads)
+        pairs = _pairs(rng, 3, 4, 3, level)
+        _, grads = multi_view_loss(pairs, 0.6)
+        for vi, (arr, grad) in enumerate(_view_grads(pairs, grads)):
+            fd = _fd(lambda: multi_view_loss(pairs, 0.6)[0], arr, h)
+            rel = np.max(np.abs(grad - fd)) / max(1e-6, np.max(np.abs(grad)), np.max(np.abs(fd)))
+            assert rel < 1e-6, (level, vi)
+
+
+@st.composite
+def _drawn_pairs(draw):
+    """2-4 views of 1-6 rows of width 1-5, keys shared with the queries or
+    drawn apart, and a temperature."""
+    v, n, d = draw(st.integers(2, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rows = hnp.arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0))
+    shared = draw(st.booleans())
+    pairs = []
+    for _ in range(v):
+        q = draw(rows)
+        pairs.append((q, q if shared else draw(rows)))
+    return pairs, draw(st.floats(0.2, 2.0))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(_drawn_pairs())
+def test_multi_view_loss_is_the_pairwise_average_with_exact_gradients(drawn):
+    pairs, tau = drawn
+    loss, grads = multi_view_loss(pairs, tau)
+    v = len(pairs)
+    brute = sum(_brute_force(pairs[qi][0], pairs[ki][1], tau)
+                for qi in range(v) for ki in range(v) if qi != ki)
+    assert loss == pytest.approx(brute / (v * (v - 1)), rel=1e-10, abs=1e-12)
+    for arr, grad in _view_grads(pairs, grads):
+        fd = _fd(lambda: multi_view_loss(pairs, tau)[0], arr, 1e-6)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_misaligned_views_rejected():
     rng = np.random.default_rng(8)
-    a = ViewEmbeddings(_unit_rows(rng, 5, 4), None, np.arange(5))
-    b = ViewEmbeddings(_unit_rows(rng, 5, 4), None, np.arange(1, 6))
-    with pytest.raises(ValueError, match="misaligned"):
-        multi_view_loss([a, b], LossConfig("node", 0.5))
-    c = ViewEmbeddings(_unit_rows(rng, 6, 4), None, np.arange(6))
+    a = _unit_rows(rng, 5, 4)
+    c = _unit_rows(rng, 6, 4)
     with pytest.raises(ValueError, match="shape"):
-        multi_view_loss([a, c], LossConfig("node", 0.5))
+        multi_view_loss([(a, a), (c, c)], 0.5)
     with pytest.raises(ValueError, match="at least 2"):
-        multi_view_loss([a], LossConfig("node", 0.5))
-
-
-def test_graph_level_requires_neighborhoods():
-    rng = np.random.default_rng(9)
-    emb = _views(rng, 2, 5, 4, with_neigh=False)
-    with pytest.raises(ValueError, match="neighborhood"):
-        multi_view_loss(emb, LossConfig("graph", 0.5))
+        multi_view_loss([(a, a)], 0.5)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tgcl import (
     DataError,
-    LossConfig,
     ModelParams,
     build_graph,
     embed_views,
@@ -26,7 +25,6 @@ from tgcl import (
 from tgcl.model import (
     CHECKPOINT_MAGIC,
     PARAM_FIELDS,
-    ViewEmbeddings,
     encode_backward,
     project_backward,
     readout_backward,
@@ -309,34 +307,34 @@ def test_embed_views_identical_windows_equal():
     views = _two_view_graph()
     params = init_params(5, 8, 4, seed=0)
     batch = np.arange(6)
-    emb, _ = embed_views([views[0], views[0]], batch, params)
-    np.testing.assert_array_equal(emb[0].node_z, emb[1].node_z)
-    np.testing.assert_array_equal(emb[0].neigh_z, emb[1].neigh_z)
+    pairs, _ = embed_views([views[0], views[0]], batch, params)
+    np.testing.assert_array_equal(pairs[0][0], pairs[1][0])
+    np.testing.assert_array_equal(pairs[0][1], pairs[1][1])
 
 
 def test_embed_views_shapes_and_alignment():
     views = _two_view_graph()
     params = init_params(5, 8, 4, seed=0)
-    emb, _ = embed_views(views, np.array([3]), params)
-    for e in emb:
-        assert e.node_z.shape == (1, 4) and e.neigh_z.shape == (1, 4)
-        np.testing.assert_allclose(np.linalg.norm(e.node_z, axis=1), 1.0, atol=1e-6)
-        assert e.node_index.tolist() == [3]
+    pairs, caches = embed_views(views, np.array([3]), params)
+    for (view, _, _), (q, k), cache in zip(views, pairs, caches):
+        assert q.shape == (1, 4) and k.shape == (1, 4)
+        np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-6)
+        assert view.active[cache.batch_local].tolist() == [3]
 
 
 def test_embed_views_compositional_oracle():
     views = _two_view_graph(seed=7)
     params = init_params(5, 8, 4, seed=1)
     batch = np.array([0, 2, 5])
-    emb, _ = embed_views(views, batch, params, stat="sum")
-    for (view, adj, _), e in zip(views, emb):
+    pairs, _ = embed_views(views, batch, params, stat="sum")
+    for (view, adj, _), (q, k) in zip(views, pairs):
         h, _ = _encode_all(view, params)
         local = view.local_index_of(batch)
-        node_z, _ = project(h[local], params)
+        queries, _ = project(h[local], params)
         r, _ = readout(adj, h, local, stat="sum")
-        neigh_z, _ = project(r, params)
-        np.testing.assert_allclose(e.node_z, node_z, atol=1e-12)
-        np.testing.assert_allclose(e.neigh_z, neigh_z, atol=1e-12)
+        keys, _ = project(r, params)
+        np.testing.assert_allclose(q, queries, atol=1e-12)
+        np.testing.assert_allclose(k, keys, atol=1e-12)
 
 
 def test_embed_views_weight_sharing():
@@ -347,14 +345,14 @@ def test_embed_views_weight_sharing():
     params.gcn_w1[0, 0] += 0.25
     after, _ = embed_views(views, batch, params)
     for b, a in zip(before, after):
-        assert not np.allclose(b.node_z, a.node_z)
+        assert not np.allclose(b[0], a[0])
 
 
 def test_embed_views_without_neighborhood():
     views = _two_view_graph(seed=4)
     params = init_params(5, 8, 4, seed=0)
-    emb, caches = embed_views(views, np.arange(4), params, with_neighborhood=False)
-    assert all(e.neigh_z is None for e in emb)
+    pairs, caches = embed_views(views, np.arange(4), params, with_neighborhood=False)
+    assert all(k is q for q, k in pairs)
     assert all(c.read is None for c in caches)
 
 
@@ -363,18 +361,17 @@ def test_embed_views_backward_fd():
     params = init_params(5, 6, 4, seed=2)
     batch = np.arange(7)
     rng = np.random.default_rng(8)
-    w_node = [rng.standard_normal((7, 4)) for _ in views]
-    w_neigh = [rng.standard_normal((7, 4)) for _ in views]
+    w_q = [rng.standard_normal((7, 4)) for _ in views]
+    w_k = [rng.standard_normal((7, 4)) for _ in views]
 
     def loss():
-        emb, _ = embed_views(views, batch, params, stat="mean")
+        pairs, _ = embed_views(views, batch, params, stat="mean")
         return float(
-            sum(np.sum(wn * e.node_z) + np.sum(wg * e.neigh_z)
-                for wn, wg, e in zip(w_node, w_neigh, emb))
+            sum(np.sum(wq * q) + np.sum(wk * k) for wq, wk, (q, k) in zip(w_q, w_k, pairs))
         )
 
     _, caches = embed_views(views, batch, params, stat="mean")
-    zgrads = list(zip(w_node, w_neigh))
+    zgrads = list(zip(w_q, w_k))
     grads = embed_views_backward(zgrads, caches, params)
     for name in PARAM_FIELDS:
         fd = _fd_param_grad(loss, getattr(params, name))
@@ -395,9 +392,9 @@ def _ring_views(n=40, chords=10, seed=0, d=5):
 
 def _full_path(entries, batch, params, level, stat):
     """Embeddings and the six gradients with the encoder run on every row,
-    forward and backward, with a dense Â: the oracle for the restriction."""
-    cfg = LossConfig(level=level, tau=0.5)
-    embs, saved = [], []
+    forward and backward, with a dense Â, and the readouts projected apart
+    from the batch rows: the oracle for the restriction and the stacking."""
+    pairs, saved = [], []
     for view, adj, _ in entries:
         a = adj.norm.toarray()
         p0 = a @ view.features
@@ -405,29 +402,30 @@ def _full_path(entries, batch, params, level, stat):
         p1 = a @ np.maximum(s1, 0.0)
         h = p1 @ params.gcn_w2
         local = view.local_index_of(batch)
-        node_z, proj_node = project(h[local], params)
-        neigh_z = proj_neigh = read = None
+        queries, proj_q = project(h[local], params)
+        keys, proj_k, read = queries, None, None
         if level == "graph":
             r, read = readout(adj, h, local, stat=stat)
-            neigh_z, proj_neigh = project(r, params)
-        embs.append(ViewEmbeddings(node_z=node_z, neigh_z=neigh_z, node_index=batch))
-        saved.append((a, p0, s1, p1, h, local, proj_node, proj_neigh, read))
-    _, zgrads = multi_view_loss(embs, cfg)
+            keys, proj_k = project(r, params)
+        pairs.append((queries, keys))
+        saved.append((a, p0, s1, p1, h, local, proj_q, proj_k, read))
+    _, zgrads = multi_view_loss(pairs, 0.5)
     grads = params.zeros_like_grads()
-    for (g_node, g_neigh), (a, p0, s1, p1, h, local, proj_node, proj_neigh, read) in zip(
-            zgrads, saved):
+    for (g_q, g_k), (a, p0, s1, p1, h, local, proj_q, proj_k, read) in zip(zgrads, saved):
         g_h = np.zeros_like(h)
-        g_rows, proj_grads = project_backward(g_node, proj_node, params)
+        if proj_k is None:  # the keys are the queries
+            g_q = g_q + g_k
+        g_rows, proj_grads = project_backward(g_q, proj_q, params)
         np.add.at(g_h, local, g_rows)
-        if g_neigh is not None:
-            g_read, more = project_backward(g_neigh, proj_neigh, params)
+        if proj_k is not None:
+            g_read, more = project_backward(g_k, proj_k, params)
             g_h += readout_backward(g_read, read, h)
             proj_grads = {k: proj_grads[k] + more[k] for k in proj_grads}
         g_s1 = (a @ (g_h @ params.gcn_w2.T)) * (s1 > 0.0)
         proj_grads.update(gcn_w1=p0.T @ g_s1, gcn_w2=p1.T @ g_h)
         for k, g in proj_grads.items():
             grads[k] += g
-    return embs, zgrads, grads
+    return pairs, zgrads, grads
 
 
 @pytest.mark.parametrize("level, stat", [
@@ -437,13 +435,13 @@ def test_restricted_encoder_matches_the_full_path(level, stat):
     params = init_params(5, 8, 4, seed=4)
     batch = np.array([2, 3, 17, 30])
     want, zgrads, want_grads = _full_path(entries, batch, params, level, stat)
-    embs, caches = embed_views(entries, batch, params, stat=stat,
-                               with_neighborhood=level == "graph")
-    for (view, _, _), cache, e, w in zip(entries, caches, embs, want):
+    pairs, caches = embed_views(entries, batch, params, stat=stat,
+                                with_neighborhood=level == "graph")
+    for (view, _, _), cache, (q, k), (wq, wk) in zip(entries, caches, pairs, want):
         assert cache.enc.frontier.sum() < view.num_active  # the restriction restricts
-        np.testing.assert_allclose(e.node_z, w.node_z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q, wq, rtol=0, atol=1e-12)
         if level == "graph":
-            np.testing.assert_allclose(e.neigh_z, w.neigh_z, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(k, wk, rtol=0, atol=1e-12)
     grads = embed_views_backward(zgrads, caches, params)
     for name in PARAM_FIELDS:
         np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=1e-12,
