@@ -181,6 +181,8 @@ def _read_config_file(path: str, opts: dict) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in opts:
             raise DataError(f"{path}:{lineno}: unknown option {key!r}")
+        if key in conf:
+            raise DataError(f"{path}:{lineno}: option {key!r} is set twice")
         typ = opts[key][0]
         try:
             conf[key] = typ(value)
@@ -326,6 +328,11 @@ def _run_embed(conf: dict) -> int:
     params, meta = load_params(conf["ckpt"])
     spec = {} if conf["features"] else _checkpoint_feature_spec(conf["ckpt"], meta)
     graph = load_temporal_graph(conf["edges"], features_path=conf["features"], **spec)
+    if spec and meta.get("feature_nodes", graph.num_nodes) != graph.num_nodes:
+        raise DataError(
+            f"{conf['ckpt']}: its random features were drawn for {meta['feature_nodes']} "
+            f"nodes, but {conf['edges']} has {graph.num_nodes}, and every node's features "
+            f"depend on that count (were some nodes only in the labels file given to train?)")
     if graph.feature_dim != params.d_in:
         raise DataError(
             f"graph features have dim {graph.feature_dim} but checkpoint expects {params.d_in}")

@@ -117,14 +117,14 @@ def normalize_adjacency(view: SampledView) -> NormalizedAdjacency:
     n = view.num_active
     a = np.minimum(view.src, view.dst)
     b = np.maximum(view.src, view.dst)
-    pairs = np.unique((a * np.int64(n) + b)[a != b])
-    a, b = pairs // n, pairs % n
+    # sort + adjacent compare: plain np.unique hashes, many times slower than a sort
+    keys = np.sort((a * np.int64(n) + b)[a != b])
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
+    a, b = np.divmod(pairs, n)
     deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) + 1  # self-loop
     loops = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([a, b, loops])
-    cols = np.concatenate([b, a, loops])
-    order = np.argsort(rows * n + cols)
-    rows, cols = rows[order], cols[order]
+    # the entries (a, b), (b, a) and (i, i) in row-major order, by their keys row·n + col
+    rows, cols = np.divmod(np.sort(np.concatenate([pairs, b * n + a, loops * (n + 1)])), n)
     norm_indptr = np.concatenate(([0], np.cumsum(deg)))
     norm = sp.csr_array((1.0 / np.sqrt(deg[rows] * deg[cols]), cols, norm_indptr), shape=(n, n))
     # drop the self-loop of every node that has another neighbour

@@ -93,11 +93,14 @@ def overlap_centers(cfg: SamplerConfig, dt: float, t_min: float, rng) -> list:
     q = _OVERLAP_QUARTERS[cfg.strategy]
     lo = t_min + dt / (2 * cfg.s)
     hi = t_min + dt - (2 + q * cfg.v) * dt / (4 * cfg.s)
-    if hi < lo:
+    # decided in integers: at q*v = 4s - 4 the range is the one point lo,
+    # which rounding may put an ulp above hi
+    if q * cfg.v > 4 * cfg.s - 4:
         raise DataError(
             f"{cfg.strategy} infeasible: first-center range [{lo}, {hi}] is empty "
             f"(need (2+q*v)*dt/(4s) <= dt - dt/(2s); q={q} v={cfg.v} s={cfg.s})"
         )
+    hi = max(hi, lo)
     step = q * dt / (4 * cfg.s)
     centers = [_uniform_grid(rng, lo, hi)]
     for _ in range(cfg.v - 1):

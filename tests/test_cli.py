@@ -17,6 +17,7 @@ from tgcl import (
     embed_all,
     load_params,
     load_temporal_graph,
+    save_params,
     train,
 )
 from tgcl import cli
@@ -186,6 +187,19 @@ def test_config_file_malformed_line(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_config_file_repeated_key(tmp_path, capsys):
+    # as in every per-node table, a second row for the same key is an error,
+    # not a silent override of the first
+    edges, _ = _synth(tmp_path)
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"edges={edges}\nv=2\n\nv=3\n", encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(["sample-views", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{conf}:4: option 'v' is set twice" in captured.err
+
+
 def test_train_artifacts(tmp_path, capsys):
     edges, _ = _synth(tmp_path)
     out = _train(tmp_path, edges)
@@ -305,6 +319,59 @@ def test_embed_matches_embed_all_of_the_trained_graph(tmp_path, capsys):
     ids, table = _read_embeddings(out)
     assert ids == graph.node_ids.tolist()
     np.testing.assert_array_equal(table, embed_all(graph, params))
+
+
+def _label_only_run(tmp_path, policy, dim):
+    """Train on 30 connected nodes plus node 99, which only the labels file
+    names; returns (edges, checkpoint, the training graph, its params)."""
+    edges = tmp_path / "ring.edges.csv"  # a 30-ring, walked round once per time quarter
+    edges.write_text("".join(f"{u},{(u + 1) % 30},{30.0 * lap + u!r}\n"
+                             for lap in range(4) for u in range(30)), encoding="utf-8")
+    labels = tmp_path / "ring.labels.csv"
+    labels.write_text("".join(f"{u},{u % 2}\n" for u in [*range(30), 99]), encoding="utf-8")
+    run = tmp_path / "run"
+    assert dispatch(["train", "--edges", str(edges), "--labels", str(labels), "--out", str(run),
+                     "--epochs", "2", "--d-hidden", "8", "--d-out", "4", "--batch-size", "16",
+                     "--feature-policy", policy, "--feature-dim", str(dim)]) == 0
+    graph = load_temporal_graph(edges, labels_path=labels, feature_policy=policy, feature_dim=dim)
+    assert graph.num_nodes == 31
+    params, _ = load_params(run / "params.ckpt")
+    return edges, run / "params.ckpt", graph, params
+
+
+def test_embed_rejects_random_features_of_another_node_count(tmp_path, capsys):
+    # random features are drawn for the whole node table, so without node
+    # 99 every node would get other features than it was trained on
+    edges, ckpt, _, _ = _label_only_run(tmp_path, "random", 8)
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(ckpt), "--out", str(out)]) == 2
+    assert "drawn for 31 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_embed_of_label_only_nodes_under_degree_buckets(tmp_path, capsys):
+    # a node's degree bucket depends on itself only, and the isolated node
+    # 99 sees only its self-loop, so the other rows are those of training
+    edges, ckpt, graph, params = _label_only_run(tmp_path, "degree-buckets", 8)
+    assert graph.feature_spec == {"policy": "degree-buckets", "dim": 8, "seed": 0}
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(ckpt), "--out", str(out)]) == 0
+    capsys.readouterr()
+    ids, table = _read_embeddings(out)
+    assert ids == list(range(30))
+    np.testing.assert_array_equal(table, embed_all(graph, params)[:30])
+
+
+def test_embed_of_a_checkpoint_without_a_node_count(tmp_path, capsys):
+    # a checkpoint written before the node count was recorded still embeds
+    edges, ckpt, _, params = _label_only_run(tmp_path, "random", 8)
+    meta = load_params(ckpt)[1]
+    del meta["feature_nodes"]
+    save_params(ckpt, params, meta=meta)
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(ckpt), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(_read_embeddings(out)[0]) == 30
 
 
 def test_embed_with_the_training_features_file(tmp_path, capsys):

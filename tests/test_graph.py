@@ -295,7 +295,10 @@ def test_negative_feature_seed_rejected():
 def test_feature_spec_records_synthesized_features(tmp_path):
     e = _write(tmp_path, "e.csv", "0,1,1.0\n")
     g = load_temporal_graph(e, feature_policy="random", feature_dim=4, feature_seed=2)
-    assert g.feature_spec == {"policy": "random", "dim": 4, "seed": 2}
+    # random rows depend on the node count, so the record carries it
+    assert g.feature_spec == {"policy": "random", "dim": 4, "seed": 2, "nodes": 2}
+    g = load_temporal_graph(e, feature_dim=4, feature_seed=2)
+    assert g.feature_spec == {"policy": "degree-buckets", "dim": 4, "seed": 2}
     f = _write(tmp_path, "f.csv", "0,1.0\n1,2.0\n")
     assert load_temporal_graph(e, features_path=f).feature_spec is None
 

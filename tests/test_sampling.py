@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgcl import (
     DataError,
@@ -11,6 +13,7 @@ from tgcl import (
     sequential_centers,
     slice_interval,
 )
+from tgcl.sampling import STRATEGIES
 
 
 def _grid_graph(t_lo=0.0, t_hi=100.0, n_ts=401):
@@ -242,3 +245,52 @@ def test_sampled_windows_slice_nonempty():
     for epoch in range(20):
         for w in sample_windows(GRAPH, cfg, epoch, seed=2):
             assert not slice_interval(GRAPH, w.lo, w.hi).is_empty
+
+
+_QUARTERS = {"high_overlap": 1, "low_overlap": 3}  # an overlap chain's step, in dt/(4s)
+
+
+@st.composite
+def _sampler_cases(draw):
+    strategy = draw(st.sampled_from(STRATEGIES))
+    s, v = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+    q = _QUARTERS.get(strategy)
+    if q and draw(st.booleans()):  # the longest chain that fits: its first center has one place
+        v = max(2, (4 * s - 4) // q)
+    t_min = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    span = draw(st.floats(1e-3, 1e4, allow_nan=False))
+    return strategy, s, v, t_min, span, draw(st.integers(0, 2**32)), draw(st.integers(0, 1000))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_sampler_cases())
+def test_window_geometry_property(case):
+    strategy, s, v, t_min, span, seed, epoch = case
+    # edges every dt/(64s): no window can come out empty
+    ts = np.linspace(t_min, t_min + span, 64 * s + 1)
+    n = ts.size
+    g = build_graph(np.arange(n) % 10, (np.arange(n) + 1) % 10, ts,
+                    feature_policy="random", feature_dim=2)
+    cfg = SamplerConfig(strategy, s, v)
+    q = _QUARTERS.get(strategy)
+    # sequential needs v distinct slots; an overlap chain of v windows
+    # spans (2 + q v) dt/(4s), which must fit in dt
+    if (strategy == "sequential" and v > s) or (q and q * v > 4 * s - 4):
+        with pytest.raises(DataError):
+            sample_windows(g, cfg, epoch, seed)
+        return
+    dt = g.timespan
+    ws = sample_windows(g, cfg, epoch, seed)
+    tol = 16 * np.spacing(max(abs(g.t_min), abs(g.t_max)))  # a few roundings of t
+    assert len(ws) == v
+    for w in ws:
+        assert w.hi - w.lo == pytest.approx(dt / s, rel=0, abs=tol)
+        assert g.t_min - tol <= w.lo <= w.hi <= g.t_max + tol
+    centers = np.array([w.center for w in ws])
+    if strategy == "sequential":
+        slots = (centers - g.t_min) / (dt / s) - 0.5  # slot k has its center at t_min + (k + ½)dt/s
+        np.testing.assert_allclose(slots, np.round(slots), rtol=0, atol=1e-6)
+        k = set(np.round(slots).astype(int).tolist())
+        assert len(k) == v and k <= set(range(s))
+    elif q:
+        np.testing.assert_allclose(np.diff(centers), q * dt / (4 * s), rtol=0, atol=tol)
