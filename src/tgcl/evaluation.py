@@ -124,6 +124,12 @@ def train_linear_probe(
     the validation split picks the best epoch (epoch 0 is the untrained
     classifier, so epochs=0 returns the chance-level predictor).
     """
+    if epochs < 0:
+        raise DataError(f"probe epochs must be non-negative, got {epochs}")
+    if not lr > 0:
+        raise DataError(f"probe learning rate must be positive, got {lr}")
+    if not weight_decay >= 0:
+        raise DataError(f"probe weight decay must be non-negative, got {weight_decay}")
     y_train = labels[split.train]
     if np.unique(y_train).size < 2:
         raise DataError("degenerate train split: a linear probe needs at least 2 classes")

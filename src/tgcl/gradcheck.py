@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
 from .graph import TemporalGraph, build_graph, slice_interval
 from .losses import multi_view_loss
 from .model import PARAM_FIELDS, embed_views, embed_views_backward, init_params, view_entry
@@ -105,13 +106,16 @@ def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
 
 
 def run_grad_check(seed: int = 7, h: float = 1e-5) -> dict:
-    """Both loss levels on the fixture; returns per-level and worst errors."""
+    """Both loss levels on the fixture; returns per-level and worst errors.
+
+    A NaN error (a difference that did not compute) makes every maximum
+    above it NaN, so the check fails rather than skipping it.
+    """
+    if not 0.0 < h < np.inf:
+        raise DataError(f"finite-difference step h must be positive and finite, got {h}")
     report = {}
-    worst = 0.0
     for level in ("node", "graph"):
         errors = model_grad_errors(level=level, seed=seed, h=h)
-        level_worst = max(errors.values())
-        report[level] = {"per_param": errors, "max": level_worst}
-        worst = max(worst, level_worst)
-    report["worst"] = worst
+        report[level] = {"per_param": errors, "max": float(np.max(list(errors.values())))}
+    report["worst"] = float(np.max([report[level]["max"] for level in ("node", "graph")]))
     return report

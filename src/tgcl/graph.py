@@ -17,6 +17,7 @@ In every table, blank lines and lines whose first non-blank character is
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,57 +137,69 @@ def read_table(path, table: str) -> tuple:
     """Read a CSV table: ``table`` is "edges", "features", "labels" or
     "embeddings", in the layouts of the module docstring.
 
-    One pass over the lines skips blank lines and whole-line ``#``
-    comments, splits each row on commas and checks its width. Ids are
-    parsed with ``int`` into int64 and values with ``float`` into float64;
-    label values stay strings (see :func:`label_codes`). Returns
-    ``(ids, values)``: ids are (n,), or (n, 2) src/dst pairs for edges;
-    values are (n,) for edges and labels, (n, d) for features and
-    embeddings, in file order. A malformed row, a negative id, a
-    non-finite value, a negative integer class label, an id repeated in a
-    per-node table and a table without rows are DataErrors that name the
-    file and the first offending line.
+    Rows are the stripped lines that are neither blank nor whole-line
+    ``#`` comments; one ``np.loadtxt`` call converts them all. Ids are
+    int64 and values float64, both ASCII numerals without ``_``; label
+    values stay strings (see :func:`label_codes`). Returns ``(ids,
+    values)``: ids are (n,), or (n, 2) src/dst pairs for edges; values are
+    (n,) for edges and labels, (n, d) for features and embeddings, in file
+    order. A malformed row, a negative id, a non-finite value, a negative
+    integer class label, an id repeated in a per-node table and a table
+    without rows are DataErrors that name the file and the first offending
+    line.
     """
     layout, k, fixed = _TABLES[table]
-    width = fixed
-    cells, lines = [], []
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line[0] == "#":
-                    continue
-                parts = line.split(",")
-                if len(parts) != width:
-                    if fixed or len(parts) < 2:
-                        raise DataError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
-                    if width:
-                        raise DataError(f"{path}:{lineno}: dimension {len(parts) - 1} != "
-                                        f"{width - 1} of earlier rows")
-                    width = len(parts)
-                cells += parts
-                lines.append(lineno)
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    n = len(lines)
+    rows = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    n = len(rows)
     if not n:
         raise DataError(f"{path}: no {table}")
+    width = fixed or rows[0].count(",") + 1
+    numeric = table != "labels"
+    kind = np.float64 if numeric else object
+    # at least 2 columns: a first row without a value fails, and the width check names it
+    dtype = [("ids", np.int64, (k,)), ("values", kind, (max(width, 2) - k,))]
+
+    def convert(rows: list) -> np.ndarray:
+        """The rows as records; ValueError if any row does not convert."""
+        numerals = "".join(rows if numeric else [row.partition(",")[0] for row in rows])
+        # loadtxt reads some non-ASCII letters as digits and \x1c-\x1f as blanks
+        if not numerals.isascii() or any(c in numerals for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("a numeric cell is not an ASCII numeral")
+        with warnings.catch_warnings():  # older NumPy reads an int cell '2.5' as 2, and warns
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=dtype)
 
     def fail(bad: np.ndarray, problem: str) -> None:
-        if bad.any():
+        if bad.any():  # line numbers are counted only to report an error
             row = int(np.argmax(bad))
-            text = ",".join(cells[row * width:(row + 1) * width])
-            raise DataError(f"{path}:{lines[row]}: {problem} {text!r}")
+            kept = enumerate(map(str.strip, lines), 1)
+            lineno = [i for i, line in kept if line and line[0] != "#"][row]
+            raise DataError(f"{path}:{lineno}: {problem} {rows[row]!r}")
 
-    numeric = table != "labels"
     try:
-        ids, values = _columns(cells.copy(), n, k, numeric)
-    except (ValueError, OverflowError):
-        for row in range(n):  # only to name the first row that does not convert
+        records = convert(rows)
+    except ValueError:  # only to name the first offending row
+        widths = np.array([row.count(",") + 1 for row in rows])
+        bad = (widths != width) | (widths < 2)
+        w = widths[np.argmax(bad)]
+        fail(bad, f"expected '{layout}', got" if fixed or w < 2 else
+             f"dimension {w - 1} != {width - 1} of earlier rows in")
+        lo, hi = 0, n  # rows[lo:hi] holds the first row that does not convert
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                _columns(cells[row * width:(row + 1) * width], 1, k, numeric)
-            except (ValueError, OverflowError):
-                fail(np.arange(n) == row, "malformed row")
+                convert(rows[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        fail(np.arange(n) == lo, "malformed row")
+    ids = np.ascontiguousarray(records["ids"])
+    values = np.ascontiguousarray(records["values"])
     fail((ids < 0).any(axis=1), "negative node id in")
     if numeric:
         fail(~np.isfinite(values).all(axis=1), "non-finite value in")
@@ -199,19 +212,6 @@ def read_table(path, table: str) -> tuple:
         repeat[np.unique(ids, return_index=True)[1]] = False  # first occurrences
         fail(repeat, "duplicate node id in")
     return (ids[:, 0] if k == 1 else ids), (values[:, 0] if fixed else values)
-
-
-def _columns(cells: list, n: int, k: int, numeric: bool) -> tuple:
-    """Split the flat row-major cells of n rows into (n, k) int64 ids and
-    the value columns, as float64 or (numeric False) as strings."""
-    ids = np.empty((n, k), dtype=np.int64)
-    for j in range(k):  # peel the leading id columns off, one at a time
-        width = len(cells) // n
-        ids[:, j] = np.fromiter(map(int, cells[::width]), np.int64, n)
-        del cells[::width]
-    if not numeric:
-        return ids, np.array(cells, dtype=object).reshape(n, -1)
-    return ids, np.fromiter(map(float, cells), np.float64, len(cells)).reshape(n, -1)
 
 
 def label_codes(values) -> tuple:

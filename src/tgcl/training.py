@@ -53,12 +53,17 @@ class TrainConfig:
             raise DataError(f"learning rate must be positive, got {self.lr}")
         if self.weight_decay < 0:
             raise DataError(f"weight decay must be non-negative, got {self.weight_decay}")
+        if self.d_hidden < 1 or self.d_out < 1:
+            raise DataError(f"layer widths must be at least 1, got d_hidden {self.d_hidden} "
+                            f"and d_out {self.d_out}")
         if self.batch_size < 2:
             raise DataError(f"batch size must be at least 2 for contrast, got {self.batch_size}")
         if self.epochs < 1:
             raise DataError(f"epochs must be at least 1, got {self.epochs}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
+        if self.checkpoint_every < 0:
+            raise DataError(f"checkpoint_every must be non-negative, got {self.checkpoint_every}")
         if self.batches_per_epoch < 1:
             raise DataError(f"batches_per_epoch must be at least 1, got {self.batches_per_epoch}")
         if self.readout_stat not in READOUT_STATS:

@@ -534,6 +534,67 @@ def test_grad_check_tol_failure(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("h", ["0", "-1e-5", "inf", "nan"])
+def test_grad_check_rejects_a_step_that_is_not_positive_and_finite(capsys, h):
+    assert dispatch(["grad-check", f"--h={h}"]) == 2
+    assert "finite-difference step h must be positive and finite" in capsys.readouterr().err
+
+
+def test_grad_check_fails_on_a_nan_error(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0: a NaN error must not read as a pass
+    monkeypatch.setattr(tgcl.gradcheck, "model_grad_errors",
+                        lambda level, seed, h: {"w1": 1e-7, "w2": float("nan")})
+    assert dispatch(["grad-check"]) == 3
+    assert "max relative gradient error nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value,match", [
+    ("--d-hidden", "-1", "layer widths must be at least 1"),
+    ("--d-hidden", "0", "layer widths must be at least 1"),
+    ("--d-out", "-3", "layer widths must be at least 1"),
+    ("--d-out", "0", "layer widths must be at least 1"),
+    ("--checkpoint-every", "-1", "checkpoint_every must be non-negative"),
+])
+def test_train_rejects_bad_settings(tmp_path, capsys, flag, value, match):
+    edges, _ = _synth(tmp_path)
+    out = tmp_path / "run"
+    assert dispatch(["train", "--edges", str(edges), "--out", str(out), "--epochs", "2",
+                     "--batch-size", "16", flag, value]) == 2
+    assert match in capsys.readouterr().err
+    assert not (out / "params.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag,value,match", [
+    ("--epochs", "-1", "probe epochs must be non-negative"),
+    ("--lr", "-1", "probe learning rate must be positive"),
+    ("--lr", "0", "probe learning rate must be positive"),
+    ("--weight-decay", "-1", "probe weight decay must be non-negative"),
+])
+def test_linear_eval_rejects_bad_settings(tmp_path, capsys, flag, value, match):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{i},{i % 2}.5,{i}.0\n" for i in range(40)), encoding="utf-8")
+    labels = tmp_path / "l.csv"
+    labels.write_text("".join(f"{i},{i % 2}\n" for i in range(40)), encoding="utf-8")
+    args = ["linear-eval", "--embeddings", str(emb), "--labels", str(labels),
+            "--ratios", "4:2:4", "--out", str(tmp_path / "r.json")]
+    assert dispatch([*args, "--epochs", "0"]) == 0  # the untrained probe is legal
+    capsys.readouterr()
+    assert dispatch([*args, flag, value]) == 2
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,line", [
+    ("0,1,1.0\n1_0,2,3.0\n", 2),
+    ("0,1,1.0\n# c\n٣,2,3.0\n", 3),
+    ("0,1,1.0\n1,2,1_0.5\n", 2),
+])
+def test_numerals_outside_ascii_digits_exit_2_naming_their_line(tmp_path, capsys, text, line):
+    edges = tmp_path / "e.csv"
+    edges.write_text(text, encoding="utf-8")
+    assert dispatch(["sample-views", "--edges", str(edges)]) == 2
+    assert f"{edges}:{line}: malformed row" in capsys.readouterr().err
+
+
 def test_module_entrypoint_subprocess():
     # the child imports the same tgcl as this test, installed or not
     src = str(Path(tgcl.__file__).resolve().parent.parent)

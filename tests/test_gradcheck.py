@@ -1,5 +1,6 @@
 import numpy as np
 
+import tgcl.gradcheck
 from tgcl import fixture_graph, fixture_views, model_grad_errors, run_grad_check
 from tgcl.gradcheck import max_relative_error
 from tgcl.model import PARAM_FIELDS, READOUT_STATS
@@ -45,3 +46,11 @@ def test_run_grad_check_structure():
         assert set(report[level]["per_param"]) == set(PARAM_FIELDS)
         assert report[level]["max"] == max(report[level]["per_param"].values())
     assert report["worst"] == max(report["node"]["max"], report["graph"]["max"])
+
+
+def test_a_nan_error_makes_every_maximum_above_it_nan(monkeypatch):
+    # max(1e-7, nan) is 1e-7: the NaN of an uncomputed difference was dropped
+    monkeypatch.setattr(tgcl.gradcheck, "model_grad_errors",
+                        lambda level, seed, h: {"w1": 1e-7, "w2": float("nan")})
+    report = run_grad_check()
+    assert np.isnan(report["node"]["max"]) and np.isnan(report["worst"])

@@ -389,6 +389,13 @@ def test_ids_above_2_to_the_53_are_exact(tmp_path):
     ("features", "0,1.0\n1,-inf\n", ":2: non-finite"),
     ("labels", "0,a\n-3,b\n", ":2: negative node id"),
     ("labels", "4,a\n2,b\n4,c\n2,d\n", ":3: duplicate node id"),
+    # ids and numeric values are ASCII numerals without '_', though int and float take both
+    ("edges", "0,1,1.0\n1_0,2,3.0\n", ":2: malformed row '1_0,2,3.0'"),
+    ("edges", "0,1,1.0\n# c\n٣,2,3.0\n", ":3: malformed row '٣,2,3.0'"),
+    ("edges", "0,1,1.0\n1,2,1_0.5\n", ":2: malformed row '1,2,1_0.5'"),
+    ("features", "0,1.0\n1,\u00a02.0\n", ":2: malformed row"),  # a no-break space
+    ("labels", "0,a\n1Ǿ,b\n", ":2: malformed row"),  # loadtxt alone reads 472
+    ("features", "0,1.0\n1\x1c,2.0\n", ":2: malformed row"),  # loadtxt alone takes it for a blank
 ])
 def test_read_table_errors_name_the_first_offending_line(tmp_path, table, text, match):
     with pytest.raises(DataError, match=match):
@@ -400,6 +407,51 @@ def test_read_table_rejects_text_that_is_not_utf8(tmp_path):
     p.write_bytes(b"0,1,1.0\n\xff,2,3.0\n")
     with pytest.raises(DataError, match="UTF-8"):
         read_table(p, "edges")
+
+
+def test_numeric_cells_must_be_ascii_but_label_values_need_not_be(tmp_path):
+    ids, values = read_table(_write(tmp_path, "l.csv", "0,٣\n1,1_0\n2,é\n"), "labels")
+    assert ids.tolist() == [0, 1, 2] and values.tolist() == ["٣", "1_0", "é"]
+    # comments, and blanks around a row, are stripped before any cell is read
+    ids, _ = read_table(_write(tmp_path, "f.csv", "# été\n\u00a07,1.5\u2003\n"), "features")
+    assert ids.tolist() == [7]
+
+
+@pytest.mark.parametrize("bad,match", [
+    ("4,5,oops", "malformed row '4,5,oops'"),
+    ("4,5", "expected 'src,dst,timestamp', got '4,5'"),
+])
+def test_a_bad_row_near_the_end_of_a_long_file_names_its_line(tmp_path, bad, match):
+    lines = ["# src,dst,timestamp"] + [f"{i},{i + 1},{i / 7!r}" for i in range(20_000)]
+    lines[19_990] = bad
+    p = _write(tmp_path, "e.csv", "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f":19991: {match}"):
+        read_table(p, "edges")
+
+
+# repr'd doubles at the edges of float64, a few spellings that must round
+# as float rounds them, and ids that int64 holds but float64 would round
+_EXACT_VALUES = ["5e-324", "-5e-324", "1e-320", "2.225073858507201e-308",
+                 "2.2250738585072014e-308", "-0.0", "0.0", "0.1", "0.3333333333333333",
+                 "9.999999999999999e+307", "1e+308", "1.7976931348623157e+308",
+                 "-1.7976931348623157e+308", "4.9406564584124654e-324", "2.4703282292062328e-324",
+                 "2.4703282292062327e-324", "1e-400", "9007199254740993",
+                 "123456789012345678901234567890"]
+_EXACT_IDS = [0, 2**53 + 1, 2**63 - 1]
+
+
+def test_values_and_ids_read_bit_identical_to_float_and_int(tmp_path):
+    ids = [_EXACT_IDS[j % 3] for j in range(len(_EXACT_VALUES))]
+    text = "".join(f"{i},{j},{v}\n" for j, (i, v) in enumerate(zip(ids, _EXACT_VALUES)))
+    ends, ts = read_table(_write(tmp_path, "e.csv", text), "edges")
+    expected = np.array([float(v) for v in _EXACT_VALUES])
+    assert ts.dtype == np.float64 and ts.tobytes() == expected.tobytes()
+    assert ends.dtype == np.int64 and ends.tolist() == [[i, j] for j, i in enumerate(ids)]
+    row = ",".join(_EXACT_VALUES)
+    f = _write(tmp_path, "f.csv", f"{2**63 - 1},{row}\n{2**53 + 1},{row}\n")
+    node_ids, matrix = read_table(f, "embeddings")
+    assert node_ids.tolist() == [2**63 - 1, 2**53 + 1]
+    assert matrix.tobytes() == np.stack([expected, expected]).tobytes()
 
 
 _TABLE_SHAPES = {"edges": (2, 3), "features": (1, None), "labels": (1, 2), "embeddings": (1, None)}
@@ -419,6 +471,9 @@ def _oracle(path, table):
             if len(parts) < 2 or len(parts) != (width or len(parts)):
                 return None
             width = len(parts)
+            numerals = parts[:k] if table == "labels" else parts
+            if any("_" in p or not p.isascii() for p in numerals):
+                return None
             try:
                 row_ids = [int(p) for p in parts[:k]]
                 row_values = parts[k:] if table == "labels" else [float(p) for p in parts[k:]]
