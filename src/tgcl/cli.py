@@ -339,10 +339,8 @@ def _run_embed(conf: dict) -> int:
     table = embed_all(graph, params)
     out = Path(conf["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"{nid}," + ",".join(repr(float(x)) for x in row) + "\n"
-        for nid, row in zip(graph.node_ids, table)
-    ]
+    lines = [f"{nid}," + ",".join(map(repr, row)) + "\n"
+             for nid, row in zip(graph.node_ids.tolist(), table.tolist())]
     out.write_text("".join(lines), encoding="utf-8")
     _write_resolved(out.parent, "embed", conf)
     print(f"wrote {len(lines)} embeddings of width {table.shape[1]} to {out}")
@@ -385,7 +383,7 @@ def _run_probe_invariance(conf: dict) -> int:
     result = probe_invariance(graph, graph.labels, conf["s"], cfg)
     out = Path(conf["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(repr(float(x)) for x in row) + "\n" for row in result.matrix]
+    lines = [",".join(map(repr, row)) + "\n" for row in result.matrix.tolist()]
     out.write_text("".join(lines), encoding="utf-8")
     _write_resolved(out.parent, "probe-invariance", conf)
     mean = result.mean_agreement()

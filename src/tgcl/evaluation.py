@@ -11,6 +11,7 @@ treating timespan views as label-preserving augmentations.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -126,10 +127,10 @@ def train_linear_probe(
     """
     if epochs < 0:
         raise DataError(f"probe epochs must be non-negative, got {epochs}")
-    if not lr > 0:
-        raise DataError(f"probe learning rate must be positive, got {lr}")
-    if not weight_decay >= 0:
-        raise DataError(f"probe weight decay must be non-negative, got {weight_decay}")
+    if not 0 < lr < math.inf:
+        raise DataError(f"probe learning rate must be positive and finite, got {lr}")
+    if not 0 <= weight_decay < math.inf:
+        raise DataError(f"probe weight decay must be non-negative and finite, got {weight_decay}")
     y_train = labels[split.train]
     if np.unique(y_train).size < 2:
         raise DataError("degenerate train split: a linear probe needs at least 2 classes")
@@ -242,8 +243,8 @@ class InvarianceConfig:
     def validate(self) -> "InvarianceConfig":
         if self.encoder not in PROBE_ENCODERS:
             raise DataError(f"unknown probe encoder {self.encoder!r}; expected one of {PROBE_ENCODERS}")
-        if self.epochs < 1 or self.lr <= 0 or self.weight_decay < 0:
-            raise DataError("probe epochs must be >= 1 and rates positive")
+        if self.epochs < 1 or not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise DataError("probe epochs must be >= 1 and rates finite, lr > 0, weight decay >= 0")
         return self
 
 
@@ -291,15 +292,16 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
                  "head_w": head_w, "head_b": head_b}
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    train_h = (np.cumsum(train_rows) - 1)[train_local]  # the train nodes' rows of h
     for _ in range(cfg.epochs):
         h, cache = encode(adj, p0, params, train_rows)
-        logits = h[train_local] @ head_w + head_b
+        logits = h[train_h] @ head_w + head_b
         _, g_logits = softmax_cross_entropy(logits, y_train)
         g_h = np.zeros_like(h)
-        g_h[train_local] = g_logits @ head_w.T
+        g_h[train_h] = g_logits @ head_w.T
         enc_grads = encode_backward(g_h, cache, params)
         grads = {"gcn_w1": enc_grads["gcn_w1"], "gcn_w2": enc_grads["gcn_w2"],
-                 "head_w": h[train_local].T @ g_logits, "head_b": g_logits.sum(axis=0)}
+                 "head_w": h[train_h].T @ g_logits, "head_b": g_logits.sum(axis=0)}
         adam_step(trainable, grads, state)
     h, _ = encode(adj, p0, params, np.ones(view.num_active, dtype=bool))
     return h @ head_w + head_b

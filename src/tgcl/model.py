@@ -158,9 +158,7 @@ def view_entry(view: SampledView) -> ViewEntry:
 
 @dataclass(eq=False)
 class EncodeCache:
-    rows: np.ndarray  # boolean mask of the rows asked for
-    frontier: np.ndarray  # boolean mask of F, the columns of Â[rows]
-    a_rows: sp.csr_array  # Â[rows]
+    a_rows: sp.csr_array  # Â[rows], its columns renumbered to positions in F
     p0: np.ndarray  # P0[F]
     s1: np.ndarray  # P0[F] · W1
     p1: np.ndarray  # Â[rows] · ReLU(s1)
@@ -172,30 +170,27 @@ def encode(adj: NormalizedAdjacency, p0: np.ndarray, params: ModelParams, rows: 
 
     ``p0`` is Â·X (see :func:`view_entry`) and ``rows`` a boolean mask over
     the view's nodes. Layer 1 runs only on F, the columns of Â[rows]:
-    H[rows] = Â[rows] · ReLU(P0[F] · W1) · W2. Returns (H, cache); H is
-    full height, with zero rows outside ``rows``.
+    H = Â[rows] · ReLU(P0[F] · W1) · W2. Returns (H, cache); H has one row
+    per True entry of ``rows``, in row order.
     """
     if p0.shape[1] != params.d_in:
         raise ValueError(f"feature dim {p0.shape[1]} != encoder input dim {params.d_in}")
-    n = rows.shape[0]
     a_rows = adj.norm[rows]
-    frontier = np.zeros(n, dtype=bool)
+    frontier = np.zeros(rows.shape[0], dtype=bool)
     frontier[a_rows.indices] = True
     p0 = p0[frontier]
+    cols = (np.cumsum(frontier) - 1)[a_rows.indices]  # positions in F
+    a_rows = sp.csr_array((a_rows.data, cols, a_rows.indptr), shape=(a_rows.shape[0], p0.shape[0]))
     s1 = kernels.matmul(p0, params.gcn_w1)
-    h1 = np.zeros((n, params.d_hidden))
-    h1[frontier] = kernels.relu(s1)
-    p1 = a_rows @ h1
-    h = np.zeros((n, params.d_out))
-    h[rows] = kernels.matmul(p1, params.gcn_w2)
-    return h, EncodeCache(rows=rows, frontier=frontier, a_rows=a_rows, p0=p0, s1=s1, p1=p1)
+    p1 = a_rows @ kernels.relu(s1)
+    h = kernels.matmul(p1, params.gcn_w2)
+    return h, EncodeCache(a_rows=a_rows, p0=p0, s1=s1, p1=p1)
 
 
 def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, params: ModelParams) -> dict:
-    """Gradients of W1 and W2 from H's gradient, read on the cached rows only."""
-    g_p1, g_w2 = kernels.matmul_backward(grad_h2[cache.rows], cache.p1, params.gcn_w2)
-    g_h1 = (cache.a_rows.T @ g_p1)[cache.frontier]  # zero outside F
-    g_s1 = kernels.relu_backward(g_h1, cache.s1)
+    """Gradients of W1 and W2 from the gradient of :func:`encode`'s H."""
+    g_p1, g_w2 = kernels.matmul_backward(grad_h2, cache.p1, params.gcn_w2)
+    g_s1 = kernels.relu_backward(cache.a_rows.T @ g_p1, cache.s1)
     return {"gcn_w1": cache.p0.T @ g_s1, "gcn_w2": g_w2}
 
 
@@ -205,18 +200,17 @@ class ReadoutCache:
     stat: str
 
 
-def readout(adj: NormalizedAdjacency, h: np.ndarray, batch_local: np.ndarray,
-            stat: str = "mean"):
+def readout(rows: sp.csr_array, h: np.ndarray, stat: str = "mean"):
     """Aggregate each batch node's 1-hop in-view neighbor rows of ``h``.
 
-    The node itself is excluded; a batch node with no in-view neighbor
-    falls back to its own row. Mean and sum are one sparse product with
-    the batch rows of ``adj.nbr``; max reduces over those rows' index
+    ``rows`` are the batch rows of a view's neighbour matrix ``nbr``, with
+    columns that index ``h``. The node itself is excluded; a batch node
+    with no in-view neighbor falls back to its own row. Mean and sum are
+    one sparse product with ``rows``; max reduces over their index
     segments. Returns (matrix, cache).
     """
     if stat not in READOUT_STATS:
         raise ValueError(f"unknown readout stat {stat!r}; expected one of {READOUT_STATS}")
-    rows = adj.nbr[batch_local]
     if stat == "max":
         out = kernels.segment_reduce(h[rows.indices], rows.indptr)
     else:
@@ -272,7 +266,7 @@ def project_backward(grad_z: np.ndarray, cache: ProjectCache, params: ModelParam
 @dataclass(eq=False)
 class ViewCache:
     enc: EncodeCache
-    batch_local: np.ndarray
+    batch: np.ndarray  # the batch rows' positions in h
     h: np.ndarray
     proj: ProjectCache
     read: ReadoutCache | None
@@ -303,16 +297,19 @@ def embed_views(
         rows = np.zeros(view.num_active, dtype=bool)
         rows[batch_local] = True
         if with_neighborhood:
-            rows[adj.nbr[batch_local].indices] = True
+            nbr = adj.nbr[batch_local]
+            rows[nbr.indices] = True
         h, enc_cache = encode(adj, p0, params, rows)
-        x, read_cache = h[batch_local], None
+        pos = np.cumsum(rows) - 1  # the row of h of each node in rows
+        batch = pos[batch_local]
+        x, read_cache = h[batch], None
         if with_neighborhood:
-            r, read_cache = readout(adj, h, batch_local, stat=stat)
+            nbr = sp.csr_array((nbr.data, pos[nbr.indices], nbr.indptr), shape=(batch.size, len(h)))
+            r, read_cache = readout(nbr, h, stat=stat)
             x = np.vstack([x, r])
         z, proj_cache = project(x, params)
-        b = batch_local.size
-        pairs.append((z[:b], z[b:]) if with_neighborhood else (z, z))
-        caches.append(ViewCache(enc_cache, batch_local, h, proj_cache, read_cache))
+        pairs.append((z[:batch.size], z[batch.size:]) if with_neighborhood else (z, z))
+        caches.append(ViewCache(enc_cache, batch, h, proj_cache, read_cache))
     return pairs, caches
 
 
@@ -325,11 +322,11 @@ def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
     """
     total = params.zeros_like_grads()
     for (g_q, g_k), cache in zip(zgrads, caches):
-        b = cache.batch_local.size
+        b = cache.batch.size
         g_z = g_q + g_k if cache.read is None else np.vstack([g_q, g_k])
         g_x, proj_grads = project_backward(g_z, cache.proj, params)
         grad_h = np.zeros_like(cache.h)
-        np.add.at(grad_h, cache.batch_local, g_x[:b])
+        np.add.at(grad_h, cache.batch, g_x[:b])
         if cache.read is not None:
             grad_h += readout_backward(g_x[b:], cache.read, cache.h)
         proj_grads.update(encode_backward(grad_h, cache.enc, params))

@@ -9,6 +9,7 @@ bit-identical loss sequences and checkpoints in 64-bit mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,10 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         self.sampler.validate()
         self.loss.validate()
-        if not self.lr > 0:
-            raise DataError(f"learning rate must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise DataError(f"weight decay must be non-negative, got {self.weight_decay}")
+        if not 0 < self.lr < math.inf:
+            raise DataError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise DataError(f"weight decay must be non-negative and finite, got {self.weight_decay}")
         if self.d_hidden < 1 or self.d_out < 1:
             raise DataError(f"layer widths must be at least 1, got d_hidden {self.d_hidden} "
                             f"and d_out {self.d_out}")

@@ -10,6 +10,7 @@ import pytest
 import tgcl
 from tgcl import (
     DataError,
+    InvarianceResult,
     LossConfig,
     SamplerConfig,
     TrainConfig,
@@ -321,6 +322,42 @@ def test_embed_matches_embed_all_of_the_trained_graph(tmp_path, capsys):
     np.testing.assert_array_equal(table, embed_all(graph, params))
 
 
+# -0.0, subnormals and magnitudes near the float64 limits, where a formatting shortcut would show
+_AWKWARD = np.array([[-0.0, 1e-310, 1e308, 5e-324], [0.1, -1.5, -5e-324, 1.0 / 3.0]])
+
+
+def _per_cell_repr(rows, ids=None):
+    """The writers' former text: repr of each cell taken one at a time."""
+    return "".join(("" if ids is None else f"{ids[i]},") + ",".join(repr(float(x)) for x in row)
+                   + "\n" for i, row in enumerate(rows))
+
+
+def test_embed_writes_the_per_cell_repr_bytes(tmp_path, monkeypatch, capsys):
+    edges, _ = _synth(tmp_path)
+    graph = load_temporal_graph(edges, feature_policy="random", feature_dim=32, feature_seed=4)
+    ckpt = tmp_path / "params.ckpt"
+    train(graph, TrainConfig(sampler=SamplerConfig("random", 3, 2), loss=LossConfig("node", 0.5),
+                             d_hidden=8, d_out=4, batch_size=16, epochs=1,
+                             checkpoint_path=str(ckpt)))
+    table = np.resize(_AWKWARD, (graph.num_nodes, 4))
+    monkeypatch.setattr(cli, "embed_all", lambda graph, params: table)
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(ckpt), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == _per_cell_repr(table, graph.node_ids).encode()
+
+
+def test_probe_invariance_writes_the_per_cell_repr_bytes(tmp_path, monkeypatch, capsys):
+    edges, labels = _synth(tmp_path)
+    result = InvarianceResult(matrix=_AWKWARD[:, :2], eval_nodes=np.arange(3), missing=())
+    monkeypatch.setattr(cli, "probe_invariance", lambda graph, labels, s, cfg: result)
+    out = tmp_path / "m.csv"
+    assert dispatch(["probe-invariance", "--edges", str(edges), "--labels", str(labels),
+                     "--s", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == _per_cell_repr(result.matrix).encode()
+
+
 def _label_only_run(tmp_path, policy, dim):
     """Train on 30 connected nodes plus node 99, which only the labels file
     names; returns (edges, checkpoint, the training graph, its params)."""
@@ -554,6 +591,10 @@ def test_grad_check_fails_on_a_nan_error(monkeypatch, capsys):
     ("--d-out", "-3", "layer widths must be at least 1"),
     ("--d-out", "0", "layer widths must be at least 1"),
     ("--checkpoint-every", "-1", "checkpoint_every must be non-negative"),
+    ("--lr", "inf", "learning rate must be positive and finite"),
+    ("--lr", "nan", "learning rate must be positive and finite"),
+    ("--weight-decay", "nan", "weight decay must be non-negative and finite"),
+    ("--weight-decay", "inf", "weight decay must be non-negative and finite"),
 ])
 def test_train_rejects_bad_settings(tmp_path, capsys, flag, value, match):
     edges, _ = _synth(tmp_path)
@@ -569,6 +610,9 @@ def test_train_rejects_bad_settings(tmp_path, capsys, flag, value, match):
     ("--lr", "-1", "probe learning rate must be positive"),
     ("--lr", "0", "probe learning rate must be positive"),
     ("--weight-decay", "-1", "probe weight decay must be non-negative"),
+    ("--lr", "inf", "probe learning rate must be positive and finite"),
+    ("--lr", "nan", "probe learning rate must be positive and finite"),
+    ("--weight-decay", "inf", "probe weight decay must be non-negative and finite"),
 ])
 def test_linear_eval_rejects_bad_settings(tmp_path, capsys, flag, value, match):
     emb = tmp_path / "emb.csv"
@@ -581,6 +625,18 @@ def test_linear_eval_rejects_bad_settings(tmp_path, capsys, flag, value, match):
     capsys.readouterr()
     assert dispatch([*args, flag, value]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "inf"), ("--lr", "nan"), ("--weight-decay", "inf"), ("--weight-decay", "nan"),
+])
+def test_probe_invariance_rejects_non_finite_rates(tmp_path, capsys, flag, value):
+    edges, labels = _synth(tmp_path)
+    out = tmp_path / "m.csv"
+    assert dispatch(["probe-invariance", "--edges", str(edges), "--labels", str(labels),
+                     "--s", "2", "--epochs", "2", "--out", str(out), flag, value]) == 2
+    assert "rates finite, lr > 0, weight decay >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,line", [

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from tgcl import (
+    AdamState,
     DataError,
     InvarianceConfig,
+    adam_step,
     classification_report,
     evaluate,
     generate_synthetic,
+    init_params,
     make_split,
+    normalize_adjacency,
     probe_invariance,
+    slice_interval,
     softmax_cross_entropy,
     train_linear_probe,
 )
+from tgcl.evaluation import _fit_timespan_probe
 
 
 def _labels(sizes):
@@ -340,3 +346,43 @@ def test_invariance_missing_timespan_nan():
     assert np.isnan(res.matrix[1]).all() and np.isnan(res.matrix[:, 2]).all()
     assert np.isfinite(res.matrix[0, 3])
     assert res.mean_agreement() == pytest.approx(res.matrix[0, 3])
+
+
+def _full_height_probe(view, y_train, train_local, num_classes, cfg, stream):
+    """The timespan probe with a dense Â and the encoder run on every row,
+    forward and backward: the oracle for the compact rows of h."""
+    base = np.random.default_rng([cfg.seed, 31, stream])
+    params = init_params(view.features.shape[1], cfg.d_hidden, cfg.d_out,
+                         seed=int(base.integers(2 ** 31)))
+    limit = np.sqrt(6.0 / (cfg.d_out + num_classes))
+    head_w = base.uniform(-limit, limit, size=(cfg.d_out, num_classes))
+    head_b = np.zeros(num_classes)
+    a = normalize_adjacency(view).norm.toarray()
+    p0 = a @ view.features
+    trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
+                 "head_w": head_w, "head_b": head_b}
+    state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for _ in range(cfg.epochs):
+        s1 = p0 @ params.gcn_w1
+        p1 = a @ np.maximum(s1, 0.0)
+        h = p1 @ params.gcn_w2
+        _, g_logits = softmax_cross_entropy(h[train_local] @ head_w + head_b, y_train)
+        g_h = np.zeros_like(h)
+        g_h[train_local] = g_logits @ head_w.T
+        g_s1 = (a @ (g_h @ params.gcn_w2.T)) * (s1 > 0.0)
+        grads = {"gcn_w1": p0.T @ g_s1, "gcn_w2": p1.T @ g_h,
+                 "head_w": h[train_local].T @ g_logits, "head_b": g_logits.sum(axis=0)}
+        adam_step(trainable, grads, state)
+    return a @ np.maximum(p0 @ params.gcn_w1, 0.0) @ params.gcn_w2 @ head_w + head_b
+
+
+def test_timespan_probe_unsorted_train_rows_match_the_full_height_path():
+    g = _probe_fixture()
+    view = slice_interval(g, g.t_min, g.t_max)
+    train_local = np.array([17, 3, 36, 21, 8, 29, 0])
+    y_train = g.labels[view.active[train_local]]
+    cfg = InvarianceConfig(epochs=5, d_hidden=16, d_out=8)
+    got = _fit_timespan_probe(view, y_train, train_local, 2, cfg, stream=1)
+    want = _full_height_probe(view, y_train, train_local, 2, cfg, stream=1)
+    assert got.shape == (view.num_active, 2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
