@@ -48,7 +48,7 @@ from .model import (
     save_params,
     view_entry,
 )
-from .losses import LOSS_LEVELS, LossConfig, infonce, multi_view_loss
+from .losses import LOSS_LEVELS, LossConfig, infonce, multi_view_loss, softmax_cross_entropy
 from .training import (
     TrainConfig,
     TrainLog,
@@ -68,7 +68,6 @@ from .evaluation import (
     generate_synthetic,
     make_split,
     probe_invariance,
-    softmax_cross_entropy,
     train_linear_probe,
 )
 from .gradcheck import fixture_graph, fixture_views, model_grad_errors, run_grad_check

@@ -220,6 +220,19 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _csv(rows) -> str:
+    """CSV text, one ``repr`` per cell. Cells must be Python ints and floats
+    (``.tolist()``, ``float()``): NumPy 2 reprs a scalar as ``np.float64(...)``."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _write(path, text: str) -> None:
+    """Write text as UTF-8 to path, making its directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def _write_resolved(directory: Path, command: str, conf: dict) -> None:
     """Write the settings as a config file that --config reads back: unset
     options are left out, and the command and version are comments."""
@@ -227,24 +240,23 @@ def _write_resolved(directory: Path, command: str, conf: dict) -> None:
     for key in sorted(conf):
         if conf[key] is not None:
             lines.append(f"{key.replace('_', '-')}={_fmt_value(conf[key])}\n")
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "config.resolved").write_text("".join(lines), encoding="utf-8")
+    _write(directory / "config.resolved", "".join(lines))
 
 
 def _run_sample_views(conf: dict) -> int:
+    if conf["epochs"] < 1:
+        raise DataError(f"epochs must be at least 1, got {conf['epochs']}")
     graph = load_temporal_graph(conf["edges"])
     cfg = SamplerConfig(strategy=conf["strategy"], s=conf["s"], v=conf["v"])
-    lines = []
-    for epoch in range(1, conf["epochs"] + 1):
-        for index, w in enumerate(sample_windows(graph, cfg, epoch, conf["seed"])):
-            lines.append(f"{epoch},{index},{float(w.lo)!r},{float(w.hi)!r}\n")
+    text = _csv((epoch, index, float(w.lo), float(w.hi))
+                for epoch in range(1, conf["epochs"] + 1)
+                for index, w in enumerate(sample_windows(graph, cfg, epoch, conf["seed"])))
     if conf["out"]:
         out = Path(conf["out"])
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("".join(lines), encoding="utf-8")
+        _write(out, text)
         _write_resolved(out.parent, "sample-views", conf)
     else:
-        sys.stdout.write("".join(lines))
+        sys.stdout.write(text)
     return 0
 
 
@@ -255,21 +267,14 @@ def _run_synth(conf: dict) -> int:
         events=conf["events"], seed=conf["seed"],
     )
     prefix = Path(conf["out_prefix"])
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    edges_path = Path(f"{prefix}.edges.csv")
-    labels_path = Path(f"{prefix}.labels.csv")
-    ext_src = graph.node_ids[graph.src]
-    ext_dst = graph.node_ids[graph.dst]
-    edge_lines = [f"{u},{v},{float(t)!r}\n" for u, v, t in zip(ext_src, ext_dst, graph.timestamps)]
-    edges_path.write_text("".join(edge_lines), encoding="utf-8")
-    label_lines = [
-        f"{nid},{lab}\n"
-        for nid, lab in zip(graph.node_ids, graph.labels)
-        if lab >= 0
-    ]
-    labels_path.write_text("".join(label_lines), encoding="utf-8")
+    edges_path, labels_path = Path(f"{prefix}.edges.csv"), Path(f"{prefix}.labels.csv")
+    ids = graph.node_ids
+    _write(edges_path, _csv(zip(ids[graph.src].tolist(), ids[graph.dst].tolist(),
+                                graph.timestamps.tolist())))
+    labelled = graph.labels >= 0
+    _write(labels_path, _csv(zip(ids[labelled].tolist(), graph.labels[labelled].tolist())))
     _write_resolved(prefix.parent, "synth", conf)
-    print(f"wrote {len(edge_lines)} edges to {edges_path} and {len(label_lines)} labels to {labels_path}")
+    print(f"wrote {graph.num_edges} edges to {edges_path} and {labelled.sum()} labels to {labels_path}")
     return 0
 
 
@@ -304,7 +309,7 @@ def _run_train(conf: dict) -> int:
         batches_per_epoch=conf["batches_per_epoch"],
     )
     params, log = train(graph, cfg)
-    (out_dir / "train_log.csv").write_text("".join(log.csv_lines()), encoding="utf-8")
+    _write(out_dir / "train_log.csv", "".join(log.csv_lines()))
     _write_resolved(out_dir, "train", conf)
     final = log.records[-1]
     print(f"trained {cfg.epochs} epochs on {graph.num_nodes} nodes; "
@@ -338,12 +343,9 @@ def _run_embed(conf: dict) -> int:
             f"graph features have dim {graph.feature_dim} but checkpoint expects {params.d_in}")
     table = embed_all(graph, params)
     out = Path(conf["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{nid}," + ",".join(map(repr, row)) + "\n"
-             for nid, row in zip(graph.node_ids.tolist(), table.tolist())]
-    out.write_text("".join(lines), encoding="utf-8")
+    _write(out, _csv([nid, *row] for nid, row in zip(graph.node_ids.tolist(), table.tolist())))
     _write_resolved(out.parent, "embed", conf)
-    print(f"wrote {len(lines)} embeddings of width {table.shape[1]} to {out}")
+    print(f"wrote {table.shape[0]} embeddings of width {table.shape[1]} to {out}")
     return 0
 
 
@@ -363,9 +365,7 @@ def _run_linear_eval(conf: dict) -> int:
     echo = {k.replace("_", "-"): _fmt_value(v) for k, v in sorted(conf.items())}
     report = evaluate(probe, table, labels, split, config=echo)
     out = Path(conf["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n",
-                   encoding="utf-8")
+    _write(out, json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
     _write_resolved(out.parent, "linear-eval", conf)
     print(f"accuracy {report.accuracy:.4f}, weighted F1 {report.weighted_f1:.4f} "
           f"on {split.test.size} test nodes (report: {out})")
@@ -382,9 +382,7 @@ def _run_probe_invariance(conf: dict) -> int:
     )
     result = probe_invariance(graph, graph.labels, conf["s"], cfg)
     out = Path(conf["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(map(repr, row)) + "\n" for row in result.matrix.tolist()]
-    out.write_text("".join(lines), encoding="utf-8")
+    _write(out, _csv(result.matrix.tolist()))
     _write_resolved(out.parent, "probe-invariance", conf)
     mean = result.mean_agreement()
     print(f"mean off-diagonal agreement {mean:.4f} over {result.eval_nodes.size} shared "
@@ -393,13 +391,14 @@ def _run_probe_invariance(conf: dict) -> int:
 
 
 def _run_grad_check(conf: dict) -> int:
+    if not 0 < conf["tol"] < np.inf:
+        raise DataError(f"tolerance must be positive and finite, got {conf['tol']}")
     report = gradcheck.run_grad_check(seed=conf["seed"], h=conf["h"])
     print(f"max relative gradient error {report['worst']:.3e} "
           f"(node {report['node']['max']:.3e}, graph {report['graph']['max']:.3e})")
     if conf["out"]:
         out = Path(conf["out"])
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        _write(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
         _write_resolved(out.parent, "grad-check", conf)
     return 0 if report["worst"] < conf["tol"] else 3
 

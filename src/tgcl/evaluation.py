@@ -21,8 +21,9 @@ import scipy.sparse as sp
 from .errors import DataError
 from .graph import SampledView, TemporalGraph, build_graph, to_snapshots
 from .kernels import AdamState, adam_step
-from .model import (NormalizedAdjacency, adj_matmul, encode, encode_backward, init_params,
-                    normalize_adjacency)
+from .losses import softmax_cross_entropy
+from .model import (NormalizedAdjacency, adj_matmul, encode, encode_backward, glorot,
+                    init_params, normalize_adjacency)
 
 PROBE_ENCODERS = ("gcn", "mlp")
 
@@ -74,25 +75,6 @@ def make_split(labels: np.ndarray, ratios: tuple = (1, 1, 8), seed: int = 0) -> 
         return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
     return SplitSpec(ratios=tuple(ratios), seed=seed, train=cat(tr), val=cat(va), test=cat(te))
-
-
-def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy of row-softmax(logits) against integer targets.
-
-    Returns (loss, grad_logits); the gradient is exact (softmax minus
-    one-hot, divided by the row count).
-    """
-    n = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits - m)
-    denom = ex.sum(axis=1)
-    idx = np.arange(n)
-    log_prob = logits[idx, y] - m[:, 0] - np.log(denom)
-    loss = -log_prob.mean()
-    grad = ex / denom[:, None]
-    grad[idx, y] -= 1.0
-    grad /= n
-    return loss, grad
 
 
 @dataclass(eq=False)
@@ -151,8 +133,7 @@ def train_linear_probe(
 
     best = (val_accuracy(), 0, w.copy(), b.copy())
     for epoch in range(1, epochs + 1):
-        logits = x_train @ w + b
-        _, g_logits = softmax_cross_entropy(logits, y_train)
+        _, g_logits = softmax_cross_entropy(x_train @ w + b, y_train)
         grads = {"w": x_train.T @ g_logits, "b": g_logits.sum(axis=0)}
         adam_step(params, grads, state)
         acc = val_accuracy()
@@ -277,8 +258,7 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     base = np.random.default_rng([cfg.seed, 31, stream])
     params = init_params(view.features.shape[1], cfg.d_hidden, cfg.d_out,
                          seed=int(base.integers(2 ** 31)))
-    limit = np.sqrt(6.0 / (cfg.d_out + num_classes))
-    head_w = base.uniform(-limit, limit, size=(cfg.d_out, num_classes))
+    head_w = glorot(base, cfg.d_out, num_classes)
     head_b = np.zeros(num_classes)
     if cfg.encoder == "gcn":
         adj = normalize_adjacency(view)
@@ -295,8 +275,7 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     train_h = (np.cumsum(train_rows) - 1)[train_local]  # the train nodes' rows of h
     for _ in range(cfg.epochs):
         h, cache = encode(adj, p0, params, train_rows)
-        logits = h[train_h] @ head_w + head_b
-        _, g_logits = softmax_cross_entropy(logits, y_train)
+        _, g_logits = softmax_cross_entropy(h[train_h] @ head_w + head_b, y_train)
         g_h = np.zeros_like(h)
         g_h[train_h] = g_logits @ head_w.T
         enc_grads = encode_backward(g_h, cache, params)
@@ -387,18 +366,16 @@ def generate_synthetic(
     """
     if k < 2 or n < k:
         raise DataError(f"need n >= k >= 2, got k={k} n={n}")
-    if not T > 0:
-        raise DataError(f"timespan must be positive, got {T}")
-    if not p_in > p_out or p_out < 0:
-        raise DataError(f"need p_in > p_out >= 0, got p_in={p_in} p_out={p_out}")
+    if not 0 < T < math.inf:
+        raise DataError(f"timespan must be positive and finite, got {T}")
+    if not 0 <= p_out < p_in < math.inf:
+        raise DataError(f"need p_in > p_out >= 0, both finite, got p_in={p_in} p_out={p_out}")
     if events < n:
         raise DataError(f"need events >= n, got events={events} n={n}")
 
     rng = np.random.default_rng([seed, 5])
-    comm = np.arange(n, dtype=np.int64) % k
-    members = [np.flatnonzero(comm == c) for c in range(k)]
-    complements = [np.flatnonzero(comm != c) for c in range(k)]
-    sizes = np.array([m.size for m in members])
+    comm = np.arange(n, dtype=np.int64) % k  # community c is c, c+k, c+2k, ...
+    sizes = np.bincount(comm, minlength=k)
 
     src = rng.integers(0, n, size=events)
     m_same = sizes[comm[src]] - 1
@@ -407,19 +384,13 @@ def generate_synthetic(
     p_intra = np.divide(weight_in, weight_in + p_out * m_diff,
                         out=np.zeros(events), where=(weight_in + p_out * m_diff) > 0)
     intra = rng.random(events) < p_intra
-    draws = rng.integers(0, np.where(intra, np.maximum(m_same, 1), m_diff))
+    j = rng.integers(0, np.where(intra, np.maximum(m_same, 1), m_diff))
 
-    dst = np.empty(events, dtype=np.int64)
-    for c in range(k):
-        pick_in = intra & (comm[src] == c)
-        if pick_in.any():
-            pos = np.searchsorted(members[c], src[pick_in])
-            j = draws[pick_in]
-            j = j + (j >= pos)  # skip the source itself
-            dst[pick_in] = members[c][j]
-        pick_out = ~intra & (comm[src] == c)
-        if pick_out.any():
-            dst[pick_out] = complements[c][draws[pick_out]]
+    # the j-th partner among the source's community with the source skipped,
+    # or among the other nodes in ascending order, k-1 in each block of k
+    q, r = np.divmod(j, k - 1)
+    dst = np.where(intra, comm[src] + k * (j + (j >= src // k)),
+                   q * k + r + (r >= comm[src]))
     timestamps = rng.uniform(0.0, T, size=events)
 
     present = np.zeros(n, dtype=bool)

@@ -359,11 +359,13 @@ def slice_interval(graph: TemporalGraph, lo: float, hi: float) -> SampledView:
     return _edge_slice_view(graph, lo, hi, *graph.edge_range(lo, hi))
 
 
-def _edge_slice_view(graph: TemporalGraph, lo: float, hi: float, i: int, j: int) -> SampledView:
-    """View of the time-sorted edges i..j-1, labelled with the window [lo, hi]."""
+def _edge_slice_view(graph: TemporalGraph, lo: float, hi: float, i: int, j: int,
+                     every_node: bool = False) -> SampledView:
+    """View of the time-sorted edges i..j-1, labelled with the window [lo, hi];
+    with ``every_node``, the nodes no edge touches are active too."""
     src, dst = graph.src[i:j], graph.dst[i:j]
     # an endpoint mask, O(N + m): plain np.unique hashes, many times slower than this
-    mask = np.zeros(graph.num_nodes, dtype=bool)
+    mask = np.full(graph.num_nodes, every_node)
     mask[src] = True
     mask[dst] = True
     active = np.flatnonzero(mask)
@@ -381,15 +383,7 @@ def _edge_slice_view(graph: TemporalGraph, lo: float, hi: float, i: int, j: int)
 
 def full_view(graph: TemporalGraph) -> SampledView:
     """Whole-timespan view with every node active, isolated ones included."""
-    return SampledView(
-        lo=graph.t_min,
-        hi=graph.t_max,
-        active=np.arange(graph.num_nodes, dtype=np.int64),
-        src=graph.src.copy(),
-        dst=graph.dst.copy(),
-        timestamps=graph.timestamps.copy(),
-        features=graph.features,
-    )
+    return _edge_slice_view(graph, graph.t_min, graph.t_max, 0, graph.num_edges, every_node=True)
 
 
 def to_snapshots(graph: TemporalGraph, s: int) -> list:

@@ -1,12 +1,12 @@
-"""InfoNCE over multiple views.
+"""Softmax cross-entropy, and InfoNCE over multiple views built on it.
 
 Each view brings queries and keys, one row per batch node in the same
 order in every view. View i's queries are contrasted with view j's keys
 for every ordered pair i != j, and the sum is divided by v(v-1), so with
 keys equal to queries the two-view case is the familiar
-(ctr(z1,z2) + ctr(z2,z1)) / 2. Gradients are analytic: with
-P = row-softmax(QK^T/tau), dL/dQ = (P - I)K / (N tau) and
-dL/dK = (P - I)^T Q / (N tau).
+(ctr(z1,z2) + ctr(z2,z1)) / 2. InfoNCE is the cross-entropy of
+QK^T/tau against the diagonal, so with P = row-softmax(QK^T/tau),
+dL/dQ = (P - I)K / (N tau) and dL/dK = (P - I)^T Q / (N tau).
 """
 
 from __future__ import annotations
@@ -31,9 +31,24 @@ class LossConfig:
     def validate(self) -> "LossConfig":
         if self.level not in LOSS_LEVELS:
             raise DataError(f"unknown loss level {self.level!r}; expected one of {LOSS_LEVELS}")
-        if not self.tau > 0:
-            raise DataError(f"temperature must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise DataError(f"temperature must be positive and finite, got {self.tau}")
         return self
+
+
+def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray, tau: float = 1.0):
+    """Mean cross-entropy of row-softmax(scores / tau) against integer targets,
+    and its exact gradient: (softmax - one-hot) / (rows * tau)."""
+    logits = scores / tau
+    m = logits.max(axis=1, keepdims=True)  # max-subtract for stable exp
+    ex = np.exp(logits - m)
+    denom = ex.sum(axis=1)
+    rows = np.arange(scores.shape[0])
+    loss = -(logits[rows, targets] - m[:, 0] - np.log(denom)).mean()
+    grad = ex / denom[:, None]
+    grad[rows, targets] -= 1.0
+    grad /= rows.size * tau
+    return loss, grad
 
 
 def infonce(q: np.ndarray, k: np.ndarray, tau: float):
@@ -52,18 +67,8 @@ def infonce(q: np.ndarray, k: np.ndarray, tau: float):
         raise ValueError("empty batch")
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-
-    logits = (q @ k.T) / tau
-    m = logits.max(axis=1, keepdims=True)  # max-subtract for stable exp
-    ex = np.exp(logits - m)
-    denom = ex.sum(axis=1)
-    log_prob = np.diagonal(logits) - m[:, 0] - np.log(denom)
-    loss = -log_prob.mean()
-
-    coeff = ex / denom[:, None]
-    np.fill_diagonal(coeff, coeff.diagonal() - 1.0)
-    coeff /= n * tau
-    return loss, coeff @ k, coeff.T @ q
+    loss, grad = softmax_cross_entropy(q @ k.T, np.arange(n), tau)
+    return loss, grad @ k, grad.T @ q
 
 
 def multi_view_loss(pairs, tau: float):

@@ -67,20 +67,21 @@ class ModelParams:
         return {f: np.zeros_like(getattr(self, f)) for f in PARAM_FIELDS}
 
 
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) Glorot-uniform weight matrix drawn from rng."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
 def init_params(d_in: int, d_hidden: int = 128, d_out: int = 64, seed: int = 0) -> ModelParams:
     """Seeded Glorot-uniform weights, zero biases."""
     rng = np.random.default_rng([seed, 17])
-
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
     return ModelParams(
-        gcn_w1=glorot(d_in, d_hidden),
-        gcn_w2=glorot(d_hidden, d_out),
-        proj_w1=glorot(d_out, d_out),
+        gcn_w1=glorot(rng, d_in, d_hidden),
+        gcn_w2=glorot(rng, d_hidden, d_out),
+        proj_w1=glorot(rng, d_out, d_out),
         proj_b1=np.zeros(d_out),
-        proj_w2=glorot(d_out, d_out),
+        proj_w2=glorot(rng, d_out, d_out),
         proj_b2=np.zeros(d_out),
     )
 

@@ -16,8 +16,10 @@ from tgcl import (
     TrainConfig,
     __version__,
     embed_all,
+    generate_synthetic,
     load_params,
     load_temporal_graph,
+    sample_windows,
     save_params,
     train,
 )
@@ -125,6 +127,34 @@ def test_sample_views_out_file(tmp_path, capsys):
     assert "strategy=sequential\n" in resolved
 
 
+def test_sample_views_writes_the_former_f_string_bytes(tmp_path, capsys):
+    edges, _ = _synth(tmp_path)
+    graph = load_temporal_graph(edges)
+    cfg = SamplerConfig("random", 4, 3)
+    expected = "".join(f"{epoch},{index},{float(w.lo)!r},{float(w.hi)!r}\n"
+                       for epoch in (1, 2, 3)
+                       for index, w in enumerate(sample_windows(graph, cfg, epoch, 5)))
+    args = ["sample-views", "--edges", str(edges), "--strategy", "random", "--s", "4",
+            "--v", "3", "--epochs", "3", "--seed", "5"]
+    capsys.readouterr()
+    assert dispatch(args) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "w" / "windows.csv"
+    assert dispatch([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_sample_views_rejects_fewer_than_one_epoch(tmp_path, capsys, epochs):
+    edges, _ = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "w" / "windows.csv"
+    assert dispatch(["sample-views", "--edges", str(edges), "--epochs", epochs,
+                     "--out", str(out)]) == 2
+    assert "epochs must be at least 1" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_sample_views_deterministic(tmp_path, capsys):
     edges, _ = _synth(tmp_path)
     capsys.readouterr()
@@ -146,6 +176,30 @@ def test_synth_outputs(tmp_path, capsys):
     label_lines = labels.read_text().strip().splitlines()
     assert len(label_lines) == 45
     assert {int(l.split(",")[1]) for l in label_lines} == {0, 1, 2}
+
+
+def test_synth_writes_the_former_f_string_bytes(tmp_path, capsys):
+    edges, labels = _synth(tmp_path)
+    capsys.readouterr()
+    g = generate_synthetic(k=3, n=45, T=6.0, p_in=8.0, p_out=1.0, events=400, seed=0)
+    ext_src, ext_dst = g.node_ids[g.src], g.node_ids[g.dst]
+    assert edges.read_bytes() == "".join(
+        f"{u},{v},{float(t)!r}\n" for u, v, t in zip(ext_src, ext_dst, g.timestamps)).encode()
+    assert labels.read_bytes() == "".join(
+        f"{nid},{lab}\n" for nid, lab in zip(g.node_ids, g.labels) if lab >= 0).encode()
+
+
+@pytest.mark.parametrize("flag,value,match", [
+    ("--ratio-in-out", "inf", "need p_in > p_out >= 0, both finite"),
+    ("--T", "inf", "timespan must be positive and finite"),
+])
+def test_synth_rejects_infinite_inputs(tmp_path, capsys, flag, value, match):
+    prefix = tmp_path / "toy"
+    args = {"--k": "3", "--n": "45", "--T": "6.0", "--events": "400", "--ratio-in-out": "8.0",
+            "--out-prefix": str(prefix), flag: value}
+    assert dispatch(["synth", *(part for item in args.items() for part in item)]) == 2
+    assert match in capsys.readouterr().err
+    assert not prefix.with_name("toy.edges.csv").exists()
 
 
 def test_synth_deterministic(tmp_path, capsys):
@@ -571,6 +625,14 @@ def test_grad_check_tol_failure(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_grad_check_rejects_a_tolerance_that_is_not_positive_and_finite(tmp_path, capsys, tol):
+    out = tmp_path / "g.json"
+    assert dispatch(["grad-check", f"--tol={tol}", "--out", str(out)]) == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h", ["0", "-1e-5", "inf", "nan"])
 def test_grad_check_rejects_a_step_that_is_not_positive_and_finite(capsys, h):
     assert dispatch(["grad-check", f"--h={h}"]) == 2
@@ -593,6 +655,8 @@ def test_grad_check_fails_on_a_nan_error(monkeypatch, capsys):
     ("--checkpoint-every", "-1", "checkpoint_every must be non-negative"),
     ("--lr", "inf", "learning rate must be positive and finite"),
     ("--lr", "nan", "learning rate must be positive and finite"),
+    ("--tau", "inf", "temperature must be positive and finite"),
+    ("--tau", "nan", "temperature must be positive and finite"),
     ("--weight-decay", "nan", "weight decay must be non-negative and finite"),
     ("--weight-decay", "inf", "weight decay must be non-negative and finite"),
 ])

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgcl import (
     AdamState,
     DataError,
     InvarianceConfig,
     adam_step,
+    build_graph,
     classification_report,
     evaluate,
     generate_synthetic,
@@ -225,8 +230,12 @@ def test_generator_validation():
         generate_synthetic(12, 10, 5.0, 2.0, 1.0, 20)
     with pytest.raises(DataError, match="timespan"):
         generate_synthetic(2, 10, 0.0, 2.0, 1.0, 20)
+    with pytest.raises(DataError, match="timespan must be positive and finite"):
+        generate_synthetic(2, 10, math.inf, 2.0, 1.0, 20)
     with pytest.raises(DataError, match="p_in > p_out"):
         generate_synthetic(2, 10, 5.0, 1.0, 1.0, 20)
+    with pytest.raises(DataError, match="p_in > p_out >= 0, both finite"):
+        generate_synthetic(2, 10, 5.0, math.inf, 1.0, 20)
     with pytest.raises(DataError, match="events >= n"):
         generate_synthetic(2, 10, 5.0, 2.0, 1.0, 5)
 
@@ -254,6 +263,67 @@ def test_generator_deterministic():
     c = generate_synthetic(3, 50, 8.0, 4.0, 1.0, 200, seed=8)
     assert np.array_equal(a.src, b.src) and np.array_equal(a.timestamps, b.timestamps)
     assert not np.array_equal(a.src, c.src)
+
+
+def _table_and_loop_generator(k, n, T, p_in, p_out, events, seed):
+    """The generator's former partner drawing: member and complement tables
+    per community, and a loop over communities."""
+    rng = np.random.default_rng([seed, 5])
+    comm = np.arange(n, dtype=np.int64) % k
+    members = [np.flatnonzero(comm == c) for c in range(k)]
+    complements = [np.flatnonzero(comm != c) for c in range(k)]
+    sizes = np.array([m.size for m in members])
+
+    src = rng.integers(0, n, size=events)
+    m_same = sizes[comm[src]] - 1
+    m_diff = n - sizes[comm[src]]
+    weight_in = p_in * m_same
+    p_intra = np.divide(weight_in, weight_in + p_out * m_diff,
+                        out=np.zeros(events), where=(weight_in + p_out * m_diff) > 0)
+    intra = rng.random(events) < p_intra
+    draws = rng.integers(0, np.where(intra, np.maximum(m_same, 1), m_diff))
+
+    dst = np.empty(events, dtype=np.int64)
+    for c in range(k):
+        pick_in = intra & (comm[src] == c)
+        if pick_in.any():
+            pos = np.searchsorted(members[c], src[pick_in])
+            j = draws[pick_in]
+            j = j + (j >= pos)  # skip the source itself
+            dst[pick_in] = members[c][j]
+        pick_out = ~intra & (comm[src] == c)
+        if pick_out.any():
+            dst[pick_out] = complements[c][draws[pick_out]]
+    timestamps = rng.uniform(0.0, T, size=events)
+
+    present = np.zeros(n, dtype=bool)
+    present[src] = True
+    present[dst] = True
+    lonely = np.flatnonzero(~present)
+    if lonely.size:
+        src = np.concatenate([src, lonely])
+        dst = np.concatenate([dst, lonely])
+        timestamps = np.concatenate([timestamps, rng.uniform(0.0, T, size=lonely.size)])
+    return build_graph(src, dst, timestamps, labels=(np.arange(n), comm), feature_seed=seed)
+
+
+@st.composite
+def _generator_args(draw):
+    k = draw(st.integers(2, 9))
+    n = draw(st.integers(k, 6 * k + 5))  # n need not be a multiple of k
+    p_out = draw(st.sampled_from([0.0, 1.0]))
+    p_in = draw(st.floats(p_out, 1e3, exclude_min=True))
+    events = draw(st.integers(n, 4 * n))
+    return k, n, 10.0, p_in, p_out, events, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_generator_args())
+def test_generator_draws_the_partners_of_the_table_and_loop_form(args):
+    got, want = generate_synthetic(*args), _table_and_loop_generator(*args)
+    for name in ("src", "dst", "timestamps", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_generator_modularity_above_half():

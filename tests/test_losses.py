@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tgcl import DataError, LossConfig, infonce, multi_view_loss
+import tgcl
+from tgcl import DataError, LossConfig, infonce, multi_view_loss, softmax_cross_entropy
 
 
 def _unit_rows(rng, n, d):
@@ -106,6 +107,23 @@ def test_loss_config_validation():
         LossConfig("edge", 0.5).validate()
     with pytest.raises(DataError, match="positive"):
         LossConfig("node", 0.0).validate()
+    for tau in (np.inf, np.nan):  # an infinite temperature flattens every logit to 0
+        with pytest.raises(DataError, match="temperature must be positive and finite"):
+            LossConfig("node", tau).validate()
+
+
+def test_infonce_is_the_cross_entropy_against_the_diagonal():
+    rng = np.random.default_rng(3)
+    q, k = _unit_rows(rng, 7, 5), _unit_rows(rng, 7, 5)
+    loss, grad = softmax_cross_entropy(q @ k.T, np.arange(7), 0.3)
+    got = infonce(q, k, 0.3)
+    assert got[0] == loss
+    assert np.array_equal(got[1], grad @ k) and np.array_equal(got[2], grad.T @ q)
+    # the temperature divides the scores and the gradient, exactly at tau = 1
+    unit = softmax_cross_entropy(q @ k.T / 0.3, np.arange(7))
+    assert unit[0] == pytest.approx(loss, rel=1e-14)
+    np.testing.assert_allclose(unit[1] / 0.3, grad, rtol=1e-12)
+    assert tgcl.evaluation.softmax_cross_entropy is softmax_cross_entropy
 
 
 def _pairs(rng, v, n, d, level="node"):

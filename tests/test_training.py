@@ -195,6 +195,42 @@ def test_train_checkpoint_written(tmp_path):
     assert (meta["feature_policy"], meta["feature_dim"], meta["feature_seed"]) == ("random", 8, 0)
 
 
+def test_train_takes_batches_per_epoch_steps_and_logs_their_mean(monkeypatch):
+    steps, losses = [0], []
+    adam_step, multi_view_loss = training.adam_step, training.multi_view_loss
+
+    def counting_adam(params, grads, state):
+        steps[0] += 1
+        return adam_step(params, grads, state)
+
+    def recording_loss(pairs, tau):
+        loss, grads = multi_view_loss(pairs, tau)
+        losses.append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(training, "adam_step", counting_adam)
+    monkeypatch.setattr(training, "multi_view_loss", recording_loss)
+    _, log = train(GRAPH, _small_cfg(epochs=3, batches_per_epoch=4))
+    assert steps[0] == len(losses) == 12
+    for i, record in enumerate(log.records):
+        assert record.loss == sum(losses[4 * i:4 * i + 4]) / 4
+    assert len({*losses[:4]}) > 1  # the epoch's steps see different batches or weights
+
+
+def test_train_checkpoints_every_k_epochs_and_after_the_last(monkeypatch, tmp_path):
+    saved, save_params = [], training.save_params
+
+    def recording_save(path, params, meta):
+        saved.append(meta["epoch"])
+        return save_params(path, params, meta=meta)
+
+    monkeypatch.setattr(training, "save_params", recording_save)
+    path = tmp_path / "params.ckpt"
+    train(GRAPH, _small_cfg(epochs=6, checkpoint_every=2, checkpoint_path=str(path)))
+    assert saved == [2, 4, 6, 6]
+    assert load_params(path)[1]["epoch"] == 6
+
+
 def test_train_checkpoint_omits_features_read_from_rows(tmp_path):
     g = build_graph(GRAPH.node_ids[GRAPH.src], GRAPH.node_ids[GRAPH.dst], GRAPH.timestamps,
                     features=(GRAPH.node_ids, GRAPH.features))
