@@ -104,8 +104,10 @@ def train_linear_probe(
     """Fit the linear probe with Adam on the train split only.
 
     Zero-initialized weights keep the fit deterministic without a seed;
-    the validation split picks the best epoch (epoch 0 is the untrained
-    classifier, so epochs=0 returns the chance-level predictor).
+    the validation split picks the best epoch, the first of equal
+    accuracies (epoch 0 is the untrained classifier, so epochs=0 returns
+    the chance-level predictor). ``w`` and ``b`` are the rows of one
+    (d+1) x C block, so each epoch takes one Adam step over both.
     """
     if epochs < 0:
         raise DataError(f"probe epochs must be non-negative, got {epochs}")
@@ -116,31 +118,37 @@ def train_linear_probe(
     y_train = labels[split.train]
     if np.unique(y_train).size < 2:
         raise DataError("degenerate train split: a linear probe needs at least 2 classes")
+    if split.val.size == 0:
+        raise DataError("empty validation split: the linear probe picks its epoch on it")
     num_classes = int(labels[np.concatenate([split.train, split.val, split.test])].max()) + 1
     x_train = embeddings[split.train]
     x_val = embeddings[split.val]
     y_val = labels[split.val]
 
-    w = np.zeros((embeddings.shape[1], num_classes))
-    b = np.zeros(num_classes)
-    params = {"w": w, "b": b}
+    d = embeddings.shape[1]
+    theta = np.zeros((d + 1, num_classes))
+    grad = np.empty_like(theta)
+    w, b = theta[:d], theta[d]
+    params, grads = {"probe": theta}, {"probe": grad}
     state = AdamState(lr=lr, weight_decay=weight_decay)
 
     def val_accuracy():
-        if y_val.size == 0:
-            return 0.0
-        return float(np.mean(np.argmax(x_val @ w + b, axis=1) == y_val))
+        scores = x_val @ w
+        scores += b
+        return np.count_nonzero(scores.argmax(axis=1) == y_val) / y_val.size
 
-    best = (val_accuracy(), 0, w.copy(), b.copy())
+    best_acc, best_epoch, best = val_accuracy(), 0, theta.copy()
     for epoch in range(1, epochs + 1):
-        _, g_logits = softmax_cross_entropy(x_train @ w + b, y_train)
-        grads = {"w": x_train.T @ g_logits, "b": g_logits.sum(axis=0)}
+        scores = x_train @ w
+        scores += b
+        _, g_logits = softmax_cross_entropy(scores, y_train)
+        np.matmul(x_train.T, g_logits, out=grad[:d])
+        g_logits.sum(axis=0, out=grad[d])
         adam_step(params, grads, state)
         acc = val_accuracy()
-        if acc > best[0]:
-            best = (acc, epoch, w.copy(), b.copy())
-    _, best_epoch, best_w, best_b = best
-    return LinearProbe(w=best_w, b=best_b, best_epoch=best_epoch)
+        if acc > best_acc:
+            best_acc, best_epoch, best = acc, epoch, theta.copy()
+    return LinearProbe(w=best[:d], b=best[d], best_epoch=best_epoch)
 
 
 @dataclass(eq=False)
@@ -376,6 +384,8 @@ def generate_synthetic(
     rng = np.random.default_rng([seed, 5])
     comm = np.arange(n, dtype=np.int64) % k  # community c is c, c+k, c+2k, ...
     sizes = np.bincount(comm, minlength=k)
+    if not all(math.isfinite(p_in * (c - 1) + p_out * (n - c)) for c in set(sizes.tolist())):
+        raise DataError(f"p_in={p_in} is too large: a source's total partner weight overflows")
 
     src = rng.integers(0, n, size=events)
     m_same = sizes[comm[src]] - 1

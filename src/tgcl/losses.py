@@ -38,17 +38,28 @@ class LossConfig:
 
 def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray, tau: float = 1.0):
     """Mean cross-entropy of row-softmax(scores / tau) against integer targets,
-    and its exact gradient: (softmax - one-hot) / (rows * tau)."""
-    logits = scores / tau
-    m = logits.max(axis=1, keepdims=True)  # max-subtract for stable exp
-    ex = np.exp(logits - m)
-    denom = ex.sum(axis=1)
-    rows = np.arange(scores.shape[0])
-    loss = -(logits[rows, targets] - m[:, 0] - np.log(denom)).mean()
-    grad = ex / denom[:, None]
-    grad[rows, targets] -= 1.0
-    grad /= rows.size * tau
-    return loss, grad
+    and its exact gradient: (softmax - one-hot) / (rows * tau).
+
+    One score-sized array is allocated, the C-ordered logits, and every
+    later step works in place on it, so ``scores`` is never written. The
+    row max is read at argmax, the same value as ``max`` at a fraction of
+    its cost; it and the target entries are read through flat indices,
+    which the C order makes row start + column.
+    """
+    logits = np.divide(scores, tau, order="C")
+    rows, cols = logits.shape
+    starts = np.arange(0, rows * cols, cols)
+    m = logits.take(starts + logits.argmax(axis=1))
+    hits = starts + targets
+    target_logits = logits.take(hits)
+    logits -= m[:, None]  # max-subtract for stable exp
+    np.exp(logits, out=logits)
+    denom = logits.sum(axis=1)
+    loss = -(target_logits - m - np.log(denom)).mean()
+    logits /= denom[:, None]
+    logits.reshape(-1)[hits] -= 1.0
+    logits /= rows * tau
+    return loss, logits
 
 
 def infonce(q: np.ndarray, k: np.ndarray, tau: float):

@@ -192,6 +192,9 @@ def test_synth_writes_the_former_f_string_bytes(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value,match", [
     ("--ratio-in-out", "inf", "need p_in > p_out >= 0, both finite"),
     ("--T", "inf", "timespan must be positive and finite"),
+    # 2e307 * 14 same-community candidates is inf: the generator wrote a graph
+    # with no same-community edge and exited 0
+    ("--ratio-in-out", "2e307", "total partner weight overflows"),
 ])
 def test_synth_rejects_infinite_inputs(tmp_path, capsys, flag, value, match):
     prefix = tmp_path / "toy"
@@ -689,6 +692,20 @@ def test_linear_eval_rejects_bad_settings(tmp_path, capsys, flag, value, match):
     capsys.readouterr()
     assert dispatch([*args, flag, value]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios,classes", [("1:0:9", 2), ("2:1:7", 10)])
+def test_linear_eval_rejects_an_empty_validation_split(tmp_path, capsys, ratios, classes):
+    # 2:1:7 over classes of 4 gives each class round(0.4) = 0 validation nodes
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{i},{i % classes}.5,{i}.0\n" for i in range(40)), encoding="utf-8")
+    labels = tmp_path / "l.csv"
+    labels.write_text("".join(f"{i},{i % classes}\n" for i in range(40)), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert dispatch(["linear-eval", "--embeddings", str(emb), "--labels", str(labels),
+                     "--ratios", ratios, "--out", str(out)]) == 2
+    assert "empty validation split" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [

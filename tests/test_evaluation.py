@@ -185,6 +185,62 @@ def test_probe_single_class_train_rejected():
         train_linear_probe(x, labels, degenerate)
 
 
+def _former_linear_probe(embeddings, labels, split, lr, weight_decay, epochs):
+    """The two-tensor loop that train_linear_probe replaced: separate w and b,
+    two Adam tensors, a fresh score array per product."""
+    y_train = labels[split.train]
+    num_classes = int(labels[np.concatenate([split.train, split.val, split.test])].max()) + 1
+    x_train = embeddings[split.train]
+    x_val = embeddings[split.val]
+    y_val = labels[split.val]
+    w = np.zeros((embeddings.shape[1], num_classes))
+    b = np.zeros(num_classes)
+    params = {"w": w, "b": b}
+    state = AdamState(lr=lr, weight_decay=weight_decay)
+
+    def val_accuracy():
+        return float(np.mean(np.argmax(x_val @ w + b, axis=1) == y_val))
+
+    best = (val_accuracy(), 0, w.copy(), b.copy())
+    for epoch in range(1, epochs + 1):
+        _, g_logits = softmax_cross_entropy(x_train @ w + b, y_train)
+        grads = {"w": x_train.T @ g_logits, "b": g_logits.sum(axis=0)}
+        adam_step(params, grads, state)
+        acc = val_accuracy()
+        if acc > best[0]:
+            best = (acc, epoch, w.copy(), b.copy())
+    return best[1:]
+
+
+@st.composite
+def _probe_args(draw):
+    """Embeddings of 2-5 classes of 5-20 nodes with some class signal, a
+    split with every part non-empty, and the probe's settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = [draw(st.integers(5, 20)) for _ in range(draw(st.integers(2, 5)))]
+    labels = np.repeat(np.arange(len(sizes)), sizes)[rng.permutation(sum(sizes))]
+    d = draw(st.integers(1, 12))
+    x = rng.standard_normal((labels.size, d)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    x += rng.standard_normal((len(sizes), d))[labels] * draw(st.sampled_from([0.0, 1.0]))
+    split = make_split(labels, draw(st.sampled_from([(2, 2, 6), (3, 2, 5), (4, 3, 3)])),
+                       seed=draw(st.integers(0, 99)))
+    settings_ = dict(lr=draw(st.sampled_from([1e-3, 1e-2, 0.1, 0.7])),
+                     weight_decay=draw(st.sampled_from([0.0, 1e-4, 0.05, 0.5])),
+                     epochs=draw(st.integers(0, 50)))
+    return x, labels, split, settings_
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_probe_args())
+def test_probe_is_the_former_two_tensor_loop_bit_for_bit(drawn):
+    x, labels, split, kw = drawn
+    probe = train_linear_probe(x, labels, split, **kw)
+    best_epoch, w, b = _former_linear_probe(x, labels, split, **kw)
+    assert probe.best_epoch == best_epoch
+    assert probe.w.shape == w.shape and probe.w.tobytes() == w.tobytes()
+    assert probe.b.shape == b.shape and probe.b.tobytes() == b.tobytes()
+
+
 def test_report_hand_confusion_oracle():
     y_true = np.array([0, 0, 1, 1, 2])
     y_pred = np.array([0, 1, 1, 1, 2])
@@ -238,6 +294,13 @@ def test_generator_validation():
         generate_synthetic(2, 10, 5.0, math.inf, 1.0, 20)
     with pytest.raises(DataError, match="events >= n"):
         generate_synthetic(2, 10, 5.0, 2.0, 1.0, 5)
+    # communities of 50 at n = 200: 1e307 * 49 overflows, 1e306 * 49 does not
+    with pytest.raises(DataError, match="total partner weight overflows"):
+        generate_synthetic(4, 200, 10.0, 1e307, 1.0, 4000)
+    with pytest.raises(DataError, match="total partner weight overflows"):
+        generate_synthetic(4, 200, 10.0, 1e308, 1e306, 4000)
+    g = generate_synthetic(4, 200, 10.0, 1e306, 1.0, 4000)
+    assert np.all(g.labels[g.src] == g.labels[g.dst])
 
 
 def test_generator_basic_shape():

@@ -126,6 +126,67 @@ def test_infonce_is_the_cross_entropy_against_the_diagonal():
     assert tgcl.evaluation.softmax_cross_entropy is softmax_cross_entropy
 
 
+def _former_softmax_cross_entropy(scores, targets, tau=1.0):
+    """The four-array formula that softmax_cross_entropy replaced, verbatim."""
+    logits = scores / tau
+    m = logits.max(axis=1, keepdims=True)  # max-subtract for stable exp
+    ex = np.exp(logits - m)
+    denom = ex.sum(axis=1)
+    rows = np.arange(scores.shape[0])
+    loss = -(logits[rows, targets] - m[:, 0] - np.log(denom)).mean()
+    grad = ex / denom[:, None]
+    grad[rows, targets] -= 1.0
+    grad /= rows.size * tau
+    return loss, grad
+
+
+@st.composite
+def _scores_and_targets(draw):
+    """1 x 1 to 300 x 300 scores with ties at the row max, +-0.0 entries and
+    rows spread past exp underflow, in C, F, transposed or strided layout."""
+    n, c = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([1.0, 40.0, 3000.0]))  # exp(-1500) is 0.0
+    x = rng.standard_normal((n, c)) * spread
+    if draw(st.booleans()):  # ties: copy each row's max into a few more columns
+        tied = rng.integers(0, c, size=(n, 3))
+        x[np.arange(n)[:, None], tied] = x.max(axis=1, keepdims=True)
+    if draw(st.booleans()):  # signed zeros, the row max in half the rows
+        negative = rng.random(n) < 0.5
+        x[negative] = -np.abs(x[negative])
+        zeros = rng.random((n, c)) < 0.3
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    layout = draw(st.sampled_from(["C", "F", "T", "strided"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "T":
+        x = np.ascontiguousarray(x.T).T
+    elif layout == "strided":
+        x = np.repeat(x, 2, axis=0)[::2]
+    targets = rng.integers(0, c, size=n)
+    return x, targets, draw(st.sampled_from([1.0, 0.5, 0.3, 7.0]))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_scores_and_targets())
+def test_softmax_cross_entropy_is_the_former_formula_bit_for_bit(drawn):
+    scores, targets, tau = drawn
+    before = scores.copy()
+    loss, grad = softmax_cross_entropy(scores, targets, tau)
+    # NumPy sums a strided row sequentially and a contiguous one pairwise,
+    # so the former formula's bytes depended on the layout of scores; the
+    # one-array form always computes on C-ordered logits
+    want_loss, want_grad = _former_softmax_cross_entropy(np.ascontiguousarray(scores), targets, tau)
+    assert _bits(loss) == _bits(want_loss)
+    assert grad.flags.c_contiguous and grad.shape == scores.shape
+    assert _bits(grad) == _bits(want_grad)
+    assert _bits(scores) == _bits(before)
+
+
 def _pairs(rng, v, n, d, level="node"):
     """Per view (queries, keys): the keys are the queries at node level
     and a second set of rows at graph level."""
