@@ -19,11 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .graph import SampledView, TemporalGraph, build_graph, to_snapshots
+from .graph import SampledView, TemporalGraph, build_graph, running_index, to_snapshots
 from .kernels import AdamState, adam_step
 from .losses import softmax_cross_entropy
-from .model import (NormalizedAdjacency, adj_matmul, encode, encode_backward, glorot,
-                    init_params, normalize_adjacency)
+from .model import (NormalizedAdjacency, P0Rows, encode, encode_backward, glorot, init_params,
+                    normalize_adjacency)
 
 PROBE_ENCODERS = ("gcn", "mlp")
 
@@ -48,7 +48,10 @@ def make_split(labels: np.ndarray, ratios: tuple = (1, 1, 8), seed: int = 0) -> 
 
     Per class the members are shuffled once and cut by rounded ratio
     counts, so per-class fractions track the global ratios. A class with
-    fewer members than split parts goes wholly to train with a warning.
+    fewer members than split parts goes wholly to train with a warning. A
+    larger class that the rounding leaves without a train or validation
+    node, where that part's ratio is positive, is cut as usual and warned
+    of too: the probe can never learn it, or never validate on it.
     """
     labels = np.asarray(labels)
     labeled = np.flatnonzero(labels >= 0)
@@ -67,6 +70,11 @@ def make_split(labels: np.ndarray, ratios: tuple = (1, 1, 8), seed: int = 0) -> 
             continue
         n_tr = round(members.size * ratios[0] / total)
         n_va = round(members.size * ratios[1] / total)
+        empty = [part for part, count, ratio in zip(("train", "validation"), (n_tr, n_va), ratios)
+                 if count == 0 and ratio > 0]
+        if empty:
+            warnings.warn(f"class {c} has {members.size} members and gets no "
+                          f"{' and no '.join(empty)} node at ratios {tuple(ratios)}")
         tr.append(members[:n_tr])
         va.append(members[n_tr:n_tr + n_va])
         te.append(members[n_tr + n_va:])
@@ -271,16 +279,15 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     if cfg.encoder == "gcn":
         adj = normalize_adjacency(view)
     else:
-        eye = sp.eye_array(view.num_active, format="csr")
-        adj = NormalizedAdjacency(norm=eye, nbr=eye)
-    p0 = adj_matmul(adj, view.features)
+        adj = NormalizedAdjacency(norm=sp.eye_array(view.num_active, format="csr"))
+    p0 = P0Rows(adj, view.features)
     train_rows = np.zeros(view.num_active, dtype=bool)
     train_rows[train_local] = True
 
     trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
                  "head_w": head_w, "head_b": head_b}
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    train_h = (np.cumsum(train_rows) - 1)[train_local]  # the train nodes' rows of h
+    train_h = running_index(train_rows)[train_local]  # the train nodes' rows of h
     for _ in range(cfg.epochs):
         h, cache = encode(adj, p0, params, train_rows)
         _, g_logits = softmax_cross_entropy(h[train_h] @ head_w + head_b, y_train)

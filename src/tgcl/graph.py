@@ -348,6 +348,13 @@ def load_temporal_graph(
     )
 
 
+def running_index(mask: np.ndarray) -> np.ndarray:
+    """The position of each True entry of a boolean mask among the True
+    entries, by one running count: ``running_index(mask)[mask]`` is
+    ``arange(mask.sum())``. A False entry holds the count before it, minus 1."""
+    return np.cumsum(mask) - 1
+
+
 def slice_interval(graph: TemporalGraph, lo: float, hi: float) -> SampledView:
     """View retaining exactly the edges with lo <= timestamp <= hi (closed).
 
@@ -369,7 +376,7 @@ def _edge_slice_view(graph: TemporalGraph, lo: float, hi: float, i: int, j: int,
     mask[src] = True
     mask[dst] = True
     active = np.flatnonzero(mask)
-    local = np.cumsum(mask) - 1  # a node's position in active
+    local = running_index(mask)  # a node's position in active
     return SampledView(
         lo=float(lo),
         hi=float(hi),

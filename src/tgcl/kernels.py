@@ -60,11 +60,14 @@ def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    return np.where(x > 0.0, x, slope * x)
+    """x where x > 0, else slope * x; for 0 < slope <= 1 that is the larger of the two."""
+    return np.maximum(x, slope * x)
 
 
 def leaky_relu_backward(grad: np.ndarray, x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    return grad * np.where(x > 0.0, 1.0, slope)
+    out = grad * slope
+    np.copyto(out, grad, where=x > 0.0)
+    return out
 
 
 def row_l2_normalize(x: np.ndarray) -> np.ndarray:
@@ -124,7 +127,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 
     Weight decay is coupled L2: added to the gradient before the moment
     updates. Bias correction is the standard 1/(1-beta^t) form. A
-    non-finite gradient raises NumericError.
+    non-finite gradient raises NumericError. Each tensor is updated
+    through two scratch arrays of its size, with the rounding of
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` written out.
     """
     state.step_count += 1
     t = state.step_count
@@ -135,15 +140,25 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         if g.shape != p.shape:
             raise ValueError(f"adam_step shape mismatch for {name}: {g.shape} vs {p.shape}")
         check_finite(f"grad[{name}]", g)
-        if state.weight_decay != 0.0:
-            g = g + state.weight_decay * p
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
+        step, tmp = np.empty_like(p), np.empty_like(p)
+        if state.weight_decay != 0.0:
+            g = np.multiply(p, state.weight_decay, out=step)
+            g += grads[name]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        step /= tmp
+        p -= step

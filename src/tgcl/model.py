@@ -5,14 +5,16 @@ The encoder is the standard two-layer graph convolution over the
 symmetrically normalized self-loop adjacency: ReLU after the first
 propagation, no activation after the second (the second layer's output is
 the representation handed to downstream consumers). It computes only the
-rows it is asked for, from the parameter-free first propagation Â·X that
-the caller keeps per view (:func:`view_entry`). The projection head
+rows it is asked for, from the rows they need of the parameter-free first
+propagation Â·X, which the caller keeps per view and which are computed
+the first time a step reads them (:func:`view_entry`). The projection head
 is linear -> LeakyReLU -> linear -> row L2 normalization. All views share
 one parameter object.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 
 from . import kernels
 from .errors import DataError
-from .graph import SampledView
+from .graph import SampledView, running_index
 
 CHECKPOINT_MAGIC = "tgcl-checkpoint v1"
 PARAM_FIELDS = ("gcn_w1", "gcn_w2", "proj_w1", "proj_b1", "proj_w2", "proj_b2")
@@ -93,11 +95,12 @@ class NormalizedAdjacency:
     ``norm`` is the symmetric D^-1/2 (A + I) D^-1/2 the encoder propagates
     with. ``nbr`` is the 0/1 neighbour matrix A with a self-loop on each
     node that has no other neighbour, so every row is non-empty; the
-    readout aggregates its rows. Both are CSR with sorted column indices.
+    readout aggregates its rows. It is read off ``norm``'s structure on
+    first access, so only a graph-level readout builds it. Both are CSR
+    with sorted column indices.
     """
 
     norm: sp.csr_array
-    nbr: sp.csr_array
 
     @property
     def vals(self) -> np.ndarray:
@@ -105,6 +108,17 @@ class NormalizedAdjacency:
         vals = self.norm.data.view()
         vals.flags.writeable = False
         return vals
+
+    @functools.cached_property
+    def nbr(self) -> sp.csr_array:
+        n = self.norm.shape[0]
+        deg = np.diff(self.norm.indptr)  # distinct neighbours plus the self-loop
+        rows = np.repeat(np.arange(n), deg)
+        cols = self.norm.indices
+        # drop the self-loop of every node that has another neighbour
+        nbr_cols = cols[(rows != cols) | (deg[rows] == 1)]
+        indptr = np.concatenate(([0], np.cumsum(np.maximum(deg - 1, 1))))
+        return sp.csr_array((np.ones(nbr_cols.size), nbr_cols, indptr), shape=(n, n))
 
 
 def normalize_adjacency(view: SampledView) -> NormalizedAdjacency:
@@ -126,35 +140,70 @@ def normalize_adjacency(view: SampledView) -> NormalizedAdjacency:
     loops = np.arange(n, dtype=np.int64)
     # the entries (a, b), (b, a) and (i, i) in row-major order, by their keys row·n + col
     rows, cols = np.divmod(np.sort(np.concatenate([pairs, b * n + a, loops * (n + 1)])), n)
-    norm_indptr = np.concatenate(([0], np.cumsum(deg)))
-    norm = sp.csr_array((1.0 / np.sqrt(deg[rows] * deg[cols]), cols, norm_indptr), shape=(n, n))
-    # drop the self-loop of every node that has another neighbour
-    nbr_cols = cols[(rows != cols) | (deg[rows] == 1)]
-    nbr_indptr = np.concatenate(([0], np.cumsum(np.maximum(deg - 1, 1))))
-    nbr = sp.csr_array((np.ones(nbr_cols.size), nbr_cols, nbr_indptr), shape=(n, n))
-    return NormalizedAdjacency(norm=norm, nbr=nbr)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    return NormalizedAdjacency(
+        norm=sp.csr_array((1.0 / np.sqrt(deg[rows] * deg[cols]), cols, indptr), shape=(n, n)))
 
 
-def adj_matmul(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
-    """Â @ x; Â is symmetric, so this is also its own adjoint."""
-    return adj.norm @ x
+def adj_matmul(adj: NormalizedAdjacency, x: np.ndarray, rows: np.ndarray | None = None):
+    """Â @ x, or its rows selected by the boolean mask ``rows``; each row
+    is bit-identical to that row of the full product. Â is symmetric, so
+    this is also its own adjoint."""
+    return (adj.norm if rows is None else adj.norm[rows]) @ x
+
+
+class P0Rows:
+    """P0 = Â·X of one view, computed row by row as the encoder reads it.
+
+    P0 is the first propagation and has no parameters, so a row once
+    computed serves every later step that draws the view's window. A read
+    computes only the rows it asks for that no earlier read did, as one
+    ``adj_matmul`` over those rows, and keeps them; a first read of every
+    row is the one full product. Each row is bit-identical to that row of
+    Â @ X.
+    """
+
+    def __init__(self, adj: NormalizedAdjacency, features: np.ndarray):
+        self.adj = adj
+        self.features = features
+        self.rows = np.empty((0, features.shape[1]))  # the rows computed so far, in that order
+        self.slot = np.full(features.shape[0], -1)  # a node's row in ``rows``; -1: not yet computed
+        self.count = 0
+
+    def take(self, frontier: np.ndarray) -> np.ndarray:
+        """P0[frontier] for a boolean mask over the view's nodes."""
+        missing = frontier & (self.slot < 0)
+        k = np.count_nonzero(missing)
+        if k == 0:
+            return self.rows[self.slot[frontier]]
+        start = self.count
+        block = adj_matmul(self.adj, self.features, None if k == missing.size else missing)
+        if start == 0:
+            self.rows = block
+        else:
+            if self.rows.shape[0] < start + k:  # room for every row, made once
+                grown = np.empty(self.features.shape)
+                grown[:start] = self.rows
+                self.rows = grown
+            self.rows[start:start + k] = block
+        self.slot[missing] = np.arange(start, start + k)
+        self.count = start + k
+        # a read of rows that were all missing is the new block itself
+        return block if k == np.count_nonzero(frontier) else self.rows[self.slot[frontier]]
 
 
 class ViewEntry(NamedTuple):
-    """One view with what the encoder needs of it: Â and P0 = Â·X.
-
-    P0 is the first propagation. It has no parameters, so one entry
-    serves every step that draws the view's window.
-    """
+    """One view with what the encoder needs of it: Â and the rows of
+    P0 = Â·X read so far (:class:`P0Rows`)."""
 
     view: SampledView
     adj: NormalizedAdjacency
-    p0: np.ndarray
+    p0: P0Rows
 
 
 def view_entry(view: SampledView) -> ViewEntry:
     adj = normalize_adjacency(view)
-    return ViewEntry(view, adj, adj_matmul(adj, view.features))
+    return ViewEntry(view, adj, P0Rows(adj, view.features))
 
 
 @dataclass(eq=False)
@@ -165,22 +214,24 @@ class EncodeCache:
     p1: np.ndarray  # Â[rows] · ReLU(s1)
 
 
-def encode(adj: NormalizedAdjacency, p0: np.ndarray, params: ModelParams, rows: np.ndarray):
+def encode(adj: NormalizedAdjacency, p0: P0Rows, params: ModelParams, rows: np.ndarray):
     """Two-layer graph convolution, ReLU between the layers, on the rows
     asked for.
 
-    ``p0`` is Â·X (see :func:`view_entry`) and ``rows`` a boolean mask over
-    the view's nodes. Layer 1 runs only on F, the columns of Â[rows]:
+    ``p0`` holds the view's P0 = Â·X (:class:`P0Rows`) and ``rows`` is a
+    boolean mask over the view's nodes. Layer 1 runs only on F, the
+    columns of Â[rows], and reads only P0[F]:
     H = Â[rows] · ReLU(P0[F] · W1) · W2. Returns (H, cache); H has one row
     per True entry of ``rows``, in row order.
     """
-    if p0.shape[1] != params.d_in:
-        raise ValueError(f"feature dim {p0.shape[1]} != encoder input dim {params.d_in}")
+    d_in = p0.features.shape[1]
+    if d_in != params.d_in:
+        raise ValueError(f"feature dim {d_in} != encoder input dim {params.d_in}")
     a_rows = adj.norm[rows]
     frontier = np.zeros(rows.shape[0], dtype=bool)
     frontier[a_rows.indices] = True
-    p0 = p0[frontier]
-    cols = (np.cumsum(frontier) - 1)[a_rows.indices]  # positions in F
+    p0 = p0.take(frontier)
+    cols = running_index(frontier)[a_rows.indices]  # positions in F
     a_rows = sp.csr_array((a_rows.data, cols, a_rows.indptr), shape=(a_rows.shape[0], p0.shape[0]))
     s1 = kernels.matmul(p0, params.gcn_w1)
     p1 = a_rows @ kernels.relu(s1)
@@ -301,7 +352,7 @@ def embed_views(
             nbr = adj.nbr[batch_local]
             rows[nbr.indices] = True
         h, enc_cache = encode(adj, p0, params, rows)
-        pos = np.cumsum(rows) - 1  # the row of h of each node in rows
+        pos = running_index(rows)  # the row of h of each node in rows
         batch = pos[batch_local]
         x, read_cache = h[batch], None
         if with_neighborhood:
@@ -327,7 +378,7 @@ def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
         g_z = g_q + g_k if cache.read is None else np.vstack([g_q, g_k])
         g_x, proj_grads = project_backward(g_z, cache.proj, params)
         grad_h = np.zeros_like(cache.h)
-        np.add.at(grad_h, cache.batch, g_x[:b])
+        grad_h[cache.batch] += g_x[:b]  # the batch positions are distinct
         if cache.read is not None:
             grad_h += readout_backward(g_x[b:], cache.read, cache.h)
         proj_grads.update(encode_backward(grad_h, cache.enc, params))

@@ -137,7 +137,7 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
     the minibatch, embed every view with shared weights, take the
     configured InfoNCE objective, backpropagate, Adam step. A window drawn
     again while it is among the last s distinct ones reuses its view,
-    adjacency and Â·X. A checkpoint is written to cfg.checkpoint_path
+    adjacency and the rows of Â·X its earlier steps read. A checkpoint is written to cfg.checkpoint_path
     after the final epoch (and every checkpoint_every epochs when set).
     """
     cfg.validate()

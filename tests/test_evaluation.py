@@ -83,6 +83,22 @@ def test_split_tiny_class_goes_to_train():
     assert np.sum(labels[split.test] == 1) == 0
 
 
+def test_split_warns_of_a_class_rounded_out_of_validation():
+    # 4 members at 2:1:7 round to 1 train, 0 validation and 3 test nodes
+    labels = _labels([4] * 5)
+    with pytest.warns(UserWarning, match=r"class \d has 4 members and gets no validation node") as seen:
+        split = make_split(labels, (2, 1, 7), seed=0)
+    assert sorted(int(str(w.message).split()[1]) for w in seen) == [0, 1, 2, 3, 4]
+    assert split.sizes == (5, 0, 15)  # the cut itself is the same as without the warning
+
+
+def test_split_warns_of_a_class_rounded_out_of_train_and_validation():
+    labels = _labels([20, 20, 5])  # round(0.5) is 0: no train and no validation node
+    with pytest.warns(UserWarning, match="class 2 has 5 members and gets no train and no validation"):
+        split = make_split(labels, (1, 1, 8), seed=0)
+    assert np.count_nonzero(labels[split.test] == 2) == 5
+
+
 def test_split_validation():
     with pytest.raises(DataError, match="at least 10 labeled"):
         make_split(np.array([0, 1, 0, -1]), (1, 1, 8))

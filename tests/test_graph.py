@@ -14,7 +14,7 @@ from tgcl import (
     synthesize_features,
     to_snapshots,
 )
-from tgcl.graph import read_table
+from tgcl.graph import read_table, running_index
 
 
 def _write(tmp_path, name, text):
@@ -438,6 +438,13 @@ _EXACT_VALUES = ["5e-324", "-5e-324", "1e-320", "2.225073858507201e-308",
                  "2.4703282292062327e-324", "1e-400", "9007199254740993",
                  "123456789012345678901234567890"]
 _EXACT_IDS = [0, 2**53 + 1, 2**63 - 1]
+
+
+def test_running_index_numbers_the_true_entries():
+    mask = np.array([False, True, True, False, False, True])
+    np.testing.assert_array_equal(running_index(mask), [-1, 0, 1, 1, 1, 2])
+    assert running_index(mask).dtype == np.cumsum(mask).dtype
+    assert running_index(np.zeros(0, dtype=bool)).size == 0
 
 
 def test_values_and_ids_read_bit_identical_to_float_and_int(tmp_path):

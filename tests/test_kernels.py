@@ -76,6 +76,18 @@ def test_leaky_relu_values():
     np.testing.assert_allclose(relu(x), [[0.0, 0.0, 3.0]])
 
 
+def test_leaky_relu_bytes_equal_the_select_form():
+    # zeros of both signs, infinities, NaN, subnormals and the largest doubles
+    x = np.array([[-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   1.7976931348623157e308, -1.7976931348623157e308, -3.5, 2.25]])
+    g = np.random.default_rng(0).standard_normal(x.shape)
+    for slope in (0.01, 0.2, 0.5, 1.0):
+        want = np.where(x > 0.0, x, slope * x)
+        assert leaky_relu(x, slope).tobytes() == want.tobytes(), slope
+        want = g * np.where(x > 0.0, 1.0, slope)
+        assert leaky_relu_backward(g, x, slope).tobytes() == want.tobytes(), slope
+
+
 def test_segment_reduce_examples():
     vals = np.array([[1.0, 3.0], [3.0, 5.0]])
     ptr = np.array([0, 2])
@@ -185,6 +197,44 @@ def test_adam_weight_decay_coupled():
     st = AdamState(lr=0.1, weight_decay=0.01)
     adam_step(p, {"w": np.array([0.0])}, st)
     assert p["w"][0] < 5.0
+
+
+def _allocating_adam_step(params, grads, state):
+    """The update written with a temporary per operation, as the rounding
+    of in-place Adam must reproduce."""
+    state.step_count += 1
+    t = state.step_count
+    c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+    for name, p in params.items():
+        g = grads[name]
+        if state.weight_decay != 0.0:
+            g = g + state.weight_decay * p
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_adam_bytes_equal_the_allocating_update(weight_decay):
+    rng = np.random.default_rng(3)
+    got = {"w": rng.standard_normal((65, 4)), "b": rng.standard_normal(7)}
+    want = {k: v.copy() for k, v in got.items()}
+    st_got = AdamState(lr=4e-3, weight_decay=weight_decay)
+    st_want = AdamState(lr=4e-3, weight_decay=weight_decay)
+    for _ in range(20):
+        grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(-6, 3) for k, v in got.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        adam_step(got, grads, st_got)
+        _allocating_adam_step(want, grads, st_want)
+        for k in got:
+            assert grads[k].tobytes() == kept[k].tobytes(), k  # the gradients are not written
+            assert got[k].tobytes() == want[k].tobytes(), k
+            assert st_got.m[k].tobytes() == st_want.m[k].tobytes(), k
+            assert st_got.v[k].tobytes() == st_want.v[k].tobytes(), k
 
 
 def test_adam_shape_mismatch():

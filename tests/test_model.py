@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tgcl.model
 from tgcl import (
     DataError,
     ModelParams,
@@ -12,6 +14,7 @@ from tgcl import (
     embed_views,
     embed_views_backward,
     encode,
+    full_view,
     init_params,
     load_params,
     multi_view_loss,
@@ -494,6 +497,62 @@ def test_restricted_encode_rows_equal_the_full_encode(view, data):
     h, _ = encode(adj, p0, params, rows)
     assert h.shape[0] == rows.sum()
     assert h.tobytes() == full[rows].tobytes()
+
+
+@st.composite
+def _views_with_isolated_nodes(draw):
+    """The full view of a small graph: duplicate, reversed and self edges
+    are common, and label-only nodes are isolated, so their rows of Â hold
+    only the self-loop."""
+    n = draw(st.integers(1, 8))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         min_size=1, max_size=20))
+    src, dst = np.array(ends).T
+    extra = np.array(draw(st.lists(st.integers(n, n + 3), max_size=3, unique=True)), dtype=np.int64)
+    g = build_graph(src, dst, np.arange(len(ends), dtype=np.float64),
+                    labels=(extra, extra % 2) if extra.size else None,
+                    feature_policy="random", feature_dim=draw(st.sampled_from([1, 3])),
+                    feature_seed=n)
+    return full_view(g)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_views_with_isolated_nodes(), st.data())
+def test_p0_rows_are_the_rows_of_the_full_product_each_computed_once(view, data):
+    n = view.num_active
+    masks = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    reads = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        kind = data.draw(st.sampled_from(["mask", "empty", "all", "repeat"]))
+        if kind == "repeat" and reads:
+            reads.append(reads[data.draw(st.integers(0, len(reads) - 1))].copy())
+        elif kind in ("empty", "all"):
+            reads.append(np.full(n, kind == "all"))
+        else:
+            reads.append(data.draw(masks))
+    _, adj, p0 = view_entry(view)
+    full = adj.norm @ view.features
+    computed = []
+    product = tgcl.model.adj_matmul
+
+    def counted(adj, x, rows=None):
+        computed.append(np.ones(n, dtype=bool) if rows is None else rows.copy())
+        return product(adj, x, rows)
+
+    with mock.patch.object(tgcl.model, "adj_matmul", counted):
+        for frontier in reads:
+            block = p0.take(frontier)
+            assert (block.dtype, block.shape) == (full.dtype, full[frontier].shape)
+            assert block.tobytes() == full[frontier].tobytes()
+    # every row read is computed once, and no row that no read asked for
+    times = np.sum(computed, axis=0) if computed else np.zeros(n, dtype=int)
+    np.testing.assert_array_equal(times, np.any(reads, axis=0).astype(int))
+
+
+def test_nbr_is_built_on_first_access_only():
+    adj = normalize_adjacency(_random_view(seed=2))
+    assert "nbr" not in vars(adj)
+    assert adj.nbr is adj.nbr  # built once, then kept
 
 
 def test_param_count_formula():

@@ -44,6 +44,27 @@ def _oracle_adjacency(view):
     return norm, nbr
 
 
+def _former_nbr(view):
+    """The neighbour matrix as normalize_adjacency built it beside Â before
+    ``nbr`` was read off Â's structure, kept verbatim."""
+    n = view.num_active
+    a = np.minimum(view.src, view.dst)
+    b = np.maximum(view.src, view.dst)
+    # sort + adjacent compare: plain np.unique hashes, many times slower than a sort
+    keys = np.sort((a * np.int64(n) + b)[a != b])
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
+    a, b = np.divmod(pairs, n)
+    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) + 1  # self-loop
+    loops = np.arange(n, dtype=np.int64)
+    # the entries (a, b), (b, a) and (i, i) in row-major order, by their keys row·n + col
+    rows, cols = np.divmod(np.sort(np.concatenate([pairs, b * n + a, loops * (n + 1)])), n)
+    # drop the self-loop of every node that has another neighbour
+    nbr_cols = cols[(rows != cols) | (deg[rows] == 1)]
+    nbr_indptr = np.concatenate(([0], np.cumsum(np.maximum(deg - 1, 1))))
+    nbr = sp.csr_array((np.ones(nbr_cols.size), nbr_cols, nbr_indptr), shape=(n, n))
+    return nbr
+
+
 def _assert_bytes_equal(got, want, name):
     got, want = np.asarray(got), np.asarray(want)
     assert (got.dtype, got.shape) == (want.dtype, want.shape), name
@@ -103,3 +124,15 @@ def test_full_view_matches_the_sort_based_oracle(graph):
     # every node is active, isolated and label-only nodes included
     _check(view, {"active": np.arange(graph.num_nodes, dtype=np.int64), "src": graph.src,
                   "dst": graph.dst, "timestamps": graph.timestamps, "features": graph.features})
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_graphs(), st.data())
+def test_nbr_read_off_norm_equals_the_former_construction(graph, data):
+    ends = st.sampled_from(sorted(set(graph.timestamps.tolist())))
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    view = data.draw(st.sampled_from([slice_interval(graph, lo, hi), full_view(graph)]))
+    got, want = normalize_adjacency(view).nbr, _former_nbr(view)
+    assert got.shape == want.shape and got.has_canonical_format
+    for part in ("indptr", "indices", "data"):
+        _assert_bytes_equal(getattr(got, part), getattr(want, part), part)
