@@ -37,6 +37,7 @@ from .model import (
     ModelParams,
     NormalizedAdjacency,
     READOUT_STATS,
+    ViewEntry,
     embed_views,
     embed_views_backward,
     encode,
@@ -45,6 +46,7 @@ from .model import (
     normalize_adjacency,
     project,
     readout,
+    readout_rows,
     save_params,
     view_entry,
 )
@@ -98,6 +100,7 @@ __all__ = [
     "ModelParams",
     "NormalizedAdjacency",
     "READOUT_STATS",
+    "ViewEntry",
     "embed_views",
     "embed_views_backward",
     "encode",
@@ -105,6 +108,7 @@ __all__ = [
     "normalize_adjacency",
     "project",
     "readout",
+    "readout_rows",
     "save_params",
     "view_entry",
     "load_params",

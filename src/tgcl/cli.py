@@ -30,7 +30,7 @@ from .evaluation import (
     probe_invariance,
     train_linear_probe,
 )
-from .graph import FEATURE_POLICIES, label_codes, load_temporal_graph, read_table
+from .graph import FEATURE_POLICIES, csv_text, label_codes, load_temporal_graph, read_table
 from .losses import LossConfig
 from .model import READOUT_STATS, load_params
 from .sampling import STRATEGIES, SamplerConfig, sample_windows
@@ -220,12 +220,6 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _csv(rows) -> str:
-    """CSV text, one ``repr`` per cell. Cells must be Python ints and floats
-    (``.tolist()``, ``float()``): NumPy 2 reprs a scalar as ``np.float64(...)``."""
-    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-
 def _write(path, text: str) -> None:
     """Write text as UTF-8 to path, making its directory first."""
     path = Path(path)
@@ -248,9 +242,9 @@ def _run_sample_views(conf: dict) -> int:
         raise DataError(f"epochs must be at least 1, got {conf['epochs']}")
     graph = load_temporal_graph(conf["edges"])
     cfg = SamplerConfig(strategy=conf["strategy"], s=conf["s"], v=conf["v"])
-    text = _csv((epoch, index, float(w.lo), float(w.hi))
-                for epoch in range(1, conf["epochs"] + 1)
-                for index, w in enumerate(sample_windows(graph, cfg, epoch, conf["seed"])))
+    text = csv_text((epoch, index, float(w.lo), float(w.hi))
+                    for epoch in range(1, conf["epochs"] + 1)
+                    for index, w in enumerate(sample_windows(graph, cfg, epoch, conf["seed"])))
     if conf["out"]:
         out = Path(conf["out"])
         _write(out, text)
@@ -269,10 +263,10 @@ def _run_synth(conf: dict) -> int:
     prefix = Path(conf["out_prefix"])
     edges_path, labels_path = Path(f"{prefix}.edges.csv"), Path(f"{prefix}.labels.csv")
     ids = graph.node_ids
-    _write(edges_path, _csv(zip(ids[graph.src].tolist(), ids[graph.dst].tolist(),
-                                graph.timestamps.tolist())))
+    _write(edges_path, csv_text(zip(ids[graph.src].tolist(), ids[graph.dst].tolist(),
+                                    graph.timestamps.tolist())))
     labelled = graph.labels >= 0
-    _write(labels_path, _csv(zip(ids[labelled].tolist(), graph.labels[labelled].tolist())))
+    _write(labels_path, csv_text(zip(ids[labelled].tolist(), graph.labels[labelled].tolist())))
     _write_resolved(prefix.parent, "synth", conf)
     print(f"wrote {graph.num_edges} edges to {edges_path} and {labelled.sum()} labels to {labels_path}")
     return 0
@@ -343,7 +337,7 @@ def _run_embed(conf: dict) -> int:
             f"graph features have dim {graph.feature_dim} but checkpoint expects {params.d_in}")
     table = embed_all(graph, params)
     out = Path(conf["out"])
-    _write(out, _csv([nid, *row] for nid, row in zip(graph.node_ids.tolist(), table.tolist())))
+    _write(out, csv_text([nid, *row] for nid, row in zip(graph.node_ids.tolist(), table.tolist())))
     _write_resolved(out.parent, "embed", conf)
     print(f"wrote {table.shape[0]} embeddings of width {table.shape[1]} to {out}")
     return 0
@@ -382,7 +376,7 @@ def _run_probe_invariance(conf: dict) -> int:
     )
     result = probe_invariance(graph, graph.labels, conf["s"], cfg)
     out = Path(conf["out"])
-    _write(out, _csv(result.matrix.tolist()))
+    _write(out, csv_text(result.matrix.tolist()))
     _write_resolved(out.parent, "probe-invariance", conf)
     mean = result.mean_agreement()
     print(f"mean off-diagonal agreement {mean:.4f} over {result.eval_nodes.size} shared "

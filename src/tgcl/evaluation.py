@@ -22,8 +22,8 @@ from .errors import DataError
 from .graph import SampledView, TemporalGraph, build_graph, running_index, to_snapshots
 from .kernels import AdamState, adam_step
 from .losses import softmax_cross_entropy
-from .model import (NormalizedAdjacency, P0Rows, encode, encode_backward, glorot, init_params,
-                    normalize_adjacency)
+from .model import (NormalizedAdjacency, ViewEntry, encode, encode_backward, glorot, init_params,
+                    view_entry)
 
 PROBE_ENCODERS = ("gcn", "mlp")
 
@@ -53,6 +53,8 @@ def make_split(labels: np.ndarray, ratios: tuple = (1, 1, 8), seed: int = 0) -> 
     node, where that part's ratio is positive, is cut as usual and warned
     of too: the probe can never learn it, or never validate on it.
     """
+    if seed < 0:
+        raise DataError(f"split seed must be non-negative, got {seed}")
     labels = np.asarray(labels)
     labeled = np.flatnonzero(labels >= 0)
     if labeled.size < 10:
@@ -242,6 +244,11 @@ class InvarianceConfig:
             raise DataError(f"unknown probe encoder {self.encoder!r}; expected one of {PROBE_ENCODERS}")
         if self.epochs < 1 or not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
             raise DataError("probe epochs must be >= 1 and rates finite, lr > 0, weight decay >= 0")
+        if self.d_hidden < 1 or self.d_out < 1:
+            raise DataError(f"probe layer widths must be at least 1, got d_hidden {self.d_hidden} "
+                            f"and d_out {self.d_out}")
+        if self.seed < 0:
+            raise DataError(f"probe seed must be non-negative, got {self.seed}")
         return self
 
 
@@ -277,10 +284,10 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     head_w = glorot(base, cfg.d_out, num_classes)
     head_b = np.zeros(num_classes)
     if cfg.encoder == "gcn":
-        adj = normalize_adjacency(view)
+        entry = view_entry(view)
     else:
-        adj = NormalizedAdjacency(norm=sp.eye_array(view.num_active, format="csr"))
-    p0 = P0Rows(adj, view.features)
+        eye = sp.eye_array(view.num_active, format="csr")
+        entry = ViewEntry(view, NormalizedAdjacency(norm=eye))
     train_rows = np.zeros(view.num_active, dtype=bool)
     train_rows[train_local] = True
 
@@ -289,7 +296,7 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_h = running_index(train_rows)[train_local]  # the train nodes' rows of h
     for _ in range(cfg.epochs):
-        h, cache = encode(adj, p0, params, train_rows)
+        h, cache = encode(entry, params, train_rows)
         _, g_logits = softmax_cross_entropy(h[train_h] @ head_w + head_b, y_train)
         g_h = np.zeros_like(h)
         g_h[train_h] = g_logits @ head_w.T
@@ -297,7 +304,7 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
         grads = {"gcn_w1": enc_grads["gcn_w1"], "gcn_w2": enc_grads["gcn_w2"],
                  "head_w": h[train_h].T @ g_logits, "head_b": g_logits.sum(axis=0)}
         adam_step(trainable, grads, state)
-    h, _ = encode(adj, p0, params, np.ones(view.num_active, dtype=bool))
+    h, _ = encode(entry, params, np.ones(view.num_active, dtype=bool))
     return h @ head_w + head_b
 
 
@@ -318,6 +325,10 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
         if len(labels_per_span) != s:
             raise DataError(f"got {len(labels_per_span)} label arrays for s={s} timespans")
 
+    # a timespan without labels is marked missing below
+    num_classes = max((int(a.max()) for a in labels_per_span if a.size), default=-1) + 1
+    if num_classes < 1:
+        raise DataError("no timespan has a labeled node")
     views = to_snapshots(graph, s)
     split = make_split(labels_per_span[0], ratios=cfg.ratios, seed=cfg.seed)
 
@@ -329,7 +340,6 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
         raise DataError("every timespan is empty")
     eval_nodes = np.intersect1d(shared, split.test, assume_unique=True)
 
-    num_classes = int(max(int(a[a >= 0].max()) for a in labels_per_span)) + 1
     preds = [None] * s
     missing = []
     for t in range(s):

@@ -214,6 +214,12 @@ def read_table(path, table: str) -> tuple:
     return (ids[:, 0] if k == 1 else ids), (values[:, 0] if fixed else values)
 
 
+def csv_text(rows) -> str:
+    """CSV text, one ``repr`` per cell. Cells must be Python ints and floats
+    (``.tolist()``, ``float()``): NumPy 2 reprs a scalar as ``np.float64(...)``."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def label_codes(values) -> tuple:
     """Class codes (int64) for label values, and the class names.
 

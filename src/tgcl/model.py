@@ -14,13 +14,11 @@ one parameter object.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,15 +88,10 @@ def init_params(d_in: int, d_hidden: int = 128, d_out: int = 64, seed: int = 0) 
 
 @dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
-    """A view's two sparse neighbour matrices over its active nodes.
-
-    ``norm`` is the symmetric D^-1/2 (A + I) D^-1/2 the encoder propagates
-    with. ``nbr`` is the 0/1 neighbour matrix A with a self-loop on each
-    node that has no other neighbour, so every row is non-empty; the
-    readout aggregates its rows. It is read off ``norm``'s structure on
-    first access, so only a graph-level readout builds it. Both are CSR
-    with sorted column indices.
-    """
+    """A view's sparse adjacency over its active nodes: ``norm`` is the
+    symmetric D^-1/2 (A + I) D^-1/2, CSR with sorted column indices. The
+    encoder propagates with it, and the readout reads its neighbour rows
+    off its structure (:func:`readout_rows`)."""
 
     norm: sp.csr_array
 
@@ -109,23 +102,12 @@ class NormalizedAdjacency:
         vals.flags.writeable = False
         return vals
 
-    @functools.cached_property
-    def nbr(self) -> sp.csr_array:
-        n = self.norm.shape[0]
-        deg = np.diff(self.norm.indptr)  # distinct neighbours plus the self-loop
-        rows = np.repeat(np.arange(n), deg)
-        cols = self.norm.indices
-        # drop the self-loop of every node that has another neighbour
-        nbr_cols = cols[(rows != cols) | (deg[rows] == 1)]
-        indptr = np.concatenate(([0], np.cumsum(np.maximum(deg - 1, 1))))
-        return sp.csr_array((np.ones(nbr_cols.size), nbr_cols, indptr), shape=(n, n))
-
 
 def normalize_adjacency(view: SampledView) -> NormalizedAdjacency:
     """Symmetrize, add self-loops, normalize by sqrt of augmented degrees.
 
-    Duplicate, reversed and self edges collapse, so both matrices depend
-    only on the set of distinct undirected pairs, not on edge order.
+    Duplicate, reversed and self edges collapse, so Â depends only on the
+    set of distinct undirected pairs, not on edge order.
     """
     if view.is_empty:
         raise DataError("cannot normalize adjacency of an empty view")
@@ -152,37 +134,40 @@ def adj_matmul(adj: NormalizedAdjacency, x: np.ndarray, rows: np.ndarray | None 
     return (adj.norm if rows is None else adj.norm[rows]) @ x
 
 
-class P0Rows:
-    """P0 = Â·X of one view, computed row by row as the encoder reads it.
+class ViewEntry:
+    """One view with what the encoder needs of it: Â, and the rows of
+    P0 = Â·X computed so far.
 
     P0 is the first propagation and has no parameters, so a row once
     computed serves every later step that draws the view's window. A read
-    computes only the rows it asks for that no earlier read did, as one
-    ``adj_matmul`` over those rows, and keeps them; a first read of every
-    row is the one full product. Each row is bit-identical to that row of
-    Â @ X.
+    (:meth:`p0`) computes only the rows it asks for that no earlier read
+    did, as one ``adj_matmul`` over those rows, and keeps them; a first
+    read of every row is the one full product. Each row is bit-identical
+    to that row of Â @ X.
     """
 
-    def __init__(self, adj: NormalizedAdjacency, features: np.ndarray):
+    def __init__(self, view: SampledView, adj: NormalizedAdjacency):
+        self.view = view
         self.adj = adj
-        self.features = features
+        features = view.features
         self.rows = np.empty((0, features.shape[1]))  # the rows computed so far, in that order
         self.slot = np.full(features.shape[0], -1)  # a node's row in ``rows``; -1: not yet computed
         self.count = 0
 
-    def take(self, frontier: np.ndarray) -> np.ndarray:
+    def p0(self, frontier: np.ndarray) -> np.ndarray:
         """P0[frontier] for a boolean mask over the view's nodes."""
         missing = frontier & (self.slot < 0)
         k = np.count_nonzero(missing)
         if k == 0:
             return self.rows[self.slot[frontier]]
         start = self.count
-        block = adj_matmul(self.adj, self.features, None if k == missing.size else missing)
+        features = self.view.features
+        block = adj_matmul(self.adj, features, None if k == missing.size else missing)
         if start == 0:
             self.rows = block
         else:
             if self.rows.shape[0] < start + k:  # room for every row, made once
-                grown = np.empty(self.features.shape)
+                grown = np.empty(features.shape)
                 grown[:start] = self.rows
                 self.rows = grown
             self.rows[start:start + k] = block
@@ -192,18 +177,8 @@ class P0Rows:
         return block if k == np.count_nonzero(frontier) else self.rows[self.slot[frontier]]
 
 
-class ViewEntry(NamedTuple):
-    """One view with what the encoder needs of it: Â and the rows of
-    P0 = Â·X read so far (:class:`P0Rows`)."""
-
-    view: SampledView
-    adj: NormalizedAdjacency
-    p0: P0Rows
-
-
 def view_entry(view: SampledView) -> ViewEntry:
-    adj = normalize_adjacency(view)
-    return ViewEntry(view, adj, P0Rows(adj, view.features))
+    return ViewEntry(view, normalize_adjacency(view))
 
 
 @dataclass(eq=False)
@@ -214,23 +189,23 @@ class EncodeCache:
     p1: np.ndarray  # Â[rows] · ReLU(s1)
 
 
-def encode(adj: NormalizedAdjacency, p0: P0Rows, params: ModelParams, rows: np.ndarray):
+def encode(entry: ViewEntry, params: ModelParams, rows: np.ndarray):
     """Two-layer graph convolution, ReLU between the layers, on the rows
     asked for.
 
-    ``p0`` holds the view's P0 = Â·X (:class:`P0Rows`) and ``rows`` is a
-    boolean mask over the view's nodes. Layer 1 runs only on F, the
-    columns of Â[rows], and reads only P0[F]:
+    ``entry`` holds the view, its Â and its P0 = Â·X (:class:`ViewEntry`)
+    and ``rows`` is a boolean mask over the view's nodes. Layer 1 runs only
+    on F, the columns of Â[rows], and reads only P0[F]:
     H = Â[rows] · ReLU(P0[F] · W1) · W2. Returns (H, cache); H has one row
     per True entry of ``rows``, in row order.
     """
-    d_in = p0.features.shape[1]
+    d_in = entry.view.features.shape[1]
     if d_in != params.d_in:
         raise ValueError(f"feature dim {d_in} != encoder input dim {params.d_in}")
-    a_rows = adj.norm[rows]
+    a_rows = entry.adj.norm[rows]
     frontier = np.zeros(rows.shape[0], dtype=bool)
     frontier[a_rows.indices] = True
-    p0 = p0.take(frontier)
+    p0 = entry.p0(frontier)
     cols = running_index(frontier)[a_rows.indices]  # positions in F
     a_rows = sp.csr_array((a_rows.data, cols, a_rows.indptr), shape=(a_rows.shape[0], p0.shape[0]))
     s1 = kernels.matmul(p0, params.gcn_w1)
@@ -246,6 +221,18 @@ def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, params: ModelParams
     return {"gcn_w1": cache.p0.T @ g_s1, "gcn_w2": g_w2}
 
 
+def readout_rows(adj: NormalizedAdjacency, batch: np.ndarray) -> sp.csr_array:
+    """The 0/1 neighbour rows of the view nodes ``batch``: each node's
+    distinct neighbours, or the node itself when it has none, so every row
+    is non-empty. They are Â's rows without the self-loop, kept only on a
+    row that has nothing else."""
+    a_rows = adj.norm[batch]
+    deg = np.diff(a_rows.indptr)  # distinct neighbours plus the self-loop
+    cols = a_rows.indices[(a_rows.indices != np.repeat(batch, deg)) | (np.repeat(deg, deg) == 1)]
+    indptr = np.concatenate(([0], np.cumsum(np.maximum(deg - 1, 1))))
+    return sp.csr_array((np.ones(cols.size), cols, indptr), shape=a_rows.shape)
+
+
 @dataclass(eq=False)
 class ReadoutCache:
     rows: sp.csr_array  # the batch rows of the neighbour matrix
@@ -255,11 +242,11 @@ class ReadoutCache:
 def readout(rows: sp.csr_array, h: np.ndarray, stat: str = "mean"):
     """Aggregate each batch node's 1-hop in-view neighbor rows of ``h``.
 
-    ``rows`` are the batch rows of a view's neighbour matrix ``nbr``, with
-    columns that index ``h``. The node itself is excluded; a batch node
-    with no in-view neighbor falls back to its own row. Mean and sum are
-    one sparse product with ``rows``; max reduces over their index
-    segments. Returns (matrix, cache).
+    ``rows`` are the batch rows of a view's neighbour matrix
+    (:func:`readout_rows`), with columns that index ``h``. The node itself
+    is excluded; a batch node with no in-view neighbor falls back to its
+    own row. Mean and sum are one sparse product with ``rows``; max
+    reduces over their index segments. Returns (matrix, cache).
     """
     if stat not in READOUT_STATS:
         raise ValueError(f"unknown readout stat {stat!r}; expected one of {READOUT_STATS}")
@@ -334,7 +321,7 @@ def embed_views(
     """Encode every view with the same parameters and project the batch
     rows into queries and keys.
 
-    ``entries`` are :class:`ViewEntry` tuples (see :func:`view_entry`).
+    ``entries`` are :class:`ViewEntry` objects (see :func:`view_entry`).
     ``batch_nodes`` are internal graph node indices that must be active in
     every view. The queries are the projected batch rows. With the
     neighborhood, the keys are the projected readouts of those rows; the
@@ -344,20 +331,21 @@ def embed_views(
     """
     batch_nodes = np.asarray(batch_nodes, dtype=np.int64)
     pairs, caches = [], []
-    for view, adj, p0 in entries:
-        batch_local = view.local_index_of(batch_nodes)
-        rows = np.zeros(view.num_active, dtype=bool)
+    for entry in entries:
+        batch_local = entry.view.local_index_of(batch_nodes)
+        rows = np.zeros(entry.view.num_active, dtype=bool)
         rows[batch_local] = True
         if with_neighborhood:
-            nbr = adj.nbr[batch_local]
-            rows[nbr.indices] = True
-        h, enc_cache = encode(adj, p0, params, rows)
+            neigh = readout_rows(entry.adj, batch_local)
+            rows[neigh.indices] = True
+        h, enc_cache = encode(entry, params, rows)
         pos = running_index(rows)  # the row of h of each node in rows
         batch = pos[batch_local]
         x, read_cache = h[batch], None
         if with_neighborhood:
-            nbr = sp.csr_array((nbr.data, pos[nbr.indices], nbr.indptr), shape=(batch.size, len(h)))
-            r, read_cache = readout(nbr, h, stat=stat)
+            neigh = sp.csr_array((neigh.data, pos[neigh.indices], neigh.indptr),
+                                 shape=(batch.size, len(h)))
+            r, read_cache = readout(neigh, h, stat=stat)
             x = np.vstack([x, r])
         z, proj_cache = project(x, params)
         pairs.append((z[:batch.size], z[batch.size:]) if with_neighborhood else (z, z))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError
-from .graph import TemporalGraph, full_view, slice_interval
+from .graph import TemporalGraph, csv_text, full_view, slice_interval
 from .kernels import AdamState, adam_step
 from .losses import LossConfig, multi_view_loss
 from .model import (
@@ -91,19 +91,12 @@ class TrainLog:
     def csv_lines(self):
         """Deterministic CSV serialization: identical runs produce
         identical bytes."""
-        if not self.records:
-            return ["epoch,loss,shared\n"]
-        v = len(self.records[0].windows)
+        v = len(self.records[0].windows) if self.records else 0
         cols = ["epoch", "loss", "shared"]
-        for i in range(1, v + 1):
-            cols += [f"lo{i}", f"hi{i}"]
-        lines = [",".join(cols) + "\n"]
-        for r in self.records:
-            cells = [str(r.epoch), repr(float(r.loss)), str(r.shared)]
-            for w in r.windows:
-                cells += [repr(float(w.lo)), repr(float(w.hi))]
-            lines.append(",".join(cells) + "\n")
-        return lines
+        cols += [f"{end}{i}" for i in range(1, v + 1) for end in ("lo", "hi")]
+        body = csv_text((int(r.epoch), float(r.loss), int(r.shared),
+                         *(float(x) for w in r.windows for x in (w.lo, w.hi))) for r in self.records)
+        return [",".join(cols) + "\n", *body.splitlines(keepends=True)]
 
 
 def shared_nodes(views) -> np.ndarray:
@@ -212,6 +205,5 @@ def embed_all(graph: TemporalGraph, params: ModelParams) -> np.ndarray:
     pre-projection hidden matrix, one row per node in graph.node_ids
     order. Isolated nodes see only their self-loop.
     """
-    _, adj, p0 = view_entry(full_view(graph))
-    h, _ = encode(adj, p0, params, np.ones(graph.num_nodes, dtype=bool))
+    h, _ = encode(view_entry(full_view(graph)), params, np.ones(graph.num_nodes, dtype=bool))
     return h

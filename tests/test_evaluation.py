@@ -107,6 +107,8 @@ def test_split_validation():
         make_split(labels, (1, 1), seed=0)
     with pytest.raises(DataError, match="ratios"):
         make_split(labels, (1, -1, 8), seed=0)
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        make_split(labels, (1, 1, 8), seed=-1)
 
 
 def test_cross_entropy_hand_case():
@@ -428,6 +430,12 @@ def test_invariance_config_validation():
         InvarianceConfig(encoder="tree").validate()
     with pytest.raises(DataError, match="epochs"):
         InvarianceConfig(epochs=0).validate()
+    with pytest.raises(DataError, match="layer widths"):
+        InvarianceConfig(d_hidden=0).validate()
+    with pytest.raises(DataError, match="layer widths"):
+        InvarianceConfig(d_out=0).validate()
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        InvarianceConfig(seed=-1).validate()
 
 
 def _probe_fixture(seed=1):
@@ -495,6 +503,17 @@ def test_invariance_missing_timespan_nan():
     assert np.isnan(res.matrix[1]).all() and np.isnan(res.matrix[:, 2]).all()
     assert np.isfinite(res.matrix[0, 3])
     assert res.mean_agreement() == pytest.approx(res.matrix[0, 3])
+
+
+def test_invariance_timespan_without_labels_is_missing():
+    g = _probe_fixture()
+    unlabeled = np.full(g.num_nodes, -1)
+    with pytest.warns(UserWarning, match="timespan 1 has no shared labeled nodes"):
+        res = probe_invariance(g, [g.labels, unlabeled], 2, FAST_PROBE)
+    assert res.missing == (1,)
+    assert res.matrix[0, 0] == 1.0 and np.isnan(res.matrix[1]).all()
+    with pytest.raises(DataError, match="no timespan has a labeled node"):
+        probe_invariance(g, [unlabeled, unlabeled], 2, FAST_PROBE)
 
 
 def _full_height_probe(view, y_train, train_local, num_classes, cfg, stream):

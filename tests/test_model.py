@@ -21,6 +21,7 @@ from tgcl import (
     normalize_adjacency,
     project,
     readout,
+    readout_rows,
     save_params,
     slice_interval,
     view_entry,
@@ -56,8 +57,7 @@ def _identity_params(d):
 
 def _encode_all(view, params):
     """The encoder asked for every row of the view."""
-    _, adj, p0 = view_entry(view)
-    return encode(adj, p0, params, np.ones(view.num_active, dtype=bool))
+    return encode(view_entry(view), params, np.ones(view.num_active, dtype=bool))
 
 
 def _dense_norm_adj(view):
@@ -190,11 +190,11 @@ def test_readout_mean_sum_hand_case():
     view = slice_interval(g, 0.0, 3.0)
     h = view.features  # use raw features as the hidden rows
     batch = view.local_index_of(np.array([0]))
-    out, _ = readout(normalize_adjacency(view).nbr[batch], h, stat="mean")
+    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
     np.testing.assert_allclose(out, [[2.0, 4.0]])
-    out, _ = readout(normalize_adjacency(view).nbr[batch], h, stat="sum")
+    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="sum")
     np.testing.assert_allclose(out, [[4.0, 8.0]])
-    out, _ = readout(normalize_adjacency(view).nbr[batch], h, stat="max")
+    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="max")
     np.testing.assert_allclose(out, [[3.0, 5.0]])
 
 
@@ -206,7 +206,7 @@ def test_readout_excludes_self_and_falls_back_when_isolated():
     view = slice_interval(g, 0.0, 2.0)
     h = view.features
     batch = view.local_index_of(np.array([0, 1, 2]))
-    out, _ = readout(normalize_adjacency(view).nbr[batch], h, stat="mean")
+    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
     # neighbors only: 0 sees 1, 1 sees 0; 2 has none and keeps its own row
     np.testing.assert_allclose(out, [[10.0], [1.0], [7.0]])
 
@@ -224,7 +224,7 @@ def test_readout_matches_naive_loop():
             nbrs[int(v)].add(int(u))
 
     for stat, red in (("mean", np.mean), ("sum", np.sum), ("max", np.max)):
-        out, _ = readout(normalize_adjacency(view).nbr[batch], h, stat=stat)
+        out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat=stat)
         for i in range(view.num_active):
             rows = h[sorted(nbrs[i])] if nbrs[i] else h[[i]]
             np.testing.assert_allclose(out[i], red(rows, axis=0), err_msg=f"{stat} node {i}")
@@ -242,15 +242,15 @@ def test_readout_permutation_invariance():
         timestamps=view.timestamps[perm], features=view.features,
     )
     for stat in ("mean", "sum", "max"):
-        a, _ = readout(normalize_adjacency(view).nbr[batch], h, stat=stat)
-        b, _ = readout(normalize_adjacency(shuffled).nbr[batch], h, stat=stat)
+        a, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat=stat)
+        b, _ = readout(readout_rows(normalize_adjacency(shuffled), batch), h, stat=stat)
         np.testing.assert_allclose(a, b, atol=1e-12, err_msg=stat)
 
 
 def test_readout_unknown_stat():
     view = _random_view()
     with pytest.raises(ValueError, match="unknown readout stat"):
-        readout(normalize_adjacency(view).nbr[np.array([0])], view.features, stat="median")
+        readout(readout_rows(normalize_adjacency(view), np.array([0])), view.features, stat="median")
 
 
 def test_project_rows_unit_norm():
@@ -319,7 +319,8 @@ def test_embed_views_shapes_and_alignment():
     views = _two_view_graph()
     params = init_params(5, 8, 4, seed=0)
     pairs, caches = embed_views(views, np.array([3]), params)
-    for (view, _, _), (q, k), cache in zip(views, pairs, caches):
+    for entry, (q, k), cache in zip(views, pairs, caches):
+        view = entry.view
         assert q.shape == (1, 4) and k.shape == (1, 4)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-6)
         full, _ = _encode_all(view, params)
@@ -332,11 +333,11 @@ def test_embed_views_compositional_oracle():
     params = init_params(5, 8, 4, seed=1)
     batch = np.array([0, 2, 5])
     pairs, _ = embed_views(views, batch, params, stat="sum")
-    for (view, adj, _), (q, k) in zip(views, pairs):
-        h, _ = _encode_all(view, params)
-        local = view.local_index_of(batch)
+    for entry, (q, k) in zip(views, pairs):
+        h, _ = _encode_all(entry.view, params)
+        local = entry.view.local_index_of(batch)
         queries, _ = project(h[local], params)
-        r, _ = readout(adj.nbr[local], h, stat="sum")
+        r, _ = readout(readout_rows(entry.adj, local), h, stat="sum")
         keys, _ = project(r, params)
         np.testing.assert_allclose(q, queries, atol=1e-12)
         np.testing.assert_allclose(k, keys, atol=1e-12)
@@ -400,7 +401,8 @@ def _full_path(entries, batch, params, level, stat):
     forward and backward, with a dense Â, and the readouts projected apart
     from the batch rows: the oracle for the restriction and the stacking."""
     pairs, saved = [], []
-    for view, adj, _ in entries:
+    for entry in entries:
+        view, adj = entry.view, entry.adj
         a = adj.norm.toarray()
         p0 = a @ view.features
         s1 = p0 @ params.gcn_w1
@@ -410,7 +412,7 @@ def _full_path(entries, batch, params, level, stat):
         queries, proj_q = project(h[local], params)
         keys, proj_k, read = queries, None, None
         if level == "graph":
-            r, read = readout(adj.nbr[local], h, stat=stat)
+            r, read = readout(readout_rows(adj, local), h, stat=stat)
             keys, proj_k = project(r, params)
         pairs.append((queries, keys))
         saved.append((a, p0, s1, p1, h, local, proj_q, proj_k, read))
@@ -442,8 +444,8 @@ def test_restricted_encoder_matches_the_full_path(level, stat):
     want, zgrads, want_grads = _full_path(entries, batch, params, level, stat)
     pairs, caches = embed_views(entries, batch, params, stat=stat,
                                 with_neighborhood=level == "graph")
-    for (view, _, _), cache, (q, k), (wq, wk) in zip(entries, caches, pairs, want):
-        assert cache.enc.p0.shape[0] < view.num_active  # the restriction restricts
+    for entry, cache, (q, k), (wq, wk) in zip(entries, caches, pairs, want):
+        assert cache.enc.p0.shape[0] < entry.view.num_active  # the restriction restricts
         np.testing.assert_allclose(q, wq, rtol=0, atol=1e-12)
         if level == "graph":
             np.testing.assert_allclose(k, wk, rtol=0, atol=1e-12)
@@ -483,7 +485,8 @@ def test_neighbour_rows_sum_to_distinct_neighbour_counts(view):
             neighbours[u].add(v)
             neighbours[v].add(u)
     expect = [len(s) or 1 for s in neighbours]
-    np.testing.assert_array_equal(normalize_adjacency(view).nbr.sum(axis=1), expect)
+    rows = readout_rows(normalize_adjacency(view), np.arange(view.num_active))
+    np.testing.assert_array_equal(rows.sum(axis=1), expect)
 
 
 @settings(deadline=None, derandomize=True)
@@ -492,9 +495,9 @@ def test_restricted_encode_rows_equal_the_full_encode(view, data):
     rows = np.array(data.draw(st.lists(st.booleans(), min_size=view.num_active,
                                        max_size=view.num_active)))
     params = init_params(3, 4, 2, seed=data.draw(st.integers(0, 3)))
-    _, adj, p0 = view_entry(view)
-    full, _ = encode(adj, p0, params, np.ones(view.num_active, dtype=bool))
-    h, _ = encode(adj, p0, params, rows)
+    entry = view_entry(view)
+    full, _ = encode(entry, params, np.ones(view.num_active, dtype=bool))
+    h, _ = encode(entry, params, rows)
     assert h.shape[0] == rows.sum()
     assert h.tobytes() == full[rows].tobytes()
 
@@ -530,8 +533,8 @@ def test_p0_rows_are_the_rows_of_the_full_product_each_computed_once(view, data)
             reads.append(np.full(n, kind == "all"))
         else:
             reads.append(data.draw(masks))
-    _, adj, p0 = view_entry(view)
-    full = adj.norm @ view.features
+    entry = view_entry(view)
+    full = entry.adj.norm @ view.features
     computed = []
     product = tgcl.model.adj_matmul
 
@@ -541,18 +544,12 @@ def test_p0_rows_are_the_rows_of_the_full_product_each_computed_once(view, data)
 
     with mock.patch.object(tgcl.model, "adj_matmul", counted):
         for frontier in reads:
-            block = p0.take(frontier)
+            block = entry.p0(frontier)
             assert (block.dtype, block.shape) == (full.dtype, full[frontier].shape)
             assert block.tobytes() == full[frontier].tobytes()
     # every row read is computed once, and no row that no read asked for
     times = np.sum(computed, axis=0) if computed else np.zeros(n, dtype=int)
     np.testing.assert_array_equal(times, np.any(reads, axis=0).astype(int))
-
-
-def test_nbr_is_built_on_first_access_only():
-    adj = normalize_adjacency(_random_view(seed=2))
-    assert "nbr" not in vars(adj)
-    assert adj.nbr is adj.nbr  # built once, then kept
 
 
 def test_param_count_formula():

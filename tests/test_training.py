@@ -2,6 +2,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgcl import training
 from tgcl import (
@@ -19,6 +21,8 @@ from tgcl import (
     slice_interval,
     train,
 )
+from tgcl.sampling import ViewWindow
+from tgcl.training import EpochRecord, TrainLog
 
 
 def _train_graph(seed=0, n=30, m=600, d=8):
@@ -241,6 +245,24 @@ def test_train_checkpoint_omits_features_read_from_rows(tmp_path):
     assert not any(key.startswith("feature_") for key in meta)
 
 
+def _former_csv_lines(log):
+    """TrainLog.csv_lines as it was before it wrote through the shared CSV
+    writer, kept verbatim."""
+    if not log.records:
+        return ["epoch,loss,shared\n"]
+    v = len(log.records[0].windows)
+    cols = ["epoch", "loss", "shared"]
+    for i in range(1, v + 1):
+        cols += [f"lo{i}", f"hi{i}"]
+    lines = [",".join(cols) + "\n"]
+    for r in log.records:
+        cells = [str(r.epoch), repr(float(r.loss)), str(r.shared)]
+        for w in r.windows:
+            cells += [repr(float(w.lo)), repr(float(w.hi))]
+        lines.append(",".join(cells) + "\n")
+    return lines
+
+
 def test_csv_lines_format():
     cfg = _small_cfg(epochs=2)
     _, log = train(GRAPH, cfg)
@@ -251,6 +273,22 @@ def test_csv_lines_format():
     assert float(first[1]) == log.records[0].loss
     # full-precision floats round-trip exactly
     assert float(first[3]) == log.records[0].windows[0].lo
+    assert lines == _former_csv_lines(log)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda v: st.lists(st.tuples(
+    st.integers(1, 10 ** 6), st.floats(), st.integers(0, 10 ** 6),
+    st.lists(st.tuples(_finite, _finite), min_size=v, max_size=v)), max_size=4)))
+def test_csv_lines_equal_the_former_formatter(rows):
+    # NumPy scalars, as the samplers and the loss hand them over
+    log = TrainLog([EpochRecord(epoch, np.float64(loss), shared, tuple(
+        ViewWindow(np.float64((lo + hi) / 2), np.float64(lo), np.float64(hi), "random", epoch)
+        for lo, hi in windows)) for epoch, loss, shared, windows in rows])
+    assert "".join(log.csv_lines()).encode() == "".join(_former_csv_lines(log)).encode()
 
 
 def test_train_no_shared_nodes_error():

@@ -2,7 +2,7 @@
 
 The oracles below are the straightforward versions of slicing and of the
 adjacency build: ``np.unique`` plus ``searchsorted`` for a view's local
-indices, and an ``argsort`` of the keys row·n + col for Â and ``nbr``.
+indices, and an ``argsort`` of the keys row·n + col for Â and the readout rows.
 Every array the fast builders return must equal the oracle's byte for
 byte, dtype included.
 """
@@ -12,7 +12,8 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tgcl import build_graph, full_view, normalize_adjacency, slice_interval, to_snapshots
+from tgcl import (build_graph, full_view, normalize_adjacency, readout_rows, slice_interval,
+                  to_snapshots)
 
 
 def _oracle_view(graph, edges):
@@ -46,7 +47,7 @@ def _oracle_adjacency(view):
 
 def _former_nbr(view):
     """The neighbour matrix as normalize_adjacency built it beside Â before
-    ``nbr`` was read off Â's structure, kept verbatim."""
+    the readout's rows were read off Â's structure, kept verbatim."""
     n = view.num_active
     a = np.minimum(view.src, view.dst)
     b = np.maximum(view.src, view.dst)
@@ -77,7 +78,8 @@ def _check(view, oracle):
     if view.is_empty:
         return
     adj = normalize_adjacency(view)
-    for name, got, want in zip(("norm", "nbr"), (adj.norm, adj.nbr), _oracle_adjacency(view)):
+    every = readout_rows(adj, np.arange(view.num_active))
+    for name, got, want in zip(("norm", "nbr"), (adj.norm, every), _oracle_adjacency(view)):
         assert got.has_canonical_format and want.has_canonical_format, name
         for part in ("indptr", "indices", "data"):
             _assert_bytes_equal(getattr(got, part), getattr(want, part), f"{name}.{part}")
@@ -128,11 +130,14 @@ def test_full_view_matches_the_sort_based_oracle(graph):
 
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(_graphs(), st.data())
-def test_nbr_read_off_norm_equals_the_former_construction(graph, data):
+def test_readout_rows_read_off_norm_equal_the_former_construction(graph, data):
     ends = st.sampled_from(sorted(set(graph.timestamps.tolist())))
     lo, hi = sorted((data.draw(ends), data.draw(ends)))
     view = data.draw(st.sampled_from([slice_interval(graph, lo, hi), full_view(graph)]))
-    got, want = normalize_adjacency(view).nbr, _former_nbr(view)
+    # a non-empty batch of distinct nodes in any order, as training draws them
+    batch = np.array(data.draw(st.permutations(range(view.num_active)))
+                     [:data.draw(st.integers(1, view.num_active))], dtype=np.int64)
+    got, want = readout_rows(normalize_adjacency(view), batch), _former_nbr(view)[batch]
     assert got.shape == want.shape and got.has_canonical_format
     for part in ("indptr", "indices", "data"):
         _assert_bytes_equal(getattr(got, part), getattr(want, part), part)
