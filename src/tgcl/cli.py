@@ -117,7 +117,8 @@ _EVAL_OPTS = {
     "ratios": (_ratios, (1, 1, 8), "train:val:test ratios"),
     "seed": (int, 0, "split seed"),
     "out": (str, _REQUIRED, "report json path"),
-    "epochs": (int, 200, "probe epochs"),
+    "epochs": (int, 200, "probe epochs, an upper bound: the probe stops once validation "
+                         "accuracy is 1.0, with the result a full-length run gives"),
     "lr": (float, 1e-2, "probe learning rate"),
     "weight-decay": (float, 1e-4, "probe weight decay"),
 }
@@ -313,14 +314,18 @@ def _run_train(conf: dict) -> int:
 
 def _checkpoint_feature_spec(ckpt: str, meta: dict) -> dict:
     """The synthesized-feature settings a checkpoint records, as
-    load_temporal_graph arguments."""
+    load_temporal_graph arguments. Its counts must be JSON integers."""
     try:
-        return {"feature_policy": str(meta["feature_policy"]),
-                "feature_dim": int(meta["feature_dim"]),
-                "feature_seed": int(meta["feature_seed"])}
-    except (KeyError, TypeError, ValueError, OverflowError):
+        spec = {"feature_policy": str(meta["feature_policy"]),
+                "feature_dim": meta["feature_dim"],
+                "feature_seed": meta["feature_seed"]}
+    except KeyError:
         raise DataError(f"{ckpt} does not record how its features were synthesized; pass the "
                         f"features file it was trained on with --features") from None
+    for key in ("feature_dim", "feature_seed", "feature_nodes"):
+        if key in meta and type(meta[key]) is not int:
+            raise DataError(f"{ckpt}: checkpoint {key} must be an integer, got {meta[key]!r}")
+    return spec
 
 
 def _run_embed(conf: dict) -> int:

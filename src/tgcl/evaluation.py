@@ -118,6 +118,10 @@ def train_linear_probe(
     accuracies (epoch 0 is the untrained classifier, so epochs=0 returns
     the chance-level predictor). ``w`` and ``b`` are the rows of one
     (d+1) x C block, so each epoch takes one Adam step over both.
+
+    ``epochs`` is an upper bound: the fit stops at the first epoch whose
+    validation accuracy is 1.0, epoch 0 included, since no later epoch
+    can beat it. The returned probe is the one a full-length run returns.
     """
     if epochs < 0:
         raise DataError(f"probe epochs must be non-negative, got {epochs}")
@@ -149,6 +153,8 @@ def train_linear_probe(
 
     best_acc, best_epoch, best = val_accuracy(), 0, theta.copy()
     for epoch in range(1, epochs + 1):
+        if best_acc == 1.0:
+            break
         scores = x_train @ w
         scores += b
         _, g_logits = softmax_cross_entropy(scores, y_train)
@@ -324,9 +330,13 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
         labels_per_span = [np.asarray(a) for a in labels]
         if len(labels_per_span) != s:
             raise DataError(f"got {len(labels_per_span)} label arrays for s={s} timespans")
+    for t, a in enumerate(labels_per_span):
+        if a.shape != (graph.num_nodes,):
+            raise DataError(f"label array {t} has shape {a.shape}; expected one entry for "
+                            f"each of the graph's {graph.num_nodes} nodes")
 
     # a timespan without labels is marked missing below
-    num_classes = max((int(a.max()) for a in labels_per_span if a.size), default=-1) + 1
+    num_classes = max((int(a.max()) for a in labels_per_span), default=-1) + 1
     if num_classes < 1:
         raise DataError("no timespan has a labeled node")
     views = to_snapshots(graph, s)

@@ -127,34 +127,39 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 
     Weight decay is coupled L2: added to the gradient before the moment
     updates. Bias correction is the standard 1/(1-beta^t) form. A
-    non-finite gradient raises NumericError. Each tensor is updated
-    through two scratch arrays of its size, with the rounding of
-    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` written out.
+    gradient whose square is not finite (a NaN or inf entry, or one whose
+    square overflows) raises NumericError before any parameter or moment
+    changes. Each tensor is updated through two scratch arrays of its
+    size, with the rounding of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``
+    written out.
     """
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - ADAM_BETA1**t
-    c2 = 1.0 - ADAM_BETA2**t
+    work = []
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"adam_step shape mismatch for {name}: {g.shape} vs {p.shape}")
-        check_finite(f"grad[{name}]", g)
+        step, tmp = np.empty_like(p), np.empty_like(p)
+        if state.weight_decay != 0.0:
+            g = np.multiply(p, state.weight_decay, out=step)
+            g += grads[name]
+        np.multiply(g, g, out=tmp)
+        check_finite(f"squared grad[{name}]", tmp)
+        work.append((name, p, g, step, tmp))
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+    for name, p, g, step, tmp in work:
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        step, tmp = np.empty_like(p), np.empty_like(p)
-        if state.weight_decay != 0.0:
-            g = np.multiply(p, state.weight_decay, out=step)
-            g += grads[name]
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         v *= ADAM_BETA2
-        np.multiply(g, g, out=tmp)
         tmp *= 1.0 - ADAM_BETA2
         v += tmp
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS

@@ -433,6 +433,22 @@ def _label_only_run(tmp_path, policy, dim):
     return edges, run / "params.ckpt", graph, params
 
 
+@pytest.mark.parametrize("key,value", [
+    ("feature_dim", 8.0), ("feature_dim", 8.5), ("feature_dim", True), ("feature_dim", "8"),
+    ("feature_seed", 0.0), ("feature_seed", False), ("feature_nodes", 45.0),
+])
+def test_embed_rejects_a_checkpoint_count_that_is_not_a_json_integer(tmp_path, capsys, key, value):
+    edges, _ = _synth(tmp_path)
+    params, meta = load_params(_train(tmp_path, edges) / "params.ckpt")
+    assert type(meta[key]) is int  # the run's record: random features of dim 8, seed 0, 45 nodes
+    ckpt = tmp_path / "edited.ckpt"
+    save_params(ckpt, params, {**meta, key: value})
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(ckpt), "--out", str(out)]) == 2
+    assert f"checkpoint {key} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_rejects_random_features_of_another_node_count(tmp_path, capsys):
     # random features are drawn for the whole node table, so without node
     # 99 every node would get other features than it was trained on
@@ -692,6 +708,19 @@ def test_linear_eval_rejects_bad_settings(tmp_path, capsys, flag, value, match):
     capsys.readouterr()
     assert dispatch([*args, flag, value]) == 2
     assert match in capsys.readouterr().err
+
+
+def test_linear_eval_exits_3_when_a_squared_gradient_overflows(tmp_path, capsys):
+    # 1e160-scaled embeddings keep the probe's gradient finite but not its square
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{i},{i % 3 + 1}e160,{i}e158\n" for i in range(120)), encoding="utf-8")
+    labels = tmp_path / "l.csv"
+    labels.write_text("".join(f"{i},{i % 3}\n" for i in range(120)), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert dispatch(["linear-eval", "--embeddings", str(emb), "--labels", str(labels),
+                     "--out", str(out)]) == 3
+    assert "squared grad[probe]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ratios,classes", [("1:0:9", 2), ("2:1:7", 10)])

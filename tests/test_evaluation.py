@@ -9,6 +9,7 @@ from tgcl import (
     AdamState,
     DataError,
     InvarianceConfig,
+    NumericError,
     adam_step,
     build_graph,
     classification_report,
@@ -22,7 +23,8 @@ from tgcl import (
     softmax_cross_entropy,
     train_linear_probe,
 )
-from tgcl.evaluation import _fit_timespan_probe
+from tgcl import evaluation
+from tgcl.evaluation import SplitSpec, _fit_timespan_probe
 
 
 def _labels(sizes):
@@ -195,8 +197,6 @@ def test_probe_never_sees_test_labels():
 def test_probe_single_class_train_rejected():
     labels = np.array([0] * 12 + [1] * 3)
     x = _separable_embeddings(labels, noise=0.1)
-    from tgcl.evaluation import SplitSpec
-
     only0 = np.flatnonzero(labels == 0)
     degenerate = SplitSpec(ratios=(1, 1, 8), seed=0, train=only0[:4], val=only0[4:6], test=only0[6:])
     with pytest.raises(DataError, match="degenerate train split"):
@@ -232,19 +232,21 @@ def _former_linear_probe(embeddings, labels, split, lr, weight_decay, epochs):
 
 @st.composite
 def _probe_args(draw):
-    """Embeddings of 2-5 classes of 5-20 nodes with some class signal, a
-    split with every part non-empty, and the probe's settings."""
+    """Embeddings of 2-5 classes of 5-20 nodes with no, some or separating
+    class signal, a split with every part non-empty, and the probe's
+    settings. Separable draws reach validation accuracy 1.0 and stop early;
+    the others mostly run every epoch."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sizes = [draw(st.integers(5, 20)) for _ in range(draw(st.integers(2, 5)))]
     labels = np.repeat(np.arange(len(sizes)), sizes)[rng.permutation(sum(sizes))]
     d = draw(st.integers(1, 12))
     x = rng.standard_normal((labels.size, d)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
-    x += rng.standard_normal((len(sizes), d))[labels] * draw(st.sampled_from([0.0, 1.0]))
+    x += rng.standard_normal((len(sizes), d))[labels] * draw(st.sampled_from([0.0, 1.0, 30.0]))
     split = make_split(labels, draw(st.sampled_from([(2, 2, 6), (3, 2, 5), (4, 3, 3)])),
                        seed=draw(st.integers(0, 99)))
     settings_ = dict(lr=draw(st.sampled_from([1e-3, 1e-2, 0.1, 0.7])),
                      weight_decay=draw(st.sampled_from([0.0, 1e-4, 0.05, 0.5])),
-                     epochs=draw(st.integers(0, 50)))
+                     epochs=draw(st.integers(0, 60)))
     return x, labels, split, settings_
 
 
@@ -257,6 +259,61 @@ def test_probe_is_the_former_two_tensor_loop_bit_for_bit(drawn):
     assert probe.best_epoch == best_epoch
     assert probe.w.shape == w.shape and probe.w.tobytes() == w.tobytes()
     assert probe.b.shape == b.shape and probe.b.tobytes() == b.tobytes()
+
+
+def _probe_and_adam_steps(monkeypatch, *args, **kw):
+    """train_linear_probe's result and the number of Adam steps it took."""
+    steps = []
+
+    def counted(params, grads, state):
+        steps.append(state.step_count)
+        adam_step(params, grads, state)
+
+    monkeypatch.setattr(evaluation, "adam_step", counted)
+    return train_linear_probe(*args, **kw), len(steps)
+
+
+def _val_accuracy(probe, x, labels, split):
+    return np.mean(probe.predict(x[split.val]) == labels[split.val])
+
+
+def test_probe_stops_once_every_validation_node_is_right(monkeypatch):
+    labels = _labels([30, 30, 30])
+    x = _separable_embeddings(labels, noise=0.05)
+    split = make_split(labels, (2, 2, 6), seed=0)
+    # it stops right after its first all-correct validation epoch, with the
+    # full-length run's result
+    probe, steps = _probe_and_adam_steps(monkeypatch, x, labels, split)
+    assert 0 < probe.best_epoch == steps < 200
+    assert _val_accuracy(probe, x, labels, split) == 1.0
+    best_epoch, w, b = _former_linear_probe(x, labels, split, 1e-2, 1e-4, 200)
+    assert probe.best_epoch == best_epoch
+    assert probe.w.tobytes() == w.tobytes() and probe.b.tobytes() == b.tobytes()
+
+    # no step at all when the untrained classifier, which predicts class 0,
+    # is all-correct: here every validation node is of class 0
+    only0 = SplitSpec(ratios=split.ratios, seed=split.seed, train=split.train,
+                      val=split.val[labels[split.val] == 0], test=split.test)
+    probe, steps = _probe_and_adam_steps(monkeypatch, x, labels, only0)
+    assert steps == 0 and probe.best_epoch == 0
+    assert np.all(probe.w == 0.0) and np.all(probe.b == 0.0)
+
+    # every epoch when validation never gets there
+    noise = np.random.default_rng(4).standard_normal((labels.size, 3))  # no class signal
+    probe, steps = _probe_and_adam_steps(monkeypatch, noise, labels, split, epochs=60)
+    assert steps == 60
+    assert _val_accuracy(probe, noise, labels, split) < 1.0
+
+
+def test_probe_raises_when_a_squared_gradient_overflows():
+    # x @ g stays finite at this scale but its square does not, so Adam's
+    # second moment would turn inf and every step 0, leaving the probe at chance
+    labels = _labels([40, 40, 40])
+    x = _separable_embeddings(labels, noise=0.4)
+    split = make_split(labels, (1, 1, 8), seed=0)
+    assert evaluate(train_linear_probe(x, labels, split), x, labels, split).accuracy > 0.9
+    with pytest.raises(NumericError, match=r"squared grad\[probe\]"):
+        train_linear_probe(x * 1e160, labels, split)
 
 
 def test_report_hand_confusion_oracle():
@@ -469,6 +526,18 @@ def test_invariance_label_list_length_checked():
     g = _probe_fixture()
     with pytest.raises(DataError, match="label arrays"):
         probe_invariance(g, [g.labels] * 3, 2, FAST_PROBE)
+
+
+@pytest.mark.parametrize("size", [10, 41])
+def test_invariance_label_arrays_must_cover_every_node(size):
+    # the fixture has 40 nodes; a longer array would count a class of a node
+    # that does not exist, a shorter one would index past its end
+    g = _probe_fixture()
+    wrong = np.resize(g.labels, size)
+    with pytest.raises(DataError, match=f"label array 1 has shape \\({size},\\)"):
+        probe_invariance(g, [g.labels, wrong], 2, FAST_PROBE)
+    with pytest.raises(DataError, match="label array 0"):
+        probe_invariance(g, wrong, 2, FAST_PROBE)
 
 
 def test_invariance_per_span_labels_accepted():

@@ -247,3 +247,18 @@ def test_adam_checked_nonfinite():
     st = AdamState()
     with pytest.raises(NumericError):
         adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.inf])}, st)
+
+
+@pytest.mark.parametrize("bad", [1e160, np.inf, np.nan])
+def test_adam_raises_on_a_non_finite_squared_gradient_before_any_change(bad):
+    # at 1e160 the gradient is finite but its square is not: the second
+    # moment would turn inf and every later step 0
+    st = AdamState(lr=0.1, weight_decay=1e-3)
+    p = {"a": np.ones(3), "w": np.ones(2)}
+    adam_step(p, {"a": np.ones(3), "w": np.ones(2)}, st)
+    kept = [{k: a.copy() for k, a in d.items()} for d in (p, st.m, st.v)]
+    with pytest.raises(NumericError, match=r"squared grad\[w\]"):
+        adam_step(p, {"a": np.ones(3), "w": np.array([1.0, bad])}, st)
+    assert st.step_count == 1
+    for now, before in zip((p, st.m, st.v), kept):
+        assert all(now[k].tobytes() == before[k].tobytes() for k in before)
