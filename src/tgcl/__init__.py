@@ -35,7 +35,6 @@ from .sampling import (
 from .kernels import AdamState, adam_step
 from .model import (
     ModelParams,
-    NormalizedAdjacency,
     READOUT_STATS,
     ViewEntry,
     embed_views,
@@ -98,7 +97,6 @@ __all__ = [
     "AdamState",
     "adam_step",
     "ModelParams",
-    "NormalizedAdjacency",
     "READOUT_STATS",
     "ViewEntry",
     "embed_views",

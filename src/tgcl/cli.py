@@ -31,7 +31,7 @@ from .evaluation import (
     train_linear_probe,
 )
 from .graph import FEATURE_POLICIES, csv_text, label_codes, load_temporal_graph, read_table
-from .losses import LossConfig
+from .losses import LOSS_LEVELS, LossConfig
 from .model import READOUT_STATS, load_params
 from .sampling import STRATEGIES, SamplerConfig, sample_windows
 from .training import TrainConfig, embed_all, train
@@ -57,11 +57,12 @@ def _ratios(text: str):
         raise argparse.ArgumentTypeError(f"ratios must be integers, got {text!r}")
 
 
-# option tables: name -> (type, default, help); _REQUIRED means the value
-# must arrive via flag or config file
+# option tables: name -> (type, default, help[, choices]); _REQUIRED means
+# the value must arrive via flag or config file, and a value outside the
+# choices is rejected from either
 _SAMPLE_OPTS = {
     "edges": (str, _REQUIRED, "edges csv (src,dst,timestamp) defining the timespan"),
-    "strategy": (str, "sequential", "sampling strategy"),
+    "strategy": (str, "sequential", "sampling strategy", STRATEGIES),
     "s": (int, 4, "number of timespans the span is divided into"),
     "v": (int, 2, "number of views per epoch"),
     "seed": (int, 0, "sampling seed"),
@@ -83,10 +84,10 @@ _TRAIN_OPTS = {
     "edges": (str, _REQUIRED, "edges csv"),
     "features": (str, None, "optional node features csv"),
     "labels": (str, None, "optional labels csv (stored, not used in training)"),
-    "strategy": (str, "sequential", "sampling strategy"),
+    "strategy": (str, "sequential", "sampling strategy", STRATEGIES),
     "s": (int, 4, "timespan count"),
     "v": (int, 2, "views per epoch"),
-    "level": (str, "node", "contrastive level: node or graph"),
+    "level": (str, "node", "contrastive level", LOSS_LEVELS),
     "tau": (float, 0.5, "InfoNCE temperature"),
     "epochs": (int, 100, "training epochs"),
     "seed": (int, 0, "master seed"),
@@ -96,8 +97,9 @@ _TRAIN_OPTS = {
     "batch-size": (int, 256, "minibatch size"),
     "d-hidden": (int, 128, "encoder hidden width"),
     "d-out": (int, 64, "embedding width"),
-    "readout": (str, "mean", "neighborhood statistic: mean, max or sum"),
-    "feature-policy": (str, "degree-buckets", "synthesized-feature policy when no features file"),
+    "readout": (str, "mean", "neighborhood statistic", READOUT_STATS),
+    "feature-policy": (str, "degree-buckets", "synthesized-feature policy when no features file",
+                       FEATURE_POLICIES),
     "feature-dim": (int, 32, "synthesized feature dimension"),
     "feature-seed": (int, 0, "synthesized feature seed"),
     "batches-per-epoch": (int, 1, "optimizer steps per epoch"),
@@ -132,9 +134,9 @@ _PROBE_OPTS = {
     "epochs": (int, 150, "supervised epochs per timespan"),
     "lr": (float, 1e-2, "supervised learning rate"),
     "weight-decay": (float, 5e-4, "supervised weight decay"),
-    "encoder": (str, "gcn", "probe encoder: gcn or mlp"),
+    "encoder": (str, "gcn", "probe encoder", PROBE_ENCODERS),
     "ratios": (_ratios, (1, 1, 8), "split ratios"),
-    "feature-policy": (str, "degree-buckets", "synthesized-feature policy"),
+    "feature-policy": (str, "degree-buckets", "synthesized-feature policy", FEATURE_POLICIES),
     "feature-dim": (int, 32, "synthesized feature dimension"),
     "feature-seed": (int, 0, "synthesized feature seed"),
 }
@@ -149,19 +151,9 @@ _GRADCHECK_OPTS = {
 
 def _build_parser(name: str, opts: dict) -> _Parser:
     parser = _Parser(prog=f"tgcl {name}", add_help=True)
-    for flag, (typ, _default, help_text) in opts.items():
-        kwargs = {"type": typ, "default": argparse.SUPPRESS, "help": help_text}
-        if flag == "strategy":
-            kwargs["choices"] = list(STRATEGIES)
-        elif flag == "level":
-            kwargs["choices"] = ["node", "graph"]
-        elif flag == "readout":
-            kwargs["choices"] = list(READOUT_STATS)
-        elif flag == "encoder":
-            kwargs["choices"] = list(PROBE_ENCODERS)
-        elif flag == "feature-policy":
-            kwargs["choices"] = list(FEATURE_POLICIES)
-        parser.add_argument(f"--{flag}", **kwargs)
+    for flag, (typ, _default, help_text, *choices) in opts.items():
+        parser.add_argument(f"--{flag}", type=typ, default=argparse.SUPPRESS, help=help_text,
+                            choices=choices[0] if choices else None)
     parser.add_argument("--config", type=str, default=argparse.SUPPRESS,
                         help="key=value file; flags override its entries")
     return parser
@@ -184,11 +176,14 @@ def _read_config_file(path: str, opts: dict) -> dict:
             raise DataError(f"{path}:{lineno}: unknown option {key!r}")
         if key in conf:
             raise DataError(f"{path}:{lineno}: option {key!r} is set twice")
-        typ = opts[key][0]
+        typ, _default, _help, *choices = opts[key]
         try:
             conf[key] = typ(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}")
+        if choices and conf[key] not in choices[0]:
+            raise DataError(f"{path}:{lineno}: bad value for {key}: {value!r} is not one of "
+                            f"{', '.join(choices[0])}")
     return conf
 
 
@@ -198,7 +193,7 @@ def _merge_config(parser: _Parser, ns: argparse.Namespace, opts: dict) -> dict:
     if "config" in given:
         file_conf = _read_config_file(given.pop("config"), opts)
     conf = {}
-    for flag, (_, default, _help) in opts.items():
+    for flag, (_, default, *_rest) in opts.items():
         dest = flag.replace("-", "_")
         if dest in given:
             conf[dest] = given[dest]

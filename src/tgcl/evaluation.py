@@ -22,8 +22,7 @@ from .errors import DataError
 from .graph import SampledView, TemporalGraph, build_graph, running_index, to_snapshots
 from .kernels import AdamState, adam_step
 from .losses import softmax_cross_entropy
-from .model import (NormalizedAdjacency, ViewEntry, encode, encode_backward, glorot, init_params,
-                    view_entry)
+from .model import ViewEntry, encode, encode_backward, glorot, init_params, view_entry
 
 PROBE_ENCODERS = ("gcn", "mlp")
 
@@ -203,19 +202,18 @@ def classification_report(y_true: np.ndarray, y_pred: np.ndarray, num_classes: i
     F1 mean. Undefined ratios (empty denominator) count as 0."""
     if y_true.size == 0:
         raise DataError("empty evaluation set")
-    precision = np.zeros(num_classes)
-    recall = np.zeros(num_classes)
-    f1 = np.zeros(num_classes)
-    support = np.zeros(num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        tp = int(np.sum((y_pred == c) & (y_true == c)))
-        fp = int(np.sum((y_pred == c) & (y_true != c)))
-        fn = int(np.sum((y_pred != c) & (y_true == c)))
-        support[c] = tp + fn
-        precision[c] = tp / (tp + fp) if tp + fp else 0.0
-        recall[c] = tp / (tp + fn) if tp + fn else 0.0
-        f1[c] = (2 * precision[c] * recall[c] / (precision[c] + recall[c])
-                 if precision[c] + recall[c] else 0.0)
+    if min(y_true.min(), y_pred.min()) < 0 or max(y_true.max(), y_pred.max()) >= num_classes:
+        raise DataError(f"labels and predictions must lie in 0..{num_classes - 1}")
+    # confusion[t, p]: how many nodes of class t are predicted p
+    confusion = np.bincount(y_true * num_classes + y_pred, minlength=num_classes * num_classes)
+    confusion = confusion.reshape(num_classes, num_classes)
+    tp = np.diagonal(confusion)
+    support = confusion.sum(axis=1)
+    predicted = confusion.sum(axis=0)
+    precision = np.divide(tp, predicted, out=np.zeros(num_classes), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(num_classes), where=support > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(num_classes), where=both > 0)
     accuracy = float(np.mean(y_pred == y_true))
     weighted_f1 = float(np.sum(support * f1) / support.sum())
     return EvalReport(accuracy=accuracy, weighted_f1=weighted_f1, precision=precision,
@@ -292,8 +290,7 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
     if cfg.encoder == "gcn":
         entry = view_entry(view)
     else:
-        eye = sp.eye_array(view.num_active, format="csr")
-        entry = ViewEntry(view, NormalizedAdjacency(norm=eye))
+        entry = ViewEntry(view, sp.eye_array(view.num_active, format="csr"))
     train_rows = np.zeros(view.num_active, dtype=bool)
     train_rows[train_local] = True
 

@@ -142,7 +142,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         if state.weight_decay != 0.0:
             g = np.multiply(p, state.weight_decay, out=step)
             g += grads[name]
-        np.multiply(g, g, out=tmp)
+        with np.errstate(over="ignore"):  # an overflow is the check's to report
+            np.multiply(g, g, out=tmp)
         check_finite(f"squared grad[{name}]", tmp)
         work.append((name, p, g, step, tmp))
     state.step_count += 1

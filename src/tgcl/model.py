@@ -86,25 +86,11 @@ def init_params(d_in: int, d_hidden: int = 128, d_out: int = 64, seed: int = 0) 
     )
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedAdjacency:
-    """A view's sparse adjacency over its active nodes: ``norm`` is the
-    symmetric D^-1/2 (A + I) D^-1/2, CSR with sorted column indices. The
-    encoder propagates with it, and the readout reads its neighbour rows
-    off its structure (:func:`readout_rows`)."""
-
-    norm: sp.csr_array
-
-    @property
-    def vals(self) -> np.ndarray:
-        """The nonzeros of ``norm``, read-only."""
-        vals = self.norm.data.view()
-        vals.flags.writeable = False
-        return vals
-
-
-def normalize_adjacency(view: SampledView) -> NormalizedAdjacency:
-    """Symmetrize, add self-loops, normalize by sqrt of augmented degrees.
+def normalize_adjacency(view: SampledView) -> sp.csr_array:
+    """Â = D^-1/2 (A + I) D^-1/2 over the view's active nodes, CSR with
+    sorted column indices: symmetrize, add self-loops, normalize by the
+    sqrt of the augmented degrees. The encoder propagates with it, and the
+    readout reads its neighbour rows off its structure (:func:`readout_rows`).
 
     Duplicate, reversed and self edges collapse, so Â depends only on the
     set of distinct undirected pairs, not on edge order.
@@ -123,20 +109,20 @@ def normalize_adjacency(view: SampledView) -> NormalizedAdjacency:
     # the entries (a, b), (b, a) and (i, i) in row-major order, by their keys row·n + col
     rows, cols = np.divmod(np.sort(np.concatenate([pairs, b * n + a, loops * (n + 1)])), n)
     indptr = np.concatenate(([0], np.cumsum(deg)))
-    return NormalizedAdjacency(
-        norm=sp.csr_array((1.0 / np.sqrt(deg[rows] * deg[cols]), cols, indptr), shape=(n, n)))
+    return sp.csr_array((1.0 / np.sqrt(deg[rows] * deg[cols]), cols, indptr), shape=(n, n))
 
 
-def adj_matmul(adj: NormalizedAdjacency, x: np.ndarray, rows: np.ndarray | None = None):
-    """Â @ x, or its rows selected by the boolean mask ``rows``; each row
-    is bit-identical to that row of the full product. Â is symmetric, so
-    this is also its own adjoint."""
-    return (adj.norm if rows is None else adj.norm[rows]) @ x
+def adj_matmul(entry: ViewEntry, x: np.ndarray, rows: np.ndarray | None = None):
+    """Â @ x for the entry's Â, or its rows selected by the boolean mask
+    ``rows``; each row is bit-identical to that row of the full product. Â
+    is symmetric, so this is also its own adjoint."""
+    return (entry.adj if rows is None else entry.adj[rows]) @ x
 
 
 class ViewEntry:
-    """One view with what the encoder needs of it: Â, and the rows of
-    P0 = Â·X computed so far.
+    """One view with what the encoder needs of it: Â (``adj``, as
+    :func:`normalize_adjacency` returns it), and the rows of P0 = Â·X
+    computed so far.
 
     P0 is the first propagation and has no parameters, so a row once
     computed serves every later step that draws the view's window. A read
@@ -146,13 +132,22 @@ class ViewEntry:
     to that row of Â @ X.
     """
 
-    def __init__(self, view: SampledView, adj: NormalizedAdjacency):
+    def __init__(self, view: SampledView, adj: sp.csr_array):
         self.view = view
         self.adj = adj
         features = view.features
         self.rows = np.empty((0, features.shape[1]))  # the rows computed so far, in that order
         self.slot = np.full(features.shape[0], -1)  # a node's row in ``rows``; -1: not yet computed
         self.count = 0
+
+    @property
+    def vals(self) -> np.ndarray:
+        """Â's nonzeros, read-only. It stays only because bench/tracer.py
+        counts them per ``adj_matmul`` call, and goes with the benchmark
+        change (ROADMAP item 3)."""
+        vals = self.adj.data.view()
+        vals.flags.writeable = False
+        return vals
 
     def p0(self, frontier: np.ndarray) -> np.ndarray:
         """P0[frontier] for a boolean mask over the view's nodes."""
@@ -162,7 +157,7 @@ class ViewEntry:
             return self.rows[self.slot[frontier]]
         start = self.count
         features = self.view.features
-        block = adj_matmul(self.adj, features, None if k == missing.size else missing)
+        block = adj_matmul(self, features, None if k == missing.size else missing)
         if start == 0:
             self.rows = block
         else:
@@ -202,7 +197,7 @@ def encode(entry: ViewEntry, params: ModelParams, rows: np.ndarray):
     d_in = entry.view.features.shape[1]
     if d_in != params.d_in:
         raise ValueError(f"feature dim {d_in} != encoder input dim {params.d_in}")
-    a_rows = entry.adj.norm[rows]
+    a_rows = entry.adj[rows]
     frontier = np.zeros(rows.shape[0], dtype=bool)
     frontier[a_rows.indices] = True
     p0 = entry.p0(frontier)
@@ -221,22 +216,16 @@ def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, params: ModelParams
     return {"gcn_w1": cache.p0.T @ g_s1, "gcn_w2": g_w2}
 
 
-def readout_rows(adj: NormalizedAdjacency, batch: np.ndarray) -> sp.csr_array:
+def readout_rows(adj: sp.csr_array, batch: np.ndarray) -> sp.csr_array:
     """The 0/1 neighbour rows of the view nodes ``batch``: each node's
     distinct neighbours, or the node itself when it has none, so every row
     is non-empty. They are Â's rows without the self-loop, kept only on a
     row that has nothing else."""
-    a_rows = adj.norm[batch]
+    a_rows = adj[batch]
     deg = np.diff(a_rows.indptr)  # distinct neighbours plus the self-loop
     cols = a_rows.indices[(a_rows.indices != np.repeat(batch, deg)) | (np.repeat(deg, deg) == 1)]
     indptr = np.concatenate(([0], np.cumsum(np.maximum(deg - 1, 1))))
     return sp.csr_array((np.ones(cols.size), cols, indptr), shape=a_rows.shape)
-
-
-@dataclass(eq=False)
-class ReadoutCache:
-    rows: sp.csr_array  # the batch rows of the neighbour matrix
-    stat: str
 
 
 def readout(rows: sp.csr_array, h: np.ndarray, stat: str = "mean"):
@@ -246,7 +235,7 @@ def readout(rows: sp.csr_array, h: np.ndarray, stat: str = "mean"):
     (:func:`readout_rows`), with columns that index ``h``. The node itself
     is excluded; a batch node with no in-view neighbor falls back to its
     own row. Mean and sum are one sparse product with ``rows``; max
-    reduces over their index segments. Returns (matrix, cache).
+    reduces over their index segments.
     """
     if stat not in READOUT_STATS:
         raise ValueError(f"unknown readout stat {stat!r}; expected one of {READOUT_STATS}")
@@ -256,17 +245,17 @@ def readout(rows: sp.csr_array, h: np.ndarray, stat: str = "mean"):
         out = rows @ h
         if stat == "mean":
             out /= np.diff(rows.indptr)[:, None]
-    return out, ReadoutCache(rows=rows, stat=stat)
+    return out
 
 
-def readout_backward(grad_out: np.ndarray, cache: ReadoutCache, h: np.ndarray) -> np.ndarray:
-    rows = cache.rows
-    if cache.stat == "max":
+def readout_backward(grad_out: np.ndarray, rows: sp.csr_array, h: np.ndarray, stat: str) -> np.ndarray:
+    """The gradient of :func:`readout`'s matrix with respect to ``h``."""
+    if stat == "max":
         grad_values = kernels.segment_reduce_backward(grad_out, h[rows.indices], rows.indptr)
         grad_h = np.zeros_like(h)
         np.add.at(grad_h, rows.indices, grad_values)
         return grad_h
-    if cache.stat == "mean":
+    if stat == "mean":
         grad_out = grad_out / np.diff(rows.indptr)[:, None]
     return rows.T @ grad_out
 
@@ -308,7 +297,8 @@ class ViewCache:
     batch: np.ndarray  # the batch rows' positions in h
     h: np.ndarray
     proj: ProjectCache
-    read: ReadoutCache | None
+    neigh: sp.csr_array | None  # the batch rows' readout rows, columns into h; None at node level
+    stat: str
 
 
 def embed_views(
@@ -341,15 +331,14 @@ def embed_views(
         h, enc_cache = encode(entry, params, rows)
         pos = running_index(rows)  # the row of h of each node in rows
         batch = pos[batch_local]
-        x, read_cache = h[batch], None
+        x, neigh_h = h[batch], None
         if with_neighborhood:
-            neigh = sp.csr_array((neigh.data, pos[neigh.indices], neigh.indptr),
-                                 shape=(batch.size, len(h)))
-            r, read_cache = readout(neigh, h, stat=stat)
-            x = np.vstack([x, r])
+            neigh_h = sp.csr_array((neigh.data, pos[neigh.indices], neigh.indptr),
+                                   shape=(batch.size, len(h)))
+            x = np.vstack([x, readout(neigh_h, h, stat=stat)])
         z, proj_cache = project(x, params)
         pairs.append((z[:batch.size], z[batch.size:]) if with_neighborhood else (z, z))
-        caches.append(ViewCache(enc_cache, batch, h, proj_cache, read_cache))
+        caches.append(ViewCache(enc_cache, batch, h, proj_cache, neigh_h, stat))
     return pairs, caches
 
 
@@ -363,12 +352,12 @@ def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
     total = params.zeros_like_grads()
     for (g_q, g_k), cache in zip(zgrads, caches):
         b = cache.batch.size
-        g_z = g_q + g_k if cache.read is None else np.vstack([g_q, g_k])
+        g_z = g_q + g_k if cache.neigh is None else np.vstack([g_q, g_k])
         g_x, proj_grads = project_backward(g_z, cache.proj, params)
         grad_h = np.zeros_like(cache.h)
         grad_h[cache.batch] += g_x[:b]  # the batch positions are distinct
-        if cache.read is not None:
-            grad_h += readout_backward(g_x[b:], cache.read, cache.h)
+        if cache.neigh is not None:
+            grad_h += readout_backward(g_x[b:], cache.neigh, cache.h, cache.stat)
         proj_grads.update(encode_backward(grad_h, cache.enc, params))
         for k, g in proj_grads.items():
             total[k] += g

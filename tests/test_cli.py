@@ -245,6 +245,30 @@ def test_config_file_malformed_line(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [
+    ("sample-views", "strategy"), ("train", "strategy"), ("train", "level"), ("train", "readout"),
+    ("train", "feature-policy"), ("probe-invariance", "encoder"),
+    ("probe-invariance", "feature-policy"),
+])
+def test_config_file_rejects_a_value_outside_the_choices(tmp_path, capsys, command, key):
+    # with a features file, a train run never read its feature policy, so
+    # feature-policy=bogus was echoed into config.resolved and the run exited 0
+    edges, labels = _synth(tmp_path)
+    features = _features_file(tmp_path / "f.csv", 45, 4)
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"edges={edges}\n{key}=bogus\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"sample-views": [],
+            "train": ["--features", str(features), "--out", str(out), "--epochs", "1"],
+            "probe-invariance": ["--labels", str(labels), "--s", "2", "--out", str(out / "m.csv")]}
+    capsys.readouterr()
+    assert dispatch([command, "--config", str(conf), *args[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{conf}:2: bad value for {key}: 'bogus' is not one of" in captured.err
+    assert not out.exists()
+
+
 def test_config_file_repeated_key(tmp_path, capsys):
     # as in every per-node table, a second row for the same key is an error,
     # not a silent override of the first
@@ -710,6 +734,7 @@ def test_linear_eval_rejects_bad_settings(tmp_path, capsys, flag, value, match):
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # the exit code and tgcl's message are the whole report
 def test_linear_eval_exits_3_when_a_squared_gradient_overflows(tmp_path, capsys):
     # 1e160-scaled embeddings keep the probe's gradient finite but not its square
     emb = tmp_path / "emb.csv"

@@ -354,6 +354,50 @@ def test_report_empty_rejected():
         classification_report(np.empty(0, dtype=int), np.empty(0, dtype=int), 2)
 
 
+def test_report_rejects_labels_outside_its_classes():
+    # a label of C or above would land in another class's confusion cell
+    for y_true, y_pred in (([0, 1, 3], [0, 1, 1]), ([0, 1, 2], [0, 3, 1]), ([0, -1, 2], [0, 1, 2])):
+        with pytest.raises(DataError, match=r"must lie in 0\.\.2"):
+            classification_report(np.array(y_true), np.array(y_pred), 3)
+
+
+def _former_classification_report(y_true, y_pred, num_classes):
+    """classification_report's per-class loop before the confusion matrix,
+    kept verbatim."""
+    precision = np.zeros(num_classes)
+    recall = np.zeros(num_classes)
+    f1 = np.zeros(num_classes)
+    support = np.zeros(num_classes, dtype=np.int64)
+    for c in range(num_classes):
+        tp = int(np.sum((y_pred == c) & (y_true == c)))
+        fp = int(np.sum((y_pred == c) & (y_true != c)))
+        fn = int(np.sum((y_pred != c) & (y_true == c)))
+        support[c] = tp + fn
+        precision[c] = tp / (tp + fp) if tp + fp else 0.0
+        recall[c] = tp / (tp + fn) if tp + fn else 0.0
+        f1[c] = (2 * precision[c] * recall[c] / (precision[c] + recall[c])
+                 if precision[c] + recall[c] else 0.0)
+    accuracy = float(np.mean(y_pred == y_true))
+    weighted_f1 = float(np.sum(support * f1) / support.sum())
+    return accuracy, weighted_f1, precision, recall, f1, support
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_report_is_the_former_per_class_loop_bit_for_bit(data):
+    # few classes and short arrays make empty rows and columns common
+    num_classes = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 60))
+    classes = st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n)
+    y_true, y_pred = np.array(data.draw(classes)), np.array(data.draw(classes))
+    rep = classification_report(y_true, y_pred, num_classes)
+    want = _former_classification_report(y_true, y_pred, num_classes)
+    got = (rep.accuracy, rep.weighted_f1, rep.precision, rep.recall, rep.f1, rep.support)
+    for name, g, w in zip(("accuracy", "weighted_f1", "precision", "recall", "f1", "support"), got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
 def test_generator_validation():
     with pytest.raises(DataError, match="n >= k >= 2"):
         generate_synthetic(1, 10, 5.0, 2.0, 1.0, 20)
@@ -594,7 +638,7 @@ def _full_height_probe(view, y_train, train_local, num_classes, cfg, stream):
     limit = np.sqrt(6.0 / (cfg.d_out + num_classes))
     head_w = base.uniform(-limit, limit, size=(cfg.d_out, num_classes))
     head_b = np.zeros(num_classes)
-    a = normalize_adjacency(view).norm.toarray()
+    a = normalize_adjacency(view).toarray()
     p0 = a @ view.features
     trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
                  "head_w": head_w, "head_b": head_b}

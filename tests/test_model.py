@@ -78,23 +78,23 @@ def test_adjacency_single_isolated_node():
     view = slice_interval(g, 0.0, 2.0)
     assert view.num_active == 1
     adj = normalize_adjacency(view)
-    np.testing.assert_allclose(adj.norm.toarray(), [[1.0]])
+    np.testing.assert_allclose(adj.toarray(), [[1.0]])
 
 
 def test_adjacency_two_nodes_one_edge():
     g = build_graph(np.array([0]), np.array([1]), np.array([1.0]),
                     feature_policy="random", feature_dim=3)
     adj = normalize_adjacency(slice_interval(g, 0.0, 2.0))
-    np.testing.assert_allclose(adj.norm.toarray(), np.full((2, 2), 0.5))
+    np.testing.assert_allclose(adj.toarray(), np.full((2, 2), 0.5))
 
 
 def test_adjacency_matches_dense_oracle():
     view = _random_view(seed=3)
     adj = normalize_adjacency(view)
-    assert np.max(np.abs(adj.norm.toarray() - _dense_norm_adj(view))) < 1e-12
+    assert np.max(np.abs(adj.toarray() - _dense_norm_adj(view))) < 1e-12
     # entries in (0, 1], diagonal strictly positive, symmetric
-    assert np.all(adj.vals > 0.0) and np.all(adj.vals <= 1.0)
-    dense = adj.norm.toarray()
+    assert np.all(adj.data > 0.0) and np.all(adj.data <= 1.0)
+    dense = adj.toarray()
     np.testing.assert_array_equal(dense, dense.T)
     assert np.all(np.diag(dense) > 0.0)
 
@@ -104,7 +104,7 @@ def test_adjacency_ignores_duplicate_and_reversed_edges():
     g = build_graph(np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
                     feature_policy="random", feature_dim=3)
     adj = normalize_adjacency(slice_interval(g, 0.0, 4.0))
-    np.testing.assert_allclose(adj.norm.toarray(), np.full((2, 2), 0.5))
+    np.testing.assert_allclose(adj.toarray(), np.full((2, 2), 0.5))
 
 
 def test_adjacency_empty_view_rejected():
@@ -190,11 +190,11 @@ def test_readout_mean_sum_hand_case():
     view = slice_interval(g, 0.0, 3.0)
     h = view.features  # use raw features as the hidden rows
     batch = view.local_index_of(np.array([0]))
-    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
+    out = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
     np.testing.assert_allclose(out, [[2.0, 4.0]])
-    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="sum")
+    out = readout(readout_rows(normalize_adjacency(view), batch), h, stat="sum")
     np.testing.assert_allclose(out, [[4.0, 8.0]])
-    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="max")
+    out = readout(readout_rows(normalize_adjacency(view), batch), h, stat="max")
     np.testing.assert_allclose(out, [[3.0, 5.0]])
 
 
@@ -206,7 +206,7 @@ def test_readout_excludes_self_and_falls_back_when_isolated():
     view = slice_interval(g, 0.0, 2.0)
     h = view.features
     batch = view.local_index_of(np.array([0, 1, 2]))
-    out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
+    out = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
     # neighbors only: 0 sees 1, 1 sees 0; 2 has none and keeps its own row
     np.testing.assert_allclose(out, [[10.0], [1.0], [7.0]])
 
@@ -224,7 +224,7 @@ def test_readout_matches_naive_loop():
             nbrs[int(v)].add(int(u))
 
     for stat, red in (("mean", np.mean), ("sum", np.sum), ("max", np.max)):
-        out, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat=stat)
+        out = readout(readout_rows(normalize_adjacency(view), batch), h, stat=stat)
         for i in range(view.num_active):
             rows = h[sorted(nbrs[i])] if nbrs[i] else h[[i]]
             np.testing.assert_allclose(out[i], red(rows, axis=0), err_msg=f"{stat} node {i}")
@@ -242,8 +242,8 @@ def test_readout_permutation_invariance():
         timestamps=view.timestamps[perm], features=view.features,
     )
     for stat in ("mean", "sum", "max"):
-        a, _ = readout(readout_rows(normalize_adjacency(view), batch), h, stat=stat)
-        b, _ = readout(readout_rows(normalize_adjacency(shuffled), batch), h, stat=stat)
+        a = readout(readout_rows(normalize_adjacency(view), batch), h, stat=stat)
+        b = readout(readout_rows(normalize_adjacency(shuffled), batch), h, stat=stat)
         np.testing.assert_allclose(a, b, atol=1e-12, err_msg=stat)
 
 
@@ -337,7 +337,7 @@ def test_embed_views_compositional_oracle():
         h, _ = _encode_all(entry.view, params)
         local = entry.view.local_index_of(batch)
         queries, _ = project(h[local], params)
-        r, _ = readout(readout_rows(entry.adj, local), h, stat="sum")
+        r = readout(readout_rows(entry.adj, local), h, stat="sum")
         keys, _ = project(r, params)
         np.testing.assert_allclose(q, queries, atol=1e-12)
         np.testing.assert_allclose(k, keys, atol=1e-12)
@@ -359,7 +359,7 @@ def test_embed_views_without_neighborhood():
     params = init_params(5, 8, 4, seed=0)
     pairs, caches = embed_views(views, np.arange(4), params, with_neighborhood=False)
     assert all(k is q for q, k in pairs)
-    assert all(c.read is None for c in caches)
+    assert all(c.neigh is None for c in caches)
 
 
 def test_embed_views_backward_fd():
@@ -403,7 +403,7 @@ def _full_path(entries, batch, params, level, stat):
     pairs, saved = [], []
     for entry in entries:
         view, adj = entry.view, entry.adj
-        a = adj.norm.toarray()
+        a = adj.toarray()
         p0 = a @ view.features
         s1 = p0 @ params.gcn_w1
         p1 = a @ np.maximum(s1, 0.0)
@@ -412,8 +412,8 @@ def _full_path(entries, batch, params, level, stat):
         queries, proj_q = project(h[local], params)
         keys, proj_k, read = queries, None, None
         if level == "graph":
-            r, read = readout(readout_rows(adj, local), h, stat=stat)
-            keys, proj_k = project(r, params)
+            read = readout_rows(adj, local)
+            keys, proj_k = project(readout(read, h, stat=stat), params)
         pairs.append((queries, keys))
         saved.append((a, p0, s1, p1, h, local, proj_q, proj_k, read))
     _, zgrads = multi_view_loss(pairs, 0.5)
@@ -426,7 +426,7 @@ def _full_path(entries, batch, params, level, stat):
         np.add.at(g_h, local, g_rows)
         if proj_k is not None:
             g_read, more = project_backward(g_k, proj_k, params)
-            g_h += readout_backward(g_read, read, h)
+            g_h += readout_backward(g_read, read, h, stat)
             proj_grads = {k: proj_grads[k] + more[k] for k in proj_grads}
         g_s1 = (a @ (g_h @ params.gcn_w2.T)) * (s1 > 0.0)
         proj_grads.update(gcn_w1=p0.T @ g_s1, gcn_w2=p1.T @ g_h)
@@ -471,7 +471,7 @@ def _small_views(draw):
 @settings(deadline=None, derandomize=True)
 @given(_small_views())
 def test_normalized_adjacency_is_the_symmetric_dense_reference(view):
-    norm = normalize_adjacency(view).norm.toarray()
+    norm = normalize_adjacency(view).toarray()
     np.testing.assert_array_equal(norm, norm.T)
     np.testing.assert_allclose(norm, _dense_norm_adj(view), rtol=1e-15, atol=0)
 
@@ -534,13 +534,13 @@ def test_p0_rows_are_the_rows_of_the_full_product_each_computed_once(view, data)
         else:
             reads.append(data.draw(masks))
     entry = view_entry(view)
-    full = entry.adj.norm @ view.features
+    full = entry.adj @ view.features
     computed = []
     product = tgcl.model.adj_matmul
 
-    def counted(adj, x, rows=None):
+    def counted(entry, x, rows=None):
         computed.append(np.ones(n, dtype=bool) if rows is None else rows.copy())
-        return product(adj, x, rows)
+        return product(entry, x, rows)
 
     with mock.patch.object(tgcl.model, "adj_matmul", counted):
         for frontier in reads:
