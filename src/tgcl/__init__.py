@@ -26,7 +26,6 @@ from .sampling import (
     STRATEGIES,
     SamplerConfig,
     ViewWindow,
-    epoch_rng,
     overlap_centers,
     random_centers,
     sample_windows,
@@ -89,7 +88,6 @@ __all__ = [
     "STRATEGIES",
     "SamplerConfig",
     "ViewWindow",
-    "epoch_rng",
     "sequential_centers",
     "overlap_centers",
     "random_centers",

@@ -97,7 +97,7 @@ _TRAIN_OPTS = {
     "batch-size": (int, 256, "minibatch size"),
     "d-hidden": (int, 128, "encoder hidden width"),
     "d-out": (int, 64, "embedding width"),
-    "readout": (str, "mean", "neighborhood statistic", READOUT_STATS),
+    "readout": (str, "mean", "neighborhood statistic; read at graph level only", READOUT_STATS),
     "feature-policy": (str, "degree-buckets", "synthesized-feature policy when no features file",
                        FEATURE_POLICIES),
     "feature-dim": (int, 32, "synthesized feature dimension"),
@@ -335,7 +335,11 @@ def _run_embed(conf: dict) -> int:
     if graph.feature_dim != params.d_in:
         raise DataError(
             f"graph features have dim {graph.feature_dim} but checkpoint expects {params.d_in}")
-    table = embed_all(graph, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        table = embed_all(graph, params)
+    if not np.isfinite(table).all():
+        raise NumericError(f"non-finite embeddings from {conf['ckpt']}: its weights overflow "
+                           f"the encoder on this graph")
     out = Path(conf["out"])
     _write(out, csv_text([nid, *row] for nid, row in zip(graph.node_ids.tolist(), table.tolist())))
     _write_resolved(out.parent, "embed", conf)
@@ -388,8 +392,9 @@ def _run_grad_check(conf: dict) -> int:
     if not 0 < conf["tol"] < np.inf:
         raise DataError(f"tolerance must be positive and finite, got {conf['tol']}")
     report = gradcheck.run_grad_check(seed=conf["seed"], h=conf["h"])
+    per_stat = ", ".join(f"{stat} {err:.3e}" for stat, err in report["graph"]["per_stat"].items())
     print(f"max relative gradient error {report['worst']:.3e} "
-          f"(node {report['node']['max']:.3e}, graph {report['graph']['max']:.3e})")
+          f"(node {report['node']['max']:.3e}, graph {report['graph']['max']:.3e}: {per_stat})")
     if conf["out"]:
         out = Path(conf["out"])
         _write(out, json.dumps(report, sort_keys=True, indent=2) + "\n")

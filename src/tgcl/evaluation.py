@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .graph import SampledView, TemporalGraph, build_graph, running_index, to_snapshots
 from .kernels import AdamState, adam_step
 from .losses import softmax_cross_entropy
 from .model import ViewEntry, encode, encode_backward, glorot, init_params, view_entry
+from .training import shared_nodes
 
 PROBE_ENCODERS = ("gcn", "mlp")
 
@@ -31,15 +32,9 @@ PROBE_ENCODERS = ("gcn", "mlp")
 class SplitSpec:
     """Materialized train/val/test node lists (internal indices, sorted)."""
 
-    ratios: tuple
-    seed: int
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-
-    @property
-    def sizes(self) -> tuple:
-        return (self.train.size, self.val.size, self.test.size)
 
 
 def make_split(labels: np.ndarray, ratios: tuple = (1, 1, 8), seed: int = 0) -> SplitSpec:
@@ -83,7 +78,7 @@ def make_split(labels: np.ndarray, ratios: tuple = (1, 1, 8), seed: int = 0) -> 
     def cat(parts):
         return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
-    return SplitSpec(ratios=tuple(ratios), seed=seed, train=cat(tr), val=cat(va), test=cat(te))
+    return SplitSpec(train=cat(tr), val=cat(va), test=cat(te))
 
 
 @dataclass(eq=False)
@@ -261,13 +256,13 @@ class InvarianceResult:
     """Pairwise prediction-agreement rates between timespan probes.
 
     ``matrix[i, j]`` is the fraction of shared evaluation nodes on which
-    the probes of timespans i and j predict the same label; missing
-    timespans (no edges or no trainable labels) hold NaN.
+    the probes of timespans i and j predict the same label. A missing
+    timespan (no edges or no trainable labels) has NaN in its whole row
+    and column, its diagonal entry included.
     """
 
     matrix: np.ndarray
     eval_nodes: np.ndarray
-    missing: tuple
 
     def mean_agreement(self) -> float:
         s = self.matrix.shape[0]
@@ -319,8 +314,12 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
     sequence of s arrays (one per timespan), which enables the
     shuffled-label control. Each timespan trains a fresh encoder on its
     own view of the train split, then predicts the shared test nodes.
+    A run that measures fewer than two timespans is a DataError.
     """
     cfg.validate()
+    if not 2 <= s <= graph.num_edges:  # more timespans than edges leave some empty
+        raise DataError(f"agreement needs from 2 timespans to one per edge "
+                        f"({graph.num_edges}), got s={s}")
     if isinstance(labels, np.ndarray) and labels.ndim == 1:
         labels_per_span = [labels] * s
     else:
@@ -339,33 +338,33 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
     views = to_snapshots(graph, s)
     split = make_split(labels_per_span[0], ratios=cfg.ratios, seed=cfg.seed)
 
-    nonempty = [t for t in range(s) if not views[t].is_empty]
-    shared = None
-    for t in nonempty:
-        shared = views[t].active if shared is None else np.intersect1d(shared, views[t].active, assume_unique=True)
-    if shared is None:
-        raise DataError("every timespan is empty")
-    eval_nodes = np.intersect1d(shared, split.test, assume_unique=True)
+    # the first and last snapshots hold the edges at t_min and t_max, so two have edges
+    nonempty = [view for view in views if not view.is_empty]
+    eval_nodes = np.intersect1d(shared_nodes(nonempty), split.test, assume_unique=True)
 
     preds = [None] * s
-    missing = []
     for t in range(s):
         if views[t].is_empty:
             warnings.warn(f"timespan {t} has no edges; marked missing")
-            missing.append(t)
             continue
         y_full = labels_per_span[t]
         train_nodes = np.intersect1d(split.train, views[t].active, assume_unique=True)
         train_nodes = train_nodes[y_full[train_nodes] >= 0]
         if train_nodes.size == 0 or eval_nodes.size == 0:
             warnings.warn(f"timespan {t} has no shared labeled nodes; marked missing")
-            missing.append(t)
             continue
-        logits = _fit_timespan_probe(
-            views[t], y_full[train_nodes], views[t].local_index_of(train_nodes),
-            num_classes, cfg, stream=t)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below and by adam_step
+            logits = _fit_timespan_probe(
+                views[t], y_full[train_nodes], views[t].local_index_of(train_nodes),
+                num_classes, cfg, stream=t)
+        if not np.isfinite(logits).all():
+            raise NumericError(f"non-finite logits from the probe of timespan {t}")
         preds[t] = np.argmax(logits[views[t].local_index_of(eval_nodes)], axis=1)
 
+    measured = sum(p is not None for p in preds)
+    if measured < 2:
+        raise DataError(f"no pair of timespans to compare: measured {measured} of {s}, the rest "
+                        f"have no edges or no shared labeled train or test node")
     matrix = np.full((s, s), np.nan)
     for i in range(s):
         if preds[i] is not None:
@@ -374,7 +373,7 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
             if preds[i] is not None and preds[j] is not None:
                 agree = float(np.mean(preds[i] == preds[j]))
                 matrix[i, j] = matrix[j, i] = agree
-    return InvarianceResult(matrix=matrix, eval_nodes=eval_nodes, missing=tuple(missing))
+    return InvarianceResult(matrix=matrix, eval_nodes=eval_nodes)
 
 
 def generate_synthetic(

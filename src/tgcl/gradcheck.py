@@ -1,8 +1,9 @@
 """Finite-difference verification of the analytic gradients.
 
 Builds a fixed 12-node two-view fixture, runs the full embed-and-contrast
-pipeline at both loss levels, and compares every parameter gradient
-against central differences. Relative error uses
+pipeline at both loss levels, the graph level under every readout
+statistic, and compares every parameter gradient against central
+differences. Relative error uses
 |a - f| / max(1e-6, |a|, |f|) per component, worst case over all entries.
 """
 
@@ -13,11 +14,16 @@ import numpy as np
 from .errors import DataError
 from .graph import TemporalGraph, build_graph, slice_interval
 from .losses import multi_view_loss
-from .model import PARAM_FIELDS, embed_views, embed_views_backward, init_params, view_entry
+from .model import (PARAM_FIELDS, READOUT_STATS, embed_views, embed_views_backward, init_params,
+                    view_entry)
 from .training import shared_nodes
 
 FIXTURE_NODES = 12
 FIXTURE_SPLIT = 50.0
+# the fixture model's temperature and widths: small, for a fast sweep of the training code path
+FIXTURE_TAU = 0.5
+FIXTURE_D_HIDDEN = 16
+FIXTURE_D_OUT = 8
 
 
 def fixture_graph(seed: int = 7) -> TemporalGraph:
@@ -76,26 +82,21 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
-                      tau: float = 0.5, d_hidden: int = 16, d_out: int = 8,
                       stat: str = "mean") -> dict:
-    """Per-parameter worst relative gradient error on the fixture.
-
-    Small hidden dims keep the parameter sweep fast while exercising the
-    identical code path as full-size training.
-    """
+    """Per-parameter worst relative gradient error on the fixture."""
     graph = fixture_graph(seed)
     views = fixture_views(graph)
     batch = shared_nodes(views)
     entries = [view_entry(view) for view in views]
-    params = init_params(graph.feature_dim, d_hidden, d_out, seed=seed)
+    params = init_params(graph.feature_dim, FIXTURE_D_HIDDEN, FIXTURE_D_OUT, seed=seed)
     with_neigh = level == "graph"
 
     def loss_value():
         pairs, _ = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
-        return multi_view_loss(pairs, tau)[0]
+        return multi_view_loss(pairs, FIXTURE_TAU)[0]
 
     pairs, caches = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
-    _, zgrads = multi_view_loss(pairs, tau)
+    _, zgrads = multi_view_loss(pairs, FIXTURE_TAU)
     analytic = embed_views_backward(zgrads, caches, params)
 
     errors = {}
@@ -106,16 +107,23 @@ def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
 
 
 def run_grad_check(seed: int = 7, h: float = 1e-5) -> dict:
-    """Both loss levels on the fixture; returns per-level and worst errors.
+    """Both loss levels on the fixture, the graph level under every readout
+    statistic; returns per-level and worst errors.
 
-    A NaN error (a difference that did not compute) makes every maximum
+    The graph level's ``per_param`` is each parameter's worst error over
+    the statistics, and its ``per_stat`` each statistic's worst error. A
+    NaN error (a difference that did not compute) makes every maximum
     above it NaN, so the check fails rather than skipping it.
     """
     if not 0.0 < h < np.inf:
         raise DataError(f"finite-difference step h must be positive and finite, got {h}")
-    report = {}
-    for level in ("node", "graph"):
-        errors = model_grad_errors(level=level, seed=seed, h=h)
-        report[level] = {"per_param": errors, "max": float(np.max(list(errors.values())))}
-    report["worst"] = float(np.max([report[level]["max"] for level in ("node", "graph")]))
+    node = model_grad_errors(level="node", seed=seed, h=h, stat="mean")  # reads no readout
+    by_stat = {stat: model_grad_errors(level="graph", seed=seed, h=h, stat=stat)
+               for stat in READOUT_STATS}
+    graph = {name: float(np.max([errors[name] for errors in by_stat.values()])) for name in node}
+    report = {level: {"per_param": errors, "max": float(np.max(list(errors.values())))}
+              for level, errors in (("node", node), ("graph", graph))}
+    report["graph"]["per_stat"] = {stat: float(np.max(list(errors.values())))
+                                   for stat, errors in by_stat.items()}
+    report["worst"] = float(np.max([report["node"]["max"], report["graph"]["max"]]))
     return report

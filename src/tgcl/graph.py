@@ -50,7 +50,6 @@ class TemporalGraph:
     t_min: float
     t_max: float
     labels: Optional[np.ndarray] = None
-    label_names: Optional[tuple] = None
     feature_spec: Optional[dict] = None
 
     @property
@@ -100,10 +99,6 @@ class SampledView:
     @property
     def num_active(self) -> int:
         return int(self.active.shape[0])
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.timestamps.shape[0])
 
     def local_index_of(self, nodes: np.ndarray) -> np.ndarray:
         """Positions of internal node indices inside ``active``.
@@ -306,12 +301,11 @@ def build_graph(
         if feature_policy == "random":  # every row depends on the node count
             feature_spec["nodes"] = n
 
-    codes = label_names = None
+    codes = None
     if labels is not None:
         ids, values = labels
-        values, label_names = label_codes(values)
         codes = np.full(n, -1, dtype=np.int64)
-        codes[np.searchsorted(node_ids, ids)] = values
+        codes[np.searchsorted(node_ids, ids)] = label_codes(values)[0]
 
     return TemporalGraph(
         node_ids=node_ids,
@@ -322,7 +316,6 @@ def build_graph(
         t_min=float(timestamps[order[0]]),
         t_max=float(timestamps[order[-1]]),
         labels=codes,
-        label_names=label_names,
         feature_spec=feature_spec,
     )
 

@@ -71,10 +71,14 @@ def leaky_relu_backward(grad: np.ndarray, x: np.ndarray, slope: float = 0.01) ->
 
 
 def row_l2_normalize(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norms = np.linalg.norm(x, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise NumericError(f"zero-norm row(s) {zero[:5].tolist()} in l2 normalization")
+    huge = np.nonzero(norms == np.inf)[0]  # x / inf would be a silent zero row
+    if huge.size:
+        raise NumericError(f"overflowing row norm(s) {huge[:5].tolist()} in l2 normalization")
     return x / norms[:, None]
 
 

@@ -36,6 +36,7 @@ class LossConfig:
         return self
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray, tau: float = 1.0):
     """Mean cross-entropy of row-softmax(scores / tau) against integer targets,
     and its exact gradient: (softmax - one-hot) / (rows * tau).
@@ -44,7 +45,9 @@ def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray, tau: float = 
     later step works in place on it, so ``scores`` is never written. The
     row max is read at argmax, the same value as ``max`` at a fraction of
     its cost; it and the target entries are read through flat indices,
-    which the C order makes row start + column.
+    which the C order makes row start + column. Logits that overflow give
+    a non-finite loss or gradient, without a NumPy warning, for the callers'
+    finiteness checks to report.
     """
     logits = np.divide(scores, tau, order="C")
     rows, cols = logits.shape

@@ -41,8 +41,6 @@ class ViewWindow:
     center: float
     lo: float
     hi: float
-    strategy: str
-    epoch: int
 
 
 @dataclass(frozen=True)
@@ -57,17 +55,12 @@ class SamplerConfig:
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
             raise DataError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.s < 1:
-            raise DataError(f"s must be a positive integer, got {self.s}")
+        if not 1 <= self.s < 2 ** 63:  # the sequential slots are drawn as int64
+            raise DataError(f"s must be a positive integer below 2**63, got {self.s}")
         if self.v < 2:
             raise DataError(f"v must be >= 2 for contrastive views, got {self.v}")
         if self.strategy == "sequential" and self.v > self.s:
             raise DataError(f"sequential sampling needs v <= s, got v={self.v} s={self.s}")
-
-
-def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    """Independent per-epoch stream from a root seed."""
-    return np.random.default_rng([seed, epoch])
 
 
 def _uniform_grid(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -123,14 +116,6 @@ _CENTER_FNS = {
 }
 
 
-def _windows_from_centers(centers, cfg, dt, epoch) -> list:
-    half = dt / (2 * cfg.s)
-    return [
-        ViewWindow(center=c, lo=c - half, hi=c + half, strategy=cfg.strategy, epoch=epoch)
-        for c in centers
-    ]
-
-
 def sample_windows(graph: TemporalGraph, cfg: SamplerConfig, epoch: int, seed: int) -> list:
     """Draw the epoch's v view windows for ``graph``.
 
@@ -142,12 +127,12 @@ def sample_windows(graph: TemporalGraph, cfg: SamplerConfig, epoch: int, seed: i
     dt = graph.timespan
     if dt <= 0.0:
         raise DataError("degenerate timespan: view sampling needs t_max > t_min")
-    rng = epoch_rng(seed, epoch)
+    rng = np.random.default_rng([seed, epoch])  # one independent stream per epoch
     center_fn = _CENTER_FNS[cfg.strategy]
+    half = dt / (2 * cfg.s)
     last_empty = None
     for _ in range(_MAX_RESAMPLE):
-        centers = center_fn(cfg, dt, graph.t_min, rng)
-        windows = _windows_from_centers(centers, cfg, dt, epoch)
+        windows = [ViewWindow(c, c - half, c + half) for c in center_fn(cfg, dt, graph.t_min, rng)]
         bounds = [graph.edge_range(w.lo, w.hi) for w in windows]
         empty = [w for w, (i, j) in zip(windows, bounds) if i == j]
         if not empty:

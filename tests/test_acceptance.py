@@ -319,7 +319,7 @@ def test_acceptance_9_readout_and_normalization():
 
         h = rng.standard_normal((view.num_active, 6))
         batch = np.arange(view.num_active)
-        perm = rng.permutation(view.num_edges)
+        perm = rng.permutation(view.timestamps.size)
         shuffled = type(view)(lo=view.lo, hi=view.hi, active=view.active,
                               src=view.src[perm], dst=view.dst[perm],
                               timestamps=view.timestamps[perm], features=view.features)

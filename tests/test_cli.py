@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,7 +432,7 @@ def test_embed_writes_the_per_cell_repr_bytes(tmp_path, monkeypatch, capsys):
 
 def test_probe_invariance_writes_the_per_cell_repr_bytes(tmp_path, monkeypatch, capsys):
     edges, labels = _synth(tmp_path)
-    result = InvarianceResult(matrix=_AWKWARD[:, :2], eval_nodes=np.arange(3), missing=())
+    result = InvarianceResult(matrix=_AWKWARD[:, :2], eval_nodes=np.arange(3))
     monkeypatch.setattr(cli, "probe_invariance", lambda graph, labels, s, cfg: result)
     out = tmp_path / "m.csv"
     assert dispatch(["probe-invariance", "--edges", str(edges), "--labels", str(labels),
@@ -642,6 +644,25 @@ def test_linear_eval_duplicate_ids(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,match", [
+    (["--s", "1"], "agreement needs from 2 timespans to one per edge (500), got s=1"),
+    (["--s", "2", "--ratios", "0:0:1"], "no pair of timespans to compare: measured 0 of 2"),
+    (["--s", "2", "--ratios", "1:0:0"], "no pair of timespans to compare: measured 0 of 2"),
+    (["--s", "100"], "no pair of timespans to compare: measured 0 of 100"),
+])
+def test_probe_invariance_that_measures_no_pair_exits_2(tmp_path, capsys, flags, match):
+    # each of these printed 'mean off-diagonal agreement nan' and exited 0
+    edges, labels = _synth(tmp_path, n=60, events=500)
+    out = tmp_path / "matrix.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the timespans marked missing
+        code = dispatch(["probe-invariance", "--edges", str(edges), "--labels", str(labels),
+                         "--epochs", "2", "--out", str(out), *flags])
+    assert code == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probe_invariance_cli(tmp_path, capsys):
     edges, labels = _synth(tmp_path, n=40, events=500)
     out = tmp_path / "matrix.csv"
@@ -660,7 +681,10 @@ def test_probe_invariance_cli(tmp_path, capsys):
 
 def test_grad_check_cli(capsys):
     assert dispatch(["grad-check"]) == 0
-    assert "max relative gradient error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max relative gradient error" in out
+    err = r"\d\.\d{3}e-\d\d"
+    assert re.search(f"graph {err}: mean {err}, max {err}, sum {err}\\)", out), out
 
 
 def test_grad_check_tol_failure(capsys):
@@ -685,7 +709,7 @@ def test_grad_check_rejects_a_step_that_is_not_positive_and_finite(capsys, h):
 def test_grad_check_fails_on_a_nan_error(monkeypatch, capsys):
     # max(0.0, nan) is 0.0: a NaN error must not read as a pass
     monkeypatch.setattr(tgcl.gradcheck, "model_grad_errors",
-                        lambda level, seed, h: {"w1": 1e-7, "w2": float("nan")})
+                        lambda level, seed, h, stat: {"w1": 1e-7, "w2": float("nan")})
     assert dispatch(["grad-check"]) == 3
     assert "max relative gradient error nan" in capsys.readouterr().out
 
@@ -745,6 +769,57 @@ def test_linear_eval_exits_3_when_a_squared_gradient_overflows(tmp_path, capsys)
     assert dispatch(["linear-eval", "--embeddings", str(emb), "--labels", str(labels),
                      "--out", str(out)]) == 3
     assert "squared grad[probe]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # the exit code and tgcl's message are the whole report
+@pytest.mark.parametrize("tau", ["1e-310", "5e-324"])
+def test_train_exits_3_on_a_subnormal_temperature_without_a_numpy_warning(tmp_path, capsys, tau):
+    # scores / tau overflow to inf, and the max-subtracted logits are inf - inf
+    edges, _ = _synth(tmp_path)
+    out = tmp_path / "run"
+    assert dispatch(["train", "--edges", str(edges), "--out", str(out), "--epochs", "2",
+                     "--tau", tau, "--d-hidden", "8", "--d-out", "4"]) == 3
+    assert "non-finite loss nan at epoch 1" in capsys.readouterr().err
+    assert not (out / "params.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_invariance_exits_3_when_its_logits_overflow(tmp_path, capsys):
+    # one Adam step at lr 1e308 leaves weights that overflow the final forward;
+    # the NaN logits all predicted class 0, which read as agreement 1.0
+    edges, labels = _synth(tmp_path, n=60, events=500)
+    out = tmp_path / "matrix.csv"
+    assert dispatch(["probe-invariance", "--edges", str(edges), "--labels", str(labels),
+                     "--s", "2", "--epochs", "1", "--lr", "1e308", "--out", str(out)]) == 3
+    assert "non-finite logits from the probe of timespan 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_exits_3_when_a_projection_norm_overflows(tmp_path, capsys):
+    # after one step at lr 1e50 the second step's projection rows have norms
+    # that overflow; they were divided to zero rows, and the run exited 0
+    edges, _ = _synth(tmp_path)
+    out = tmp_path / "run"
+    assert dispatch(["train", "--edges", str(edges), "--out", str(out), "--epochs", "1",
+                     "--batches-per-epoch", "2", "--lr", "1e50", "--d-hidden", "3",
+                     "--d-out", "1", "--feature-dim", "1"]) == 3
+    assert "overflowing row norm(s)" in capsys.readouterr().err
+    assert not (out / "params.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_embed_exits_3_when_the_checkpoint_overflows_the_encoder(tmp_path, capsys):
+    # a checkpoint trained at lr 1e308 holds finite weights whose products overflow
+    edges, _ = _synth(tmp_path)
+    run = tmp_path / "run"
+    assert dispatch(["train", "--edges", str(edges), "--out", str(run), "--epochs", "1",
+                     "--lr", "1e308", "--d-hidden", "8", "--d-out", "4"]) == 0
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(run / "params.ckpt"),
+                     "--out", str(out)]) == 3
+    assert "non-finite embeddings from" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -39,7 +39,7 @@ def _labels(sizes):
 def test_split_counts_10x10():
     labels = _labels([10] * 10)
     split = make_split(labels, (1, 1, 8), seed=0)
-    assert split.sizes == (10, 10, 80)
+    assert (split.train.size, split.val.size, split.test.size) == (10, 10, 80)
     for c in range(10):
         assert np.sum(labels[split.train] == c) == 1
         assert np.sum(labels[split.val] == c) == 1
@@ -91,7 +91,8 @@ def test_split_warns_of_a_class_rounded_out_of_validation():
     with pytest.warns(UserWarning, match=r"class \d has 4 members and gets no validation node") as seen:
         split = make_split(labels, (2, 1, 7), seed=0)
     assert sorted(int(str(w.message).split()[1]) for w in seen) == [0, 1, 2, 3, 4]
-    assert split.sizes == (5, 0, 15)  # the cut itself is the same as without the warning
+    # the cut itself is the same as without the warning
+    assert (split.train.size, split.val.size, split.test.size) == (5, 0, 15)
 
 
 def test_split_warns_of_a_class_rounded_out_of_train_and_validation():
@@ -198,7 +199,7 @@ def test_probe_single_class_train_rejected():
     labels = np.array([0] * 12 + [1] * 3)
     x = _separable_embeddings(labels, noise=0.1)
     only0 = np.flatnonzero(labels == 0)
-    degenerate = SplitSpec(ratios=(1, 1, 8), seed=0, train=only0[:4], val=only0[4:6], test=only0[6:])
+    degenerate = SplitSpec(train=only0[:4], val=only0[4:6], test=only0[6:])
     with pytest.raises(DataError, match="degenerate train split"):
         train_linear_probe(x, labels, degenerate)
 
@@ -292,8 +293,7 @@ def test_probe_stops_once_every_validation_node_is_right(monkeypatch):
 
     # no step at all when the untrained classifier, which predicts class 0,
     # is all-correct: here every validation node is of class 0
-    only0 = SplitSpec(ratios=split.ratios, seed=split.seed, train=split.train,
-                      val=split.val[labels[split.val] == 0], test=split.test)
+    only0 = SplitSpec(train=split.train, val=split.val[labels[split.val] == 0], test=split.test)
     probe, steps = _probe_and_adam_steps(monkeypatch, x, labels, only0)
     assert steps == 0 and probe.best_epoch == 0
     assert np.all(probe.w == 0.0) and np.all(probe.b == 0.0)
@@ -555,7 +555,6 @@ def test_invariance_matrix_shape_and_bounds():
     np.testing.assert_allclose(res.matrix, res.matrix.T)
     assert 0.0 <= res.matrix[0, 1] <= 1.0
     assert res.mean_agreement() == pytest.approx(res.matrix[0, 1])
-    assert res.missing == ()
     assert res.eval_nodes.size > 0
 
 
@@ -612,7 +611,7 @@ def test_invariance_missing_timespan_nan():
                     feature_policy="random", feature_dim=8)
     with pytest.warns(UserWarning, match="no edges"):
         res = probe_invariance(g, g.labels, 4, FAST_PROBE)
-    assert set(res.missing) == {1, 2}
+    assert np.flatnonzero(np.isnan(np.diag(res.matrix))).tolist() == [1, 2]  # marked missing
     assert np.isnan(res.matrix[1]).all() and np.isnan(res.matrix[:, 2]).all()
     assert np.isfinite(res.matrix[0, 3])
     assert res.mean_agreement() == pytest.approx(res.matrix[0, 3])
@@ -622,11 +621,23 @@ def test_invariance_timespan_without_labels_is_missing():
     g = _probe_fixture()
     unlabeled = np.full(g.num_nodes, -1)
     with pytest.warns(UserWarning, match="timespan 1 has no shared labeled nodes"):
-        res = probe_invariance(g, [g.labels, unlabeled], 2, FAST_PROBE)
-    assert res.missing == (1,)
-    assert res.matrix[0, 0] == 1.0 and np.isnan(res.matrix[1]).all()
+        res = probe_invariance(g, [g.labels, unlabeled, g.labels], 3, FAST_PROBE)
+    assert np.isnan(res.matrix[1]).all() and np.isnan(res.matrix[:, 1]).all()
+    assert res.matrix[0, 0] == res.matrix[2, 2] == 1.0 and np.isfinite(res.matrix[0, 2])
+    # one measured timespan of two leaves no pair to compare
+    with pytest.warns(UserWarning, match="timespan 1 has no shared labeled nodes"), \
+            pytest.raises(DataError, match="no pair of timespans to compare: measured 1 of 2"):
+        probe_invariance(g, [g.labels, unlabeled], 2, FAST_PROBE)
     with pytest.raises(DataError, match="no timespan has a labeled node"):
         probe_invariance(g, [unlabeled, unlabeled], 2, FAST_PROBE)
+
+
+@pytest.mark.parametrize("s", [1, 0, -3, 601, 2 ** 62])
+def test_invariance_needs_two_to_one_timespan_per_edge(s):
+    # the fixture has 600 edges; s = 2**62 raised MemoryError building s label references
+    g = _probe_fixture()
+    with pytest.raises(DataError, match=rf"from 2 timespans to one per edge \(600\), got s={s}$"):
+        probe_invariance(g, g.labels, s, FAST_PROBE)
 
 
 def _full_height_probe(view, y_train, train_local, num_classes, cfg, stream):

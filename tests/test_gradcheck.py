@@ -46,11 +46,33 @@ def test_run_grad_check_structure():
         assert set(report[level]["per_param"]) == set(PARAM_FIELDS)
         assert report[level]["max"] == max(report[level]["per_param"].values())
     assert report["worst"] == max(report["node"]["max"], report["graph"]["max"])
+    assert set(report["graph"]["per_stat"]) == set(READOUT_STATS)
+    assert report["graph"]["max"] == max(report["graph"]["per_stat"].values())
+
+
+def test_run_grad_check_runs_the_graph_level_under_every_readout(monkeypatch):
+    calls = []
+
+    def errors(level, seed, h, stat):
+        calls.append((level, stat))
+        if level == "node":
+            return {"w1": 1e-9, "w2": 2e-9}
+        return {"w1": {"mean": 1e-7, "sum": 3e-7, "max": 2e-7}[stat],
+                "w2": {"mean": 5e-8, "sum": 1e-8, "max": float("nan")}[stat]}
+
+    monkeypatch.setattr(tgcl.gradcheck, "model_grad_errors", errors)
+    report = run_grad_check()
+    assert sorted(calls) == sorted([("node", "mean")] + [("graph", s) for s in READOUT_STATS])
+    assert report["graph"]["per_param"]["w1"] == 3e-7
+    assert np.isnan(report["graph"]["per_param"]["w2"])  # a NaN under one statistic stays
+    assert report["graph"]["per_stat"]["mean"] == 1e-7 and report["graph"]["per_stat"]["sum"] == 3e-7
+    assert np.isnan(report["graph"]["per_stat"]["max"]) and np.isnan(report["worst"])
+    assert report["node"] == {"per_param": {"w1": 1e-9, "w2": 2e-9}, "max": 2e-9}
 
 
 def test_a_nan_error_makes_every_maximum_above_it_nan(monkeypatch):
     # max(1e-7, nan) is 1e-7: the NaN of an uncomputed difference was dropped
     monkeypatch.setattr(tgcl.gradcheck, "model_grad_errors",
-                        lambda level, seed, h: {"w1": 1e-7, "w2": float("nan")})
+                        lambda level, seed, h, stat: {"w1": 1e-7, "w2": float("nan")})
     report = run_grad_check()
     assert np.isnan(report["node"]["max"]) and np.isnan(report["worst"])

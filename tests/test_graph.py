@@ -113,8 +113,7 @@ def test_labels_integer(tmp_path):
     e = _write(tmp_path, "e.csv", "0,1,1.0\n1,2,2.0\n")
     l = _write(tmp_path, "l.csv", "0,3\n2,1\n")
     g = load_temporal_graph(e, labels_path=l)
-    assert g.labels.tolist() == [3, -1, 1]
-    assert g.label_names is None
+    assert g.labels.tolist() == [3, -1, 1]  # integer labels are their own codes
     assert np.flatnonzero(g.labels >= 0).tolist() == [0, 2]
 
 
@@ -122,8 +121,7 @@ def test_labels_string_interned_by_first_occurrence(tmp_path):
     e = _write(tmp_path, "e.csv", "0,1,1.0\n1,2,2.0\n")
     l = _write(tmp_path, "l.csv", "1,cat\n0,dog\n2,cat\n")
     g = load_temporal_graph(e, labels_path=l)
-    assert g.label_names == ("cat", "dog")
-    assert g.labels.tolist() == [1, 0, 0]
+    assert g.labels.tolist() == [1, 0, 0]  # cat, seen first, is 0; dog is 1
 
 
 def test_labels_duplicate_id(tmp_path):
@@ -179,7 +177,7 @@ def test_slice_brute_force_count(tmp_path):
     g = load_temporal_graph(p)
     view = slice_interval(g, 25.0, 75.0)
     expect = sum(1 for t in g.timestamps if 25.0 <= t <= 75.0)
-    assert view.num_edges == expect
+    assert view.timestamps.size == expect
 
 
 def test_slice_monotonicity(tmp_path):
@@ -223,7 +221,7 @@ def test_snapshot_partition_boundaries(tmp_path):
     p = _write(tmp_path, "e.csv", "\n".join(lines) + "\n")
     g = load_temporal_graph(p)
     seq = to_snapshots(g, 4)
-    counts = [snap.num_edges for snap in seq]
+    counts = [snap.timestamps.size for snap in seq]
     # [0,25) [25,50) [50,75) [75,100]: boundary edges open the next bin
     assert counts == [2, 1, 2, 2]
     assert seq[3].timestamps.tolist() == [75.0, 100.0]
@@ -245,7 +243,7 @@ def test_snapshot_edge_conservation(tmp_path):
     g = load_temporal_graph(p)
     for s in (1, 3, 7):
         seq = to_snapshots(g, s)
-        assert sum(snap.num_edges for snap in seq) == 1000
+        assert sum(snap.timestamps.size for snap in seq) == 1000
         merged = np.sort(np.concatenate([snap.timestamps for snap in seq]))
         assert np.array_equal(merged, np.sort(g.timestamps))
 
@@ -365,7 +363,7 @@ def test_comment_rule_is_whole_line_only(tmp_path):
     e = _write(tmp_path, "e.csv", "0,1,1.0\n")
     l = _write(tmp_path, "l.csv", "0,C#\n1,C\n")
     g = load_temporal_graph(e, labels_path=l)
-    assert g.label_names == ("C#", "C")
+    assert g.labels.tolist() == [0, 1]  # C# and C are two classes
 
 
 def test_ids_above_2_to_the_53_are_exact(tmp_path):

@@ -64,6 +64,13 @@ def test_row_l2_zero_row_error():
         row_l2_normalize(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_l2_normalize_rejects_a_norm_that_overflows():
+    # the squares overflow: x / inf made a silent zero row, after a NumPy warning
+    with pytest.raises(NumericError, match=r"overflowing row norm\(s\) \[1\]"):
+        row_l2_normalize(np.array([[3.0, 4.0], [1e200, -1e200]]))
+
+
 def test_check_finite():
     check_finite("ok", np.ones(3))
     with pytest.raises(NumericError, match="bad"):

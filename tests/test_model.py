@@ -235,7 +235,7 @@ def test_readout_permutation_invariance():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((view.num_active, 4))
     batch = np.arange(view.num_active)
-    perm = rng.permutation(view.num_edges)
+    perm = rng.permutation(view.timestamps.size)
     shuffled = type(view)(
         lo=view.lo, hi=view.hi, active=view.active,
         src=view.src[perm], dst=view.dst[perm],

@@ -52,7 +52,6 @@ def test_window_geometry_all_strategies():
             assert w.hi - w.lo == 25.0  # exactly Dt/s
             assert 0.0 <= w.lo <= w.hi <= 100.0
             assert w.lo == w.center - 12.5 and w.hi == w.center + 12.5
-            assert w.strategy == strategy
 
 
 def test_sequential_candidate_centers():

@@ -286,7 +286,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_csv_lines_equal_the_former_formatter(rows):
     # NumPy scalars, as the samplers and the loss hand them over
     log = TrainLog([EpochRecord(epoch, np.float64(loss), shared, tuple(
-        ViewWindow(np.float64((lo + hi) / 2), np.float64(lo), np.float64(hi), "random", epoch)
+        ViewWindow(np.float64((lo + hi) / 2), np.float64(lo), np.float64(hi))
         for lo, hi in windows)) for epoch, loss, shared, windows in rows])
     assert "".join(log.csv_lines()).encode() == "".join(_former_csv_lines(log)).encode()
 
