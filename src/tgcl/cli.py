@@ -30,7 +30,7 @@ from .evaluation import (
     probe_invariance,
     train_linear_probe,
 )
-from .graph import FEATURE_POLICIES, csv_text, label_codes, load_temporal_graph, read_table
+from .graph import FEATURE_POLICIES, csv_text, load_temporal_graph, read_table
 from .losses import LOSS_LEVELS, LossConfig
 from .model import READOUT_STATS, load_params
 from .sampling import STRATEGIES, SamplerConfig, sample_windows
@@ -351,8 +351,7 @@ def _run_linear_eval(conf: dict) -> int:
     ids, table = read_table(conf["embeddings"], "embeddings")
     order = np.argsort(ids)
     ids, table = ids[order], table[order]
-    label_ids, values = read_table(conf["labels"], "labels")
-    codes, _names = label_codes(values)
+    label_ids, codes = read_table(conf["labels"], "labels")
     pos = np.minimum(np.searchsorted(ids, label_ids), ids.size - 1)
     known = ids[pos] == label_ids  # labels of nodes without an embedding are dropped
     labels = np.full(ids.size, -1, dtype=np.int64)

@@ -134,8 +134,10 @@ def read_table(path, table: str) -> tuple:
 
     Rows are the stripped lines that are neither blank nor whole-line
     ``#`` comments; one ``np.loadtxt`` call converts them all. Ids are
-    int64 and values float64, both ASCII numerals without ``_``; label
-    values stay strings (see :func:`label_codes`). Returns ``(ids,
+    int64 and values float64, both ASCII numerals without ``_``. A label
+    is read as an int64 class code: when every label parses with ``int``
+    and fits int64, the codes are those integers; otherwise each distinct
+    string is a class, numbered in first-occurrence order. Returns ``(ids,
     values)``: ids are (n,), or (n, 2) src/dst pairs for edges; values are
     (n,) for edges and labels, (n, d) for features and embeddings, in file
     order. A malformed row, a negative id, a non-finite value, a negative
@@ -198,10 +200,16 @@ def read_table(path, table: str) -> tuple:
     fail((ids < 0).any(axis=1), "negative node id in")
     if numeric:
         fail(~np.isfinite(values).all(axis=1), "non-finite value in")
-    else:  # labels: integer classes count from 0, and -1 would read as unlabelled
-        codes, names = label_codes(values[:, 0])
-        if names is None:
+    else:
+        labels = values[:, 0]
+        try:
+            codes = np.fromiter(map(int, labels), np.int64, n)
+        except (ValueError, OverflowError):
+            number = {name: i for i, name in enumerate(dict.fromkeys(labels))}
+            codes = np.fromiter(map(number.__getitem__, labels), np.int64, n)
+        else:  # integer classes count from 0, and -1 would read as unlabelled
             fail(codes < 0, "negative class label in")
+        values = codes[:, None]  # one column, as for edges
     if k == 1:
         repeat = np.ones(n, dtype=bool)
         repeat[np.unique(ids, return_index=True)[1]] = False  # first occurrences
@@ -213,22 +221,6 @@ def csv_text(rows) -> str:
     """CSV text, one ``repr`` per cell. Cells must be Python ints and floats
     (``.tolist()``, ``float()``): NumPy 2 reprs a scalar as ``np.float64(...)``."""
     return "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def label_codes(values) -> tuple:
-    """Class codes (int64) for label values, and the class names.
-
-    When every value parses with ``int`` (and fits int64), the codes are
-    those integers and the names None. Otherwise each distinct string is
-    a class, numbered in first-occurrence order, and the names tuple maps
-    a code back to its string.
-    """
-    try:
-        return np.fromiter(map(int, values), np.int64, len(values)), None
-    except (ValueError, OverflowError):
-        names = tuple(dict.fromkeys(map(str, values)))
-        code = {name: i for i, name in enumerate(names)}
-        return np.fromiter(map(code.__getitem__, map(str, values)), np.int64, len(values)), names
 
 
 def synthesize_features(
@@ -274,8 +266,8 @@ def build_graph(
     """Assemble a TemporalGraph from parsed pieces (external ids).
 
     ``features`` is (ids, matrix) with one row per id, ``labels`` is (ids,
-    values) with values as :func:`label_codes` reads them; nodes without a
-    row get zero features and label -1. Edges are stored sorted by
+    codes) with int64 class codes as :func:`read_table` reads them; nodes
+    without a row get zero features and label -1. Edges are stored sorted by
     timestamp; the sort is stable, so edges with equal timestamps keep
     their input order.
     """
@@ -303,9 +295,9 @@ def build_graph(
 
     codes = None
     if labels is not None:
-        ids, values = labels
+        ids, classes = labels
         codes = np.full(n, -1, dtype=np.int64)
-        codes[np.searchsorted(node_ids, ids)] = label_codes(values)[0]
+        codes[np.searchsorted(node_ids, ids)] = classes
 
     return TemporalGraph(
         node_ids=node_ids,

@@ -1,9 +1,13 @@
 """Dense numeric kernels with exact reverse-mode adjoints, plus Adam.
 
-Every kernel comes as a forward function and a matching ``*_backward``
-that maps the output gradient (plus whatever the forward saw) to input
-gradients. Compositions are wired by hand in the model module; there is
-no tape. Arrays are float64.
+Each kernel holds an algorithm or a rounding rule that one NumPy
+expression would not: the row-stable GEMM, LeakyReLU in its max form, row
+L2 normalization with its zero and overflow checks, segment max, and the
+in-place Adam update. Each but Adam comes as a forward function and a
+matching ``*_backward`` that maps the output gradient (plus whatever the
+forward saw) to input gradients. The model module wires them together by
+hand, with the one-expression steps (bias adds, the encoder's ReLU)
+written out there; there is no tape. Arrays are float64.
 """
 
 from __future__ import annotations
@@ -15,23 +19,14 @@ import numpy as np
 from .errors import NumericError
 
 
-def check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values in {name}")
-
-
-def _shape_check(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, each output row bit-identical to that row of any taller product.
 
     NumPy hands a one-row product to gemv, whose sums round differently
     from gemm's, so a single row goes through gemm as two copies.
     """
-    _shape_check(a, b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     if a.shape[0] == 1:
         return (np.repeat(a, 2, axis=0) @ b)[:1]
     return a @ b
@@ -39,24 +34,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def matmul_backward(grad: np.ndarray, a: np.ndarray, b: np.ndarray):
     return grad @ b.T, a.T @ grad
-
-
-def add_bias(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if x.shape[1] != b.shape[0]:
-        raise ValueError(f"add_bias shape mismatch: {x.shape} + {b.shape}")
-    return x + b
-
-
-def add_bias_backward(grad: np.ndarray):
-    return grad, grad.sum(axis=0)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return grad * (x > 0.0)
 
 
 def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
@@ -148,7 +125,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             g += grads[name]
         with np.errstate(over="ignore"):  # an overflow is the check's to report
             np.multiply(g, g, out=tmp)
-        check_finite(f"squared grad[{name}]", tmp)
+        if not np.isfinite(tmp).all():
+            raise NumericError(f"non-finite values in squared grad[{name}]")
         work.append((name, p, g, step, tmp))
     state.step_count += 1
     t = state.step_count

@@ -204,7 +204,7 @@ def encode(entry: ViewEntry, params: ModelParams, rows: np.ndarray):
     cols = running_index(frontier)[a_rows.indices]  # positions in F
     a_rows = sp.csr_array((a_rows.data, cols, a_rows.indptr), shape=(a_rows.shape[0], p0.shape[0]))
     s1 = kernels.matmul(p0, params.gcn_w1)
-    p1 = a_rows @ kernels.relu(s1)
+    p1 = a_rows @ np.maximum(s1, 0.0)
     h = kernels.matmul(p1, params.gcn_w2)
     return h, EncodeCache(a_rows=a_rows, p0=p0, s1=s1, p1=p1)
 
@@ -212,7 +212,7 @@ def encode(entry: ViewEntry, params: ModelParams, rows: np.ndarray):
 def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, params: ModelParams) -> dict:
     """Gradients of W1 and W2 from the gradient of :func:`encode`'s H."""
     g_p1, g_w2 = kernels.matmul_backward(grad_h2, cache.p1, params.gcn_w2)
-    g_s1 = kernels.relu_backward(cache.a_rows.T @ g_p1, cache.s1)
+    g_s1 = (cache.a_rows.T @ g_p1) * (cache.s1 > 0.0)
     return {"gcn_w1": cache.p0.T @ g_s1, "gcn_w2": g_w2}
 
 
@@ -273,21 +273,20 @@ LEAKY_SLOPE = 0.01
 
 def project(x: np.ndarray, params: ModelParams):
     """Two-layer MLP head with LeakyReLU, rows L2-normalized to the sphere."""
-    s1 = kernels.add_bias(kernels.matmul(x, params.proj_w1), params.proj_b1)
+    s1 = kernels.matmul(x, params.proj_w1) + params.proj_b1
     l1 = kernels.leaky_relu(s1, LEAKY_SLOPE)
-    s2 = kernels.add_bias(kernels.matmul(l1, params.proj_w2), params.proj_b2)
+    s2 = kernels.matmul(l1, params.proj_w2) + params.proj_b2
     z = kernels.row_l2_normalize(s2)
     return z, ProjectCache(x=x, s1=s1, l1=l1, s2=s2)
 
 
 def project_backward(grad_z: np.ndarray, cache: ProjectCache, params: ModelParams):
     g_s2 = kernels.row_l2_normalize_backward(grad_z, cache.s2)
-    g_s2, g_b2 = kernels.add_bias_backward(g_s2)
     g_l1, g_w2 = kernels.matmul_backward(g_s2, cache.l1, params.proj_w2)
     g_s1 = kernels.leaky_relu_backward(g_l1, cache.s1, LEAKY_SLOPE)
-    g_s1, g_b1 = kernels.add_bias_backward(g_s1)
     g_x, g_w1 = kernels.matmul_backward(g_s1, cache.x, params.proj_w1)
-    grads = {"proj_w1": g_w1, "proj_b1": g_b1, "proj_w2": g_w2, "proj_b2": g_b2}
+    grads = {"proj_w1": g_w1, "proj_b1": g_s1.sum(axis=0),
+             "proj_w2": g_w2, "proj_b2": g_s2.sum(axis=0)}
     return g_x, grads
 
 

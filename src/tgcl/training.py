@@ -155,14 +155,15 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
         epoch_loss = 0.0
         for _ in range(cfg.batches_per_epoch):
             batch = make_minibatch(shared, cfg.batch_size, batch_rng)
-            pairs, caches = embed_views(
-                drawn, batch, params, stat=cfg.readout_stat, with_neighborhood=with_neigh)
-            loss, zgrads = multi_view_loss(pairs, cfg.loss.tau)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss {loss} at epoch {epoch}; windows {_window_desc(windows)}")
-            grads = embed_views_backward(zgrads, caches, params)
-            adam_step(params.as_dict(), grads, state)
+            with np.errstate(over="ignore", invalid="ignore"):  # the step's own checks report
+                pairs, caches = embed_views(
+                    drawn, batch, params, stat=cfg.readout_stat, with_neighborhood=with_neigh)
+                loss, zgrads = multi_view_loss(pairs, cfg.loss.tau)
+                if not np.isfinite(loss):
+                    raise NumericError(
+                        f"non-finite loss {loss} at epoch {epoch}; windows {_window_desc(windows)}")
+                grads = embed_views_backward(zgrads, caches, params)
+                adam_step(params.as_dict(), grads, state)
             epoch_loss += loss
         epoch_loss /= cfg.batches_per_epoch
 

@@ -799,14 +799,17 @@ def test_probe_invariance_exits_3_when_its_logits_overflow(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 def test_train_exits_3_when_a_projection_norm_overflows(tmp_path, capsys):
     # after one step at lr 1e50 the second step's projection rows have norms
-    # that overflow; they were divided to zero rows, and the run exited 0
+    # that overflow; they were divided to zero rows, and the run exited 0.
+    # At lr 1e100 the second step's products already overflow in a matmul,
+    # and NumPy's warning printed ahead of tgcl's message
     edges, _ = _synth(tmp_path)
-    out = tmp_path / "run"
-    assert dispatch(["train", "--edges", str(edges), "--out", str(out), "--epochs", "1",
-                     "--batches-per-epoch", "2", "--lr", "1e50", "--d-hidden", "3",
-                     "--d-out", "1", "--feature-dim", "1"]) == 3
-    assert "overflowing row norm(s)" in capsys.readouterr().err
-    assert not (out / "params.ckpt").exists()
+    for lr in ("1e50", "1e100"):
+        out = tmp_path / f"run-{lr}"
+        assert dispatch(["train", "--edges", str(edges), "--out", str(out), "--epochs", "1",
+                         "--batches-per-epoch", "2", "--lr", lr, "--d-hidden", "3",
+                         "--d-out", "1", "--feature-dim", "1"]) == 3
+        assert "overflowing row norm(s)" in capsys.readouterr().err
+        assert not (out / "params.ckpt").exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,10 +5,11 @@ Each example draws a subcommand, option values by each option's type
 mutated from small valid ones, then runs the command in process. No
 exception may escape; the exit code is 0-3, and a non-zero one comes with
 a message on stderr; exit 0 comes only with finite outputs, and for
-`probe-invariance` with at least one measured pair, and without a NumPy
-RuntimeWarning, which on a successful run means its outputs rest on an
-overflow or a NaN. `grad-check` is left out: one valid run takes seconds,
-and its own tests cover its options.
+`probe-invariance` with at least one measured pair. No exit code comes with
+a NumPy RuntimeWarning: on a successful run one means its outputs rest on
+an overflow or a NaN, and on a failed run tgcl's own message is the whole
+report. `grad-check` is left out: one valid run takes seconds, and its own
+tests cover its options.
 """
 
 import contextlib
@@ -331,8 +332,8 @@ def test_dispatch_keeps_its_exit_code_contract(base, command):
         event(f"{name} exit {code}")
 
         assert code in (0, 1, 2, 3), (argv, code)
+        assert not runtime, (argv, code, runtime)
         if code:
             assert stderr.strip(), (argv, code)
         else:
-            assert not runtime, (argv, runtime)
             _check_outputs(name, out, stdout)

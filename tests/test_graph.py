@@ -409,7 +409,7 @@ def test_read_table_rejects_text_that_is_not_utf8(tmp_path):
 
 def test_numeric_cells_must_be_ascii_but_label_values_need_not_be(tmp_path):
     ids, values = read_table(_write(tmp_path, "l.csv", "0,٣\n1,1_0\n2,é\n"), "labels")
-    assert ids.tolist() == [0, 1, 2] and values.tolist() == ["٣", "1_0", "é"]
+    assert ids.tolist() == [0, 1, 2] and values.tolist() == [0, 1, 2]  # three string classes
     # comments, and blanks around a row, are stripped before any cell is read
     ids, _ = read_table(_write(tmp_path, "f.csv", "# été\n\u00a07,1.5\u2003\n"), "features")
     assert ids.tolist() == [7]
@@ -464,7 +464,9 @@ _TABLE_SHAPES = {"edges": (2, 3), "features": (1, None), "labels": (1, 2), "embe
 
 def _oracle(path, table):
     """Per-line reference for read_table: (ids, values) as nested lists, or
-    None where read_table must raise DataError."""
+    None where read_table must raise DataError. Labels are class codes: the
+    integers when every label is one that fits int64, else each distinct
+    string numbered by its first occurrence."""
     k, width = _TABLE_SHAPES[table]
     ids, values = [], []
     with open(path, encoding="utf-8") as fh:
@@ -492,6 +494,22 @@ def _oracle(path, table):
                 return None
             ids.append(row_ids)
             values.append(row_values)
+    if table == "labels" and ids:
+        labels = [label for label, in values]
+        try:
+            codes = [int(label) for label in labels]
+            if not all(-2**63 <= c < 2**63 for c in codes):
+                raise ValueError("past int64")
+        except ValueError:
+            names = []
+            for label in labels:
+                if label not in names:
+                    names.append(label)
+            codes = [names.index(label) for label in labels]
+        else:
+            if any(c < 0 for c in codes):
+                return None
+        values = [[c] for c in codes]
     return (ids, values) if ids else None
 
 
@@ -549,4 +567,5 @@ def test_read_table_matches_a_per_line_oracle(tmp_path, file, newline):
     ids, values = read_table(path, table)
     n = len(expected[0])
     assert ids.dtype == np.int64 and ids.reshape(n, -1).tolist() == expected[0]
+    assert values.dtype == (np.int64 if table == "labels" else np.float64)
     assert values.reshape(n, -1).tolist() == expected[1]

@@ -265,8 +265,9 @@ def test_project_rows_unit_norm():
 
 def test_project_identity_345_case():
     params = _identity_params(4)
-    z, _ = project(np.array([[3.0, 4.0, 0.0, 0.0]]), params)
-    np.testing.assert_allclose(z, [[0.6, 0.8, 0.0, 0.0]])
+    # the LeakyReLU's slope 0.01 takes -400 to -4
+    z, _ = project(np.array([[3.0, 4.0, 0.0, 0.0], [3.0, 0.0, 0.0, -400.0]]), params)
+    np.testing.assert_allclose(z, [[0.6, 0.8, 0.0, 0.0], [0.6, 0.0, 0.0, -0.8]])
 
 
 def test_project_backward_fd():

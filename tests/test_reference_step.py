@@ -1,0 +1,178 @@
+"""One training step against a dense reference written from the math alone.
+
+For a small random temporal graph the reference builds each view's Â as a
+dense D^-1/2 (A+I) D^-1/2 from the view's edges, runs the two-layer GCN on
+every row, reads out through a dense 0/1 neighbour matrix, projects, and
+takes InfoNCE over the ordered view pairs. Its gradients are matrix
+formulas written here; nothing comes from ``tgcl.kernels``. It checks the
+chain ``embed_views`` -> ``multi_view_loss`` -> ``embed_views_backward``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tgcl import (ModelParams, build_graph, embed_views, embed_views_backward, multi_view_loss,
+                  slice_interval, view_entry)
+from tgcl.model import PARAM_FIELDS
+
+SLOPE = 0.01  # the projection head's LeakyReLU slope
+TAU = 0.5
+
+
+@st.composite
+def _steps(draw):
+    """(graph, windows, batch, params): view i holds the edges drawn for it,
+    at times i, i + 0.25 or i + 0.5, so the windows [i, i + 0.5] are
+    disjoint and ties are common. Few node ids make duplicate, reversed and
+    self edges common; a node whose only edges in a view are self edges is
+    isolated there. Label-only nodes are in the graph but in no view. The
+    batch is in every view, in drawn order."""
+    n = draw(st.integers(2, 9))
+    v = draw(st.sampled_from([2, 3]))
+    node = st.integers(0, n - 1)
+    batch = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    src, dst, ts = [], [], []
+    for i in range(v):
+        # an edge at each batch node, either way round, keeps the batch in every
+        # view; the simplest draw, a self edge, leaves the node isolated there
+        edges = [(b, (b + draw(node)) % n)[::draw(st.sampled_from([1, -1]))] for b in batch]
+        edges += draw(st.lists(st.tuples(node, node), max_size=n))
+        src += [a for a, _ in edges]
+        dst += [b for _, b in edges]
+        ts += [i + t for t in draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]),
+                                            min_size=len(edges), max_size=len(edges)))]
+    src, dst, ts = np.array(src), np.array(dst), np.array(ts)
+    windows = [(float(i), i + 0.5) for i in range(v)]
+    extra = np.arange(n, n + draw(st.integers(0, 2)))
+    dims = [draw(st.integers(1, 4)), draw(st.integers(2, 5)), draw(st.integers(2, 4))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # unit-scale features and weights, and small non-zero biases: with small
+    # rows or large biases every projected row comes out nearly the same
+    ids = np.arange(n + extra.size)  # so internal indices are the ids
+    graph = build_graph(src, dst, ts, features=(ids, rng.standard_normal((ids.size, dims[0]))),
+                        labels=(extra, extra % 2) if extra.size else None)
+    shapes = [(dims[0], dims[1]), (dims[1], dims[2]), (dims[2], dims[2]), (dims[2],),
+              (dims[2], dims[2]), (dims[2],)]
+    params = ModelParams(*(rng.standard_normal(shape) * (0.1 if len(shape) == 1 else 1.0)
+                           for shape in shapes))
+    return graph, windows, np.array(batch), params
+
+
+def _dense_view(graph, lo, hi):
+    """(Â, the 0/1 neighbour matrix without self edges, X, active nodes)."""
+    inside = (graph.timestamps >= lo) & (graph.timestamps <= hi)
+    src, dst = graph.src[inside], graph.dst[inside]
+    active = np.unique(np.concatenate([src, dst]))
+    i, j = np.searchsorted(active, src), np.searchsorted(active, dst)
+    a = np.zeros((active.size, active.size))
+    a[i, j] = 1.0
+    a[j, i] = 1.0
+    np.fill_diagonal(a, 0.0)  # a self edge adds nothing to the self-loop
+    a_loop = a + np.eye(active.size)
+    d = 1.0 / np.sqrt(a_loop.sum(axis=1))
+    return d[:, None] * a_loop * d[None, :], a, graph.features[active], active
+
+
+def _project(x, p):
+    s1 = x @ p.proj_w1 + p.proj_b1
+    l1 = np.where(s1 > 0.0, s1, SLOPE * s1)
+    s2 = l1 @ p.proj_w2 + p.proj_b2
+    norm = np.sqrt(np.sum(s2 * s2, axis=1, keepdims=True))
+    return s2 / norm, (x, s1, l1, s2, norm)
+
+
+def _project_backward(g_z, saved, p, grads):
+    """Adds the head's parameter gradients to ``grads``; returns dL/dx."""
+    x, s1, l1, s2, norm = saved
+    z = s2 / norm
+    g_s2 = (g_z - z * np.sum(z * g_z, axis=1, keepdims=True)) / norm
+    grads["proj_b2"] += g_s2.sum(axis=0)
+    grads["proj_w2"] += l1.T @ g_s2
+    g_s1 = (g_s2 @ p.proj_w2.T) * np.where(s1 > 0.0, 1.0, SLOPE)
+    grads["proj_b1"] += g_s1.sum(axis=0)
+    grads["proj_w1"] += x.T @ g_s1
+    return g_s1 @ p.proj_w1.T
+
+
+def _infonce(q, k):
+    """Cross-entropy of q k^T / tau against the diagonal, and dL/dq, dL/dk."""
+    s = q @ k.T / TAU
+    s -= s.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(s).sum(axis=1))
+    n = q.shape[0]
+    g = (np.exp(s - lse[:, None]) - np.eye(n)) / (n * TAU)
+    return np.mean(lse - np.diag(s)), g @ k, g.T @ q
+
+
+def _reference_step(graph, windows, batch, params, level, stat):
+    """The loss and the six parameter gradients of one step."""
+    views = []
+    for lo, hi in windows:
+        a_hat, a, x, active = _dense_view(graph, lo, hi)
+        b = np.searchsorted(active, batch)
+        p0 = a_hat @ x
+        s = p0 @ params.gcn_w1
+        p1 = a_hat @ np.maximum(s, 0.0)
+        h = p1 @ params.gcn_w2
+        q, saved_q = _project(h[b], params)
+        k, saved_k, nb, masked = q, None, None, None
+        if level == "graph":
+            nb = a[b]
+            alone = nb.sum(axis=1) == 0
+            nb[alone, b[alone]] = 1.0  # a node without neighbours reads itself
+            masked = np.where(nb[:, :, None] > 0.0, h[None, :, :], -np.inf)
+            r = {"mean": nb @ h / nb.sum(axis=1, keepdims=True), "sum": nb @ h,
+                 "max": masked.max(axis=1)}[stat]
+            k, saved_k = _project(r, params)
+        views.append((q, k, a_hat, b, p0, s, p1, h, saved_q, saved_k, nb, masked))
+
+    v = len(views)
+    loss, g_q, g_k = 0.0, [0.0] * v, [0.0] * v
+    for i in range(v):
+        for j in range(v):
+            if i != j:
+                lij, gq, gk = _infonce(views[i][0], views[j][1])
+                loss += lij / (v * (v - 1))
+                g_q[i] = g_q[i] + gq / (v * (v - 1))
+                g_k[j] = g_k[j] + gk / (v * (v - 1))
+
+    grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
+    for (q, k, a_hat, b, p0, s, p1, h, saved_q, saved_k, nb, masked), gq, gk in zip(views, g_q, g_k):
+        g_h = np.zeros_like(h)
+        if saved_k is None:  # the keys are the queries
+            g_h[b] += _project_backward(gq + gk, saved_q, params, grads)
+        else:
+            g_h[b] += _project_backward(gq, saved_q, params, grads)
+            g_r = _project_backward(gk, saved_k, params, grads)
+            if stat == "mean":
+                g_h += nb.T @ (g_r / nb.sum(axis=1, keepdims=True))
+            elif stat == "sum":
+                g_h += nb.T @ g_r
+            else:  # to the first neighbour holding each column's max
+                np.add.at(g_h, (masked.argmax(axis=1), np.arange(h.shape[1])), g_r)
+        grads["gcn_w2"] += p1.T @ g_h
+        g_s = (a_hat @ (g_h @ params.gcn_w2.T)) * (s > 0.0)
+        grads["gcn_w1"] += p0.T @ g_s
+    return loss, grads
+
+
+@pytest.mark.parametrize("level, stat", [
+    ("node", "mean"), ("graph", "mean"), ("graph", "sum"), ("graph", "max")])
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(step=_steps())
+def test_one_step_matches_the_dense_reference(level, stat, step):
+    graph, windows, batch, params = step
+    want_loss, want = _reference_step(graph, windows, batch, params, level, stat)
+    entries = [view_entry(slice_interval(graph, lo, hi)) for lo, hi in windows]
+    pairs, caches = embed_views(entries, batch, params, stat=stat,
+                                with_neighborhood=level == "graph")
+    loss, zgrads = multi_view_loss(pairs, TAU)
+    grads = embed_views_backward(zgrads, caches, params)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), (loss, want_loss)
+    for name in PARAM_FIELDS:
+        err = np.max(np.abs(grads[name] - want[name]))
+        # a gradient that cancels to about zero, as when no view tells the
+        # batch nodes apart, is held to 1e-14, the rounding of its O(1) terms
+        assert err <= 1e-10 * max(np.max(np.abs(want[name])), 1e-4), (name, err)
