@@ -128,6 +128,13 @@ _TABLES = {
 }
 
 
+def _ascii_numerals(text: str) -> bool:
+    """False when ``text`` holds what ``int``, ``float`` or ``loadtxt`` take
+    in a numeral though no ASCII numeral does: a non-ASCII letter they read
+    as a digit, ``_``, or ``\x1c``-``\x1f``, which they read as blanks."""
+    return text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")
+
+
 def read_table(path, table: str) -> tuple:
     """Read a CSV table: ``table`` is "edges", "features", "labels" or
     "embeddings", in the layouts of the module docstring.
@@ -135,15 +142,15 @@ def read_table(path, table: str) -> tuple:
     Rows are the stripped lines that are neither blank nor whole-line
     ``#`` comments; one ``np.loadtxt`` call converts them all. Ids are
     int64 and values float64, both ASCII numerals without ``_``. A label
-    is read as an int64 class code: when every label parses with ``int``
-    and fits int64, the codes are those integers; otherwise each distinct
-    string is a class, numbered in first-occurrence order. Returns ``(ids,
-    values)``: ids are (n,), or (n, 2) src/dst pairs for edges; values are
-    (n,) for edges and labels, (n, d) for features and embeddings, in file
-    order. A malformed row, a negative id, a non-finite value, a negative
-    integer class label, an id repeated in a per-node table and a table
-    without rows are DataErrors that name the file and the first offending
-    line.
+    is read as an int64 class code: when every label is an ASCII numeral
+    without ``_`` that parses with ``int`` and fits int64, the codes are
+    those integers; otherwise each distinct string is a class, numbered in
+    first-occurrence order. Returns ``(ids, values)``: ids are (n,), or
+    (n, 2) src/dst pairs for edges; values are (n,) for edges and labels,
+    (n, d) for features and embeddings, in file order. A malformed row, a
+    negative id, a non-finite value, a negative integer class label, an id
+    repeated in a per-node table and a table without rows are DataErrors
+    that name the file and the first offending line.
     """
     layout, k, fixed = _TABLES[table]
     try:
@@ -163,9 +170,7 @@ def read_table(path, table: str) -> tuple:
 
     def convert(rows: list) -> np.ndarray:
         """The rows as records; ValueError if any row does not convert."""
-        numerals = "".join(rows if numeric else [row.partition(",")[0] for row in rows])
-        # loadtxt reads some non-ASCII letters as digits and \x1c-\x1f as blanks
-        if not numerals.isascii() or any(c in numerals for c in "\x1c\x1d\x1e\x1f"):
+        if not _ascii_numerals("".join(rows if numeric else [row.partition(",")[0] for row in rows])):
             raise ValueError("a numeric cell is not an ASCII numeral")
         with warnings.catch_warnings():  # older NumPy reads an int cell '2.5' as 2, and warns
             warnings.simplefilter("error", DeprecationWarning)
@@ -203,6 +208,8 @@ def read_table(path, table: str) -> tuple:
     else:
         labels = values[:, 0]
         try:
+            if not _ascii_numerals("".join(labels)):
+                raise ValueError("a label is not an ASCII numeral")
             codes = np.fromiter(map(int, labels), np.int64, n)
         except (ValueError, OverflowError):
             number = {name: i for i, name in enumerate(dict.fromkeys(labels))}

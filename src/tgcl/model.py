@@ -6,10 +6,11 @@ symmetrically normalized self-loop adjacency: ReLU after the first
 propagation, no activation after the second (the second layer's output is
 the representation handed to downstream consumers). It computes only the
 rows it is asked for, from the rows they need of the parameter-free first
-propagation Â·X, which the caller keeps per view and which are computed
-the first time a step reads them (:func:`view_entry`). The projection head
-is linear -> LeakyReLU -> linear -> row L2 normalization. All views share
-one parameter object.
+propagation Â·X. The caller keeps Â·X per view in one full-height array,
+and a row is computed the first time a step reads it (:func:`view_entry`);
+each read returns a copy of its rows. The projection head is linear ->
+LeakyReLU -> linear -> row L2 normalization. All views share one
+parameter object.
 """
 
 from __future__ import annotations
@@ -112,11 +113,10 @@ def normalize_adjacency(view: SampledView) -> sp.csr_array:
     return sp.csr_array((1.0 / np.sqrt(deg[rows] * deg[cols]), cols, indptr), shape=(n, n))
 
 
-def adj_matmul(entry: ViewEntry, x: np.ndarray, rows: np.ndarray | None = None):
-    """Â @ x for the entry's Â, or its rows selected by the boolean mask
-    ``rows``; each row is bit-identical to that row of the full product. Â
-    is symmetric, so this is also its own adjoint."""
-    return (entry.adj if rows is None else entry.adj[rows]) @ x
+def adj_matmul(entry: ViewEntry, x: np.ndarray, rows: np.ndarray):
+    """Â[rows] @ x for the entry's Â and a boolean mask ``rows`` over its
+    nodes; each row is bit-identical to that row of the full product."""
+    return entry.adj[rows] @ x
 
 
 class ViewEntry:
@@ -125,20 +125,18 @@ class ViewEntry:
     computed so far.
 
     P0 is the first propagation and has no parameters, so a row once
-    computed serves every later step that draws the view's window. A read
-    (:meth:`p0`) computes only the rows it asks for that no earlier read
-    did, as one ``adj_matmul`` over those rows, and keeps them; a first
-    read of every row is the one full product. Each row is bit-identical
-    to that row of Â @ X.
+    computed serves every later step that draws the view's window. P0 is
+    held full height (``p0_rows``), and ``done`` marks the rows computed so
+    far. A read (:meth:`p0`) computes the rows it asks for that no earlier
+    read did, as one ``adj_matmul`` over those rows, and writes them in
+    place. Each row is bit-identical to that row of Â @ X.
     """
 
     def __init__(self, view: SampledView, adj: sp.csr_array):
         self.view = view
         self.adj = adj
-        features = view.features
-        self.rows = np.empty((0, features.shape[1]))  # the rows computed so far, in that order
-        self.slot = np.full(features.shape[0], -1)  # a node's row in ``rows``; -1: not yet computed
-        self.count = 0
+        self.p0_rows = np.empty(view.features.shape)  # row i holds P0's row i once done[i]
+        self.done = np.zeros(view.features.shape[0], dtype=bool)
 
     @property
     def vals(self) -> np.ndarray:
@@ -150,26 +148,13 @@ class ViewEntry:
         return vals
 
     def p0(self, frontier: np.ndarray) -> np.ndarray:
-        """P0[frontier] for a boolean mask over the view's nodes."""
-        missing = frontier & (self.slot < 0)
-        k = np.count_nonzero(missing)
-        if k == 0:
-            return self.rows[self.slot[frontier]]
-        start = self.count
-        features = self.view.features
-        block = adj_matmul(self, features, None if k == missing.size else missing)
-        if start == 0:
-            self.rows = block
-        else:
-            if self.rows.shape[0] < start + k:  # room for every row, made once
-                grown = np.empty(features.shape)
-                grown[:start] = self.rows
-                self.rows = grown
-            self.rows[start:start + k] = block
-        self.slot[missing] = np.arange(start, start + k)
-        self.count = start + k
-        # a read of rows that were all missing is the new block itself
-        return block if k == np.count_nonzero(frontier) else self.rows[self.slot[frontier]]
+        """P0[frontier] for a boolean mask over the view's nodes, as a new
+        array."""
+        missing = frontier & ~self.done
+        if missing.any():
+            self.p0_rows[missing] = adj_matmul(self, self.view.features, missing)
+            self.done |= missing
+        return self.p0_rows[frontier]
 
 
 def view_entry(view: SampledView) -> ViewEntry:

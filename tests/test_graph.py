@@ -124,6 +124,15 @@ def test_labels_string_interned_by_first_occurrence(tmp_path):
     assert g.labels.tolist() == [1, 0, 0]  # cat, seen first, is 0; dog is 1
 
 
+def test_labels_that_are_not_ascii_numerals_are_strings(tmp_path):
+    # int would read 1_0 as 10, the Arabic-Indic digit and +3 as 3, merging
+    # five distinct texts into two classes
+    l = _write(tmp_path, "l.csv", "0,10\n1,1_0\n2,\u0663\n3,3\n4,+3\n")
+    ids, codes = read_table(l, "labels")
+    assert ids.tolist() == [0, 1, 2, 3, 4]
+    assert codes.tolist() == [0, 1, 2, 3, 4]
+
+
 def test_labels_duplicate_id(tmp_path):
     e = _write(tmp_path, "e.csv", "0,1,1.0\n")
     l = _write(tmp_path, "l.csv", "0,1\n0,2\n")
@@ -465,8 +474,9 @@ _TABLE_SHAPES = {"edges": (2, 3), "features": (1, None), "labels": (1, 2), "embe
 def _oracle(path, table):
     """Per-line reference for read_table: (ids, values) as nested lists, or
     None where read_table must raise DataError. Labels are class codes: the
-    integers when every label is one that fits int64, else each distinct
-    string numbered by its first occurrence."""
+    integers when every label is an ASCII numeral without ``_`` or
+    ``\x1c``-``\x1f`` that fits int64, else each distinct string numbered by
+    its first occurrence."""
     k, width = _TABLE_SHAPES[table]
     ids, values = [], []
     with open(path, encoding="utf-8") as fh:
@@ -497,6 +507,9 @@ def _oracle(path, table):
     if table == "labels" and ids:
         labels = [label for label, in values]
         try:
+            if any("_" in label or not label.isascii() or set(label) & set("\x1c\x1d\x1e\x1f")
+                   for label in labels):
+                raise ValueError("not an ASCII numeral")
             codes = [int(label) for label in labels]
             if not all(-2**63 <= c < 2**63 for c in codes):
                 raise ValueError("past int64")
@@ -533,7 +546,7 @@ def _table_files(draw):
     ids = st.one_of(st.integers(0, 1000).map(str),
                     st.sampled_from([" 3", "+2", "1_0", str(2**53 + 1), str(2**63 - 1)]))
     if table == "labels":
-        values = st.sampled_from(["0", "1", " 2", "a", "C#", "b c"])
+        values = st.sampled_from(["0", "1", " 2", "a", "C#", "b c", "1_0", "\u0663", "+3"])
     else:
         values = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                            st.sampled_from(["2", " 1.5 ", "1e3", "-0.0", "1_0.5"]))

@@ -1,21 +1,28 @@
-"""One training step against a dense reference written from the math alone.
+"""Training against a dense reference written from the math alone.
 
-For a small random temporal graph the reference builds each view's Â as a
-dense D^-1/2 (A+I) D^-1/2 from the view's edges, runs the two-layer GCN on
-every row, reads out through a dense 0/1 neighbour matrix, projects, and
-takes InfoNCE over the ordered view pairs. Its gradients are matrix
-formulas written here; nothing comes from ``tgcl.kernels``. It checks the
-chain ``embed_views`` -> ``multi_view_loss`` -> ``embed_views_backward``.
+For a small random temporal graph the reference slices each window's edges
+with a boolean mask, builds the view's Â as a dense D^-1/2 (A+I) D^-1/2,
+runs the two-layer GCN on every row, reads out through a dense 0/1
+neighbour matrix, projects, and takes InfoNCE over the ordered view pairs.
+Its gradients are matrix formulas written here, and so is its Adam with
+coupled weight decay; nothing comes from ``tgcl.kernels``. One test checks
+one step, the chain ``embed_views`` -> ``multi_view_loss`` ->
+``embed_views_backward``; the other checks whole ``train`` runs, whose
+window cache and P0 row store the reference does without.
 """
+
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tgcl import (ModelParams, build_graph, embed_views, embed_views_backward, multi_view_loss,
-                  slice_interval, view_entry)
+from tgcl import (DataError, LossConfig, ModelParams, NumericError, SamplerConfig, TrainConfig,
+                  build_graph, embed_views, embed_views_backward, init_params, multi_view_loss,
+                  sample_windows, slice_interval, train, view_entry)
 from tgcl.model import PARAM_FIELDS
+from tgcl.sampling import STRATEGIES
 
 SLOPE = 0.01  # the projection head's LeakyReLU slope
 TAU = 0.5
@@ -60,11 +67,16 @@ def _steps(draw):
     return graph, windows, np.array(batch), params
 
 
-def _dense_view(graph, lo, hi):
-    """(Â, the 0/1 neighbour matrix without self edges, X, active nodes)."""
+def _window(graph, lo, hi):
+    """The edges with lo <= t <= hi, by a boolean mask, and their endpoints."""
     inside = (graph.timestamps >= lo) & (graph.timestamps <= hi)
     src, dst = graph.src[inside], graph.dst[inside]
-    active = np.unique(np.concatenate([src, dst]))
+    return src, dst, np.unique(np.concatenate([src, dst]))
+
+
+def _dense_view(graph, lo, hi):
+    """(Â, the 0/1 neighbour matrix without self edges, X, active nodes)."""
+    src, dst, active = _window(graph, lo, hi)
     i, j = np.searchsorted(active, src), np.searchsorted(active, dst)
     a = np.zeros((active.size, active.size))
     a[i, j] = 1.0
@@ -158,6 +170,14 @@ def _reference_step(graph, windows, batch, params, level, stat):
     return loss, grads
 
 
+def _floor_close(got, want, tol):
+    """Within ``tol`` of the largest entry of ``want``, floored at 1e-4: a
+    value that cancels to about zero, as a gradient does when no view tells
+    the batch nodes apart, is held to tol * 1e-4, the rounding of its O(1)
+    terms."""
+    return np.max(np.abs(got - want)) <= tol * max(np.max(np.abs(want)), 1e-4)
+
+
 @pytest.mark.parametrize("level, stat", [
     ("node", "mean"), ("graph", "mean"), ("graph", "sum"), ("graph", "max")])
 @settings(deadline=None, derandomize=True, max_examples=200)
@@ -172,7 +192,107 @@ def test_one_step_matches_the_dense_reference(level, stat, step):
     grads = embed_views_backward(zgrads, caches, params)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), (loss, want_loss)
     for name in PARAM_FIELDS:
-        err = np.max(np.abs(grads[name] - want[name]))
-        # a gradient that cancels to about zero, as when no view tells the
-        # batch nodes apart, is held to 1e-14, the rounding of its O(1) terms
-        assert err <= 1e-10 * max(np.max(np.abs(want[name])), 1e-4), (name, err)
+        assert _floor_close(grads[name], want[name], 1e-10), name
+
+
+@st.composite
+def _runs(draw):
+    """(graph, cfg): a small temporal graph with duplicate, reversed and self
+    edges, timestamp ties, nodes isolated in a view, nodes in no view and
+    label-only nodes, and any sampling, level, readout and batch settings."""
+    n = draw(st.integers(3, 7))
+    node = st.integers(0, n - 1)
+    times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    # nodes 0 and 1 have an edge at every time, so each window, at least
+    # 3/4 long, holds both; any node may be their partner, themselves too
+    edges = [(hub, draw(node))[::draw(st.sampled_from([1, -1]))] for hub in (0, 1) for _ in times]
+    ts = times * 2
+    more = draw(st.lists(st.tuples(node, node, st.sampled_from(times)), max_size=12))
+    edges += [(a, b) for a, b, _ in more]
+    ts += [t for _, _, t in more]
+    extra = np.arange(n, n + draw(st.integers(0, 2)))
+    ids = np.arange(n + extra.size)  # so internal indices are the ids
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((ids.size, draw(st.integers(2, 4))))
+    graph = build_graph(np.array([a for a, _ in edges]), np.array([b for _, b in edges]),
+                        np.array(ts), features=(ids, x),
+                        labels=(extra, extra % 2) if extra.size else None)
+    strategy = draw(st.sampled_from(STRATEGIES))
+    v = draw(st.integers(2, 3))
+    s = draw(st.integers(v if strategy == "sequential" else 1, 6))
+    level = draw(st.sampled_from(["node", "graph"]))
+    cfg = TrainConfig(sampler=SamplerConfig(strategy, s, v), loss=LossConfig(level, TAU),
+                      d_hidden=draw(st.integers(3, 6)), d_out=draw(st.integers(2, 4)),
+                      batch_size=draw(st.integers(2, 6)), epochs=draw(st.integers(2, 3)),
+                      seed=draw(st.integers(0, 1000)),
+                      readout_stat=draw(st.sampled_from(["mean", "sum", "max"])),
+                      batches_per_epoch=draw(st.integers(1, 3)))
+    return graph, cfg
+
+
+def _reference_train(graph, cfg):
+    """Each epoch's (windows, shared count, loss), the final parameters, and
+    whether some step's gradient was tiny but not zero, of ``cfg.epochs``
+    epochs: every view is sliced and every step computed afresh, with
+    nothing kept between steps but the parameters and Adam's moments. A run
+    with no shared node in some epoch raises DataError."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=cfg.seed)
+    m = {name: 0.0 for name in PARAM_FIELDS}
+    v = {name: 0.0 for name in PARAM_FIELDS}
+    records, t, tiny = [], 0, False
+    for epoch in range(1, cfg.epochs + 1):
+        windows = [(w.lo, w.hi) for w in sample_windows(graph, cfg.sampler, epoch, cfg.seed)]
+        shared = reduce(np.intersect1d, [_window(graph, lo, hi)[2] for lo, hi in windows])
+        if shared.size == 0:
+            raise DataError("no shared nodes")
+        batch_rng = np.random.default_rng([cfg.seed, epoch, 101])
+        total = 0.0
+        for _ in range(cfg.batches_per_epoch):
+            batch = shared if shared.size <= cfg.batch_size else batch_rng.choice(
+                shared, size=cfg.batch_size, replace=False)
+            loss, grads = _reference_step(graph, windows, batch, params, cfg.loss.level,
+                                          cfg.readout_stat)
+            total += loss
+            largest = max(np.max(np.abs(g)) for g in grads.values())
+            tiny |= 0.0 < largest < 100 * eps
+            t += 1
+            for name in PARAM_FIELDS:
+                p = getattr(params, name)
+                g = grads[name] + cfg.weight_decay * p  # coupled weight decay
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+                m_hat = m[name] / (1.0 - beta1**t)
+                v_hat = v[name] / (1.0 - beta2**t)
+                setattr(params, name, p - cfg.lr * m_hat / (np.sqrt(v_hat) + eps))
+        records.append((windows, shared.size, total / cfg.batches_per_epoch))
+    return records, params, tiny
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(run=_runs())
+def test_train_matches_the_dense_reference(run):
+    graph, cfg = run
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_records, want, tiny = _reference_train(graph, cfg)
+    except DataError:  # infeasible windows, or no shared node
+        with pytest.raises(DataError):
+            train(graph, cfg)
+        return
+    if not all(np.isfinite(loss) for _, _, loss in want_records):  # as for an all-zero row
+        with pytest.raises(NumericError):
+            train(graph, cfg)
+        return
+    # Adam takes a step of about lr from any gradient well above its eps, so
+    # from one that cancels to within 100 eps of zero, as when no view tells
+    # the batch nodes apart, it steps in the direction of the rounding noise
+    assume(not tiny)
+    params, log = train(graph, cfg)
+    assert len(log.records) == cfg.epochs
+    for record, (windows, shared, loss) in zip(log.records, want_records):
+        assert [(w.lo, w.hi) for w in record.windows] == windows
+        assert record.shared == shared
+        assert _floor_close(record.loss, loss, 1e-12), (record.epoch, record.loss, loss)
+    for name in PARAM_FIELDS:
+        assert _floor_close(getattr(params, name), getattr(want, name), 1e-10), name
