@@ -52,6 +52,7 @@ from .losses import LOSS_LEVELS, LossConfig, infonce, multi_view_loss, softmax_c
 from .training import (
     TrainConfig,
     TrainLog,
+    contrastive_step,
     embed_all,
     make_minibatch,
     shared_nodes,
@@ -115,6 +116,7 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "train",
+    "contrastive_step",
     "embed_all",
     "shared_nodes",
     "make_minibatch",

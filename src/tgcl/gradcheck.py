@@ -1,9 +1,9 @@
 """Finite-difference verification of the analytic gradients.
 
-Builds a fixed 12-node two-view fixture, runs the full embed-and-contrast
-pipeline at both loss levels, the graph level under every readout
-statistic, and compares every parameter gradient against central
-differences. Relative error uses
+Builds a fixed 12-node two-view fixture, takes the training step
+(``contrastive_step``) at both loss levels and the graph level under every
+readout statistic, and compares its parameter gradients with central
+differences of its forward loss. Relative error uses
 |a - f| / max(1e-6, |a|, |f|) per component, worst case over all entries.
 """
 
@@ -13,17 +13,12 @@ import numpy as np
 
 from .errors import DataError
 from .graph import TemporalGraph, build_graph, slice_interval
-from .losses import multi_view_loss
-from .model import (PARAM_FIELDS, READOUT_STATS, embed_views, embed_views_backward, init_params,
-                    view_entry)
-from .training import shared_nodes
+from .losses import LossConfig, multi_view_loss
+from .model import PARAM_FIELDS, READOUT_STATS, embed_views, init_params, view_entry
+from .training import TrainConfig, contrastive_step, shared_nodes
 
 FIXTURE_NODES = 12
 FIXTURE_SPLIT = 50.0
-# the fixture model's temperature and widths: small, for a fast sweep of the training code path
-FIXTURE_TAU = 0.5
-FIXTURE_D_HIDDEN = 16
-FIXTURE_D_OUT = 8
 
 
 def fixture_graph(seed: int = 7) -> TemporalGraph:
@@ -88,16 +83,15 @@ def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
     views = fixture_views(graph)
     batch = shared_nodes(views)
     entries = [view_entry(view) for view in views]
-    params = init_params(graph.feature_dim, FIXTURE_D_HIDDEN, FIXTURE_D_OUT, seed=seed)
-    with_neigh = level == "graph"
+    # a small model, for a fast sweep of the training step
+    cfg = TrainConfig(loss=LossConfig(level, 0.5), d_hidden=16, d_out=8, readout_stat=stat)
+    params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=seed)
 
-    def loss_value():
-        pairs, _ = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
-        return multi_view_loss(pairs, FIXTURE_TAU)[0]
+    def loss_value():  # the step's forward alone: no backward per difference
+        pairs, _ = embed_views(entries, batch, params, stat=stat, with_neighborhood=level == "graph")
+        return multi_view_loss(pairs, cfg.loss.tau)[0]
 
-    pairs, caches = embed_views(entries, batch, params, stat=stat, with_neighborhood=with_neigh)
-    _, zgrads = multi_view_loss(pairs, FIXTURE_TAU)
-    analytic = embed_views_backward(zgrads, caches, params)
+    _, analytic = contrastive_step(entries, batch, params, cfg)
 
     errors = {}
     for name in PARAM_FIELDS:

@@ -2,7 +2,7 @@
 
 Each kernel holds an algorithm or a rounding rule that one NumPy
 expression would not: the row-stable GEMM, LeakyReLU in its max form, row
-L2 normalization with its zero and overflow checks, segment max, and the
+L2 normalization with its zero-row and overflow rules, segment max, and the
 in-place Adam update. Each but Adam comes as a forward function and a
 matching ``*_backward`` that maps the output gradient (plus whatever the
 forward saw) to input gradients. The model module wires them together by
@@ -48,20 +48,21 @@ def leaky_relu_backward(grad: np.ndarray, x: np.ndarray, slope: float = 0.01) ->
 
 
 def row_l2_normalize(x: np.ndarray) -> np.ndarray:
+    """Each row over its L2 norm. A zero row stays a zero row: its norm is
+    taken as inf."""
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         norms = np.linalg.norm(x, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise NumericError(f"zero-norm row(s) {zero[:5].tolist()} in l2 normalization")
     huge = np.nonzero(norms == np.inf)[0]  # x / inf would be a silent zero row
     if huge.size:
         raise NumericError(f"overflowing row norm(s) {huge[:5].tolist()} in l2 normalization")
+    norms[norms == 0.0] = np.inf
     return x / norms[:, None]
 
 
 def row_l2_normalize_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # z = x / |x|;  dL/dx = (g - z (z.g)) / |x|
+    # z = x / |x|;  dL/dx = (g - z (z.g)) / |x|; a zero row's |x| is inf, so z = dL/dx = 0
     norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0.0] = np.inf
     z = x / norms
     return (grad - z * np.sum(z * grad, axis=1, keepdims=True)) / norms
 

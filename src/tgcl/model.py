@@ -141,8 +141,8 @@ class ViewEntry:
     @property
     def vals(self) -> np.ndarray:
         """Â's nonzeros, read-only. It stays only because bench/tracer.py
-        counts them per ``adj_matmul`` call, and goes with the benchmark
-        change (ROADMAP item 3)."""
+        counts them per ``adj_matmul`` call, and goes once the tracer counts
+        the nonzeros of the rows each product reads off ``adj``."""
         vals = self.adj.data.view()
         vals.flags.writeable = False
         return vals

@@ -119,16 +119,25 @@ def make_minibatch(shared: np.ndarray, batch_size: int, rng: np.random.Generator
     return rng.choice(shared, size=batch_size, replace=False)
 
 
-def _window_desc(windows) -> str:
-    return "; ".join(f"[{w.lo:.6g}, {w.hi:.6g}]" for w in windows)
+def contrastive_step(entries, batch: np.ndarray, params: ModelParams, cfg: TrainConfig):
+    """Embed the views of ``entries`` (ViewEntry objects) with ``params``, take
+    the InfoNCE objective of ``cfg.loss`` and ``cfg.readout_stat`` over the
+    ``batch`` nodes and backpropagate it. Returns (loss, grads). A non-finite
+    loss raises NumericError ahead of the backward, which cannot run on it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the step's own checks report
+        pairs, caches = embed_views(entries, batch, params, stat=cfg.readout_stat,
+                                    with_neighborhood=cfg.loss.level == "graph")
+        loss, zgrads = multi_view_loss(pairs, cfg.loss.tau)
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite loss {loss}")
+        return loss, embed_views_backward(zgrads, caches, params)
 
 
 def train(graph: TemporalGraph, cfg: TrainConfig):
     """Run the contrastive training loop. Returns (params, log).
 
     Per epoch: sample v windows, slice views, intersect active sets, draw
-    the minibatch, embed every view with shared weights, take the
-    configured InfoNCE objective, backpropagate, Adam step. A window drawn
+    the minibatch, take a :func:`contrastive_step`, Adam step. A window drawn
     again while it is among the last s distinct ones reuses its view,
     adjacency and the rows of Â·X its earlier steps read. A checkpoint is written to cfg.checkpoint_path
     after the final epoch (and every checkpoint_every epochs when set).
@@ -136,7 +145,6 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
     cfg.validate()
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=cfg.seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    with_neigh = cfg.loss.level == "graph"
     log = TrainLog()
     entries = {}  # (lo, hi) -> ViewEntry of the last s distinct windows drawn
 
@@ -155,14 +163,12 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
         epoch_loss = 0.0
         for _ in range(cfg.batches_per_epoch):
             batch = make_minibatch(shared, cfg.batch_size, batch_rng)
-            with np.errstate(over="ignore", invalid="ignore"):  # the step's own checks report
-                pairs, caches = embed_views(
-                    drawn, batch, params, stat=cfg.readout_stat, with_neighborhood=with_neigh)
-                loss, zgrads = multi_view_loss(pairs, cfg.loss.tau)
-                if not np.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss {loss} at epoch {epoch}; windows {_window_desc(windows)}")
-                grads = embed_views_backward(zgrads, caches, params)
+            try:
+                loss, grads = contrastive_step(drawn, batch, params, cfg)
+            except NumericError as exc:
+                spans = "; ".join(f"[{w.lo:.6g}, {w.hi:.6g}]" for w in windows)
+                raise NumericError(f"{exc} at epoch {epoch}; windows {spans}") from exc
+            with np.errstate(over="ignore", invalid="ignore"):  # tgcl's later checks report
                 adam_step(params.as_dict(), grads, state)
             epoch_loss += loss
         epoch_loss /= cfg.batches_per_epoch

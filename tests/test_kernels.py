@@ -54,9 +54,16 @@ def test_row_l2_345():
     np.testing.assert_allclose(out, [[0.6, 0.8]])
 
 
-def test_row_l2_zero_row_error():
-    with pytest.raises(NumericError, match="zero-norm"):
-        row_l2_normalize(np.array([[0.0, 0.0], [1.0, 0.0]]))
+def test_row_l2_zero_row_stays_zero_with_a_zero_gradient():
+    # a projection row that is exactly zero, as from a hidden row whose ReLU
+    # units are all dead, scores 0 against every key instead of ending the run
+    x = np.array([[0.0, -0.0], [3.0, 4.0]])
+    assert row_l2_normalize(x).tolist() == [[0.0, 0.0], [0.6, 0.8]]
+    g = row_l2_normalize_backward(np.array([[1.0, 2.0], [1.0, 2.0]]), x)
+    assert g[0].tolist() == [0.0, 0.0]
+    assert g[1].tobytes() == row_l2_normalize_backward(np.array([[1.0, 2.0]]), x[1:])[0].tobytes()
+    # a NaN row stays NaN, for the loss check to report
+    assert np.isnan(row_l2_normalize(np.array([[np.nan, 0.0]]))).all()
 
 
 @pytest.mark.filterwarnings("error")

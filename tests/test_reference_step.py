@@ -6,9 +6,9 @@ runs the two-layer GCN on every row, reads out through a dense 0/1
 neighbour matrix, projects, and takes InfoNCE over the ordered view pairs.
 Its gradients are matrix formulas written here, and so is its Adam with
 coupled weight decay; nothing comes from ``tgcl.kernels``. One test checks
-one step, the chain ``embed_views`` -> ``multi_view_loss`` ->
-``embed_views_backward``; the other checks whole ``train`` runs, whose
-window cache and P0 row store the reference does without.
+one ``contrastive_step``; the other checks whole ``train`` runs, whose
+window cache and P0 row store the reference does without. A zero projection
+row maps to a zero row with a zero gradient, in both.
 """
 
 from functools import reduce
@@ -18,9 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tgcl import (DataError, LossConfig, ModelParams, NumericError, SamplerConfig, TrainConfig,
-                  build_graph, embed_views, embed_views_backward, init_params, multi_view_loss,
-                  sample_windows, slice_interval, train, view_entry)
+from tgcl import (DataError, LossConfig, ModelParams, SamplerConfig, TrainConfig, build_graph,
+                  contrastive_step, init_params, sample_windows, slice_interval, train, view_entry)
 from tgcl.model import PARAM_FIELDS
 from tgcl.sampling import STRATEGIES
 
@@ -92,6 +91,7 @@ def _project(x, p):
     l1 = np.where(s1 > 0.0, s1, SLOPE * s1)
     s2 = l1 @ p.proj_w2 + p.proj_b2
     norm = np.sqrt(np.sum(s2 * s2, axis=1, keepdims=True))
+    norm[norm == 0.0] = np.inf  # a zero row: z = 0, and dL/ds2 = 0 below
     return s2 / norm, (x, s1, l1, s2, norm)
 
 
@@ -186,10 +186,8 @@ def test_one_step_matches_the_dense_reference(level, stat, step):
     graph, windows, batch, params = step
     want_loss, want = _reference_step(graph, windows, batch, params, level, stat)
     entries = [view_entry(slice_interval(graph, lo, hi)) for lo, hi in windows]
-    pairs, caches = embed_views(entries, batch, params, stat=stat,
-                                with_neighborhood=level == "graph")
-    loss, zgrads = multi_view_loss(pairs, TAU)
-    grads = embed_views_backward(zgrads, caches, params)
+    cfg = TrainConfig(loss=LossConfig(level, TAU), readout_stat=stat)
+    loss, grads = contrastive_step(entries, batch, params, cfg)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), (loss, want_loss)
     for name in PARAM_FIELDS:
         assert _floor_close(grads[name], want[name], 1e-10), name
@@ -222,7 +220,7 @@ def _runs(draw):
     s = draw(st.integers(v if strategy == "sequential" else 1, 6))
     level = draw(st.sampled_from(["node", "graph"]))
     cfg = TrainConfig(sampler=SamplerConfig(strategy, s, v), loss=LossConfig(level, TAU),
-                      d_hidden=draw(st.integers(3, 6)), d_out=draw(st.integers(2, 4)),
+                      d_hidden=draw(st.integers(1, 6)), d_out=draw(st.integers(1, 4)),
                       batch_size=draw(st.integers(2, 6)), epochs=draw(st.integers(2, 3)),
                       seed=draw(st.integers(0, 1000)),
                       readout_stat=draw(st.sampled_from(["mean", "sum", "max"])),
@@ -274,21 +272,17 @@ def _reference_train(graph, cfg):
 def test_train_matches_the_dense_reference(run):
     graph, cfg = run
     try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want_records, want, tiny = _reference_train(graph, cfg)
+        want_records, want, tiny = _reference_train(graph, cfg)
     except DataError:  # infeasible windows, or no shared node
         with pytest.raises(DataError):
             train(graph, cfg)
         return
-    if not all(np.isfinite(loss) for _, _, loss in want_records):  # as for an all-zero row
-        with pytest.raises(NumericError):
-            train(graph, cfg)
-        return
+    # at any width: a node whose hidden units are all dead projects to a zero row
+    params, log = train(graph, cfg)
     # Adam takes a step of about lr from any gradient well above its eps, so
     # from one that cancels to within 100 eps of zero, as when no view tells
     # the batch nodes apart, it steps in the direction of the rounding noise
     assume(not tiny)
-    params, log = train(graph, cfg)
     assert len(log.records) == cfg.epochs
     for record, (windows, shared, loss) in zip(log.records, want_records):
         assert [(w.lo, w.hi) for w in record.windows] == windows

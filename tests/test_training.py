@@ -9,10 +9,14 @@ from tgcl import training
 from tgcl import (
     DataError,
     LossConfig,
+    NumericError,
     SamplerConfig,
     TrainConfig,
     build_graph,
+    contrastive_step,
     embed_all,
+    fixture_graph,
+    fixture_views,
     init_params,
     load_params,
     make_minibatch,
@@ -20,6 +24,7 @@ from tgcl import (
     shared_nodes,
     slice_interval,
     train,
+    view_entry,
 )
 from tgcl.sampling import ViewWindow
 from tgcl.training import EpochRecord, TrainLog
@@ -219,6 +224,18 @@ def test_train_takes_batches_per_epoch_steps_and_logs_their_mean(monkeypatch):
     for i, record in enumerate(log.records):
         assert record.loss == sum(losses[4 * i:4 * i + 4]) / 4
     assert len({*losses[:4]}) > 1  # the epoch's steps see different batches or weights
+
+
+def test_a_non_finite_loss_stops_the_step_ahead_of_its_backward():
+    # the grad-check fixture at the graph level: under the max readout a NaN
+    # weight reaches the backward's segment max, which fails with an IndexError
+    graph = fixture_graph()
+    views = fixture_views(graph)
+    cfg = TrainConfig(loss=LossConfig("graph", 0.5), d_hidden=16, d_out=8, readout_stat="max")
+    params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=7)
+    params.gcn_w2[0, 0] = np.nan
+    with pytest.raises(NumericError, match=r"^non-finite loss nan$"):
+        contrastive_step([view_entry(v) for v in views], shared_nodes(views), params, cfg)
 
 
 def test_train_checkpoints_every_k_epochs_and_after_the_last(monkeypatch, tmp_path):
