@@ -45,8 +45,10 @@ from .model import (
     project,
     readout,
     readout_rows,
+    receptive_field,
     save_params,
     view_entry,
+    view_inputs,
 )
 from .losses import LOSS_LEVELS, LossConfig, infonce, multi_view_loss, softmax_cross_entropy
 from .training import (
@@ -106,8 +108,10 @@ __all__ = [
     "project",
     "readout",
     "readout_rows",
+    "receptive_field",
     "save_params",
     "view_entry",
+    "view_inputs",
     "load_params",
     "LOSS_LEVELS",
     "LossConfig",

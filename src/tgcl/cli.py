@@ -360,9 +360,10 @@ def _run_linear_eval(conf: dict) -> int:
     probe = train_linear_probe(table, labels, split, lr=conf["lr"],
                                weight_decay=conf["weight_decay"], epochs=conf["epochs"])
     echo = {k.replace("_", "-"): _fmt_value(v) for k, v in sorted(conf.items())}
-    report = evaluate(probe, table, labels, split, config=echo)
+    report = evaluate(probe, table, labels, split)
     out = Path(conf["out"])
-    _write(out, json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
+    body = {**report.as_dict(), "config": echo}
+    _write(out, json.dumps(body, sort_keys=True, indent=2) + "\n")
     _write_resolved(out.parent, "linear-eval", conf)
     print(f"accuracy {report.accuracy:.4f}, weighted F1 {report.weighted_f1:.4f} "
           f"on {split.test.size} test nodes (report: {out})")

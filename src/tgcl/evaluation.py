@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +22,7 @@ from .errors import DataError, NumericError
 from .graph import SampledView, TemporalGraph, build_graph, running_index, to_snapshots
 from .kernels import AdamState, adam_step
 from .losses import softmax_cross_entropy
-from .model import ViewEntry, encode, encode_backward, glorot, init_params, view_entry
+from .model import ViewEntry, encode, encode_backward, glorot, init_params, receptive_field, view_entry
 from .training import shared_nodes
 
 PROBE_ENCODERS = ("gcn", "mlp")
@@ -171,7 +171,6 @@ class EvalReport:
     recall: np.ndarray
     f1: np.ndarray
     support: np.ndarray
-    config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -187,12 +186,10 @@ class EvalReport:
                 }
                 for c in range(self.support.shape[0])
             ],
-            "config": self.config,
         }
 
 
-def classification_report(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int,
-                          config: dict | None = None) -> EvalReport:
+def classification_report(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> EvalReport:
     """Accuracy plus per-class precision/recall/F1 and the support-weighted
     F1 mean. Undefined ratios (empty denominator) count as 0."""
     if y_true.size == 0:
@@ -212,17 +209,17 @@ def classification_report(y_true: np.ndarray, y_pred: np.ndarray, num_classes: i
     accuracy = float(np.mean(y_pred == y_true))
     weighted_f1 = float(np.sum(support * f1) / support.sum())
     return EvalReport(accuracy=accuracy, weighted_f1=weighted_f1, precision=precision,
-                      recall=recall, f1=f1, support=support, config=dict(config or {}))
+                      recall=recall, f1=f1, support=support)
 
 
 def evaluate(probe: LinearProbe, embeddings: np.ndarray, labels: np.ndarray,
-             split: SplitSpec, config: dict | None = None) -> EvalReport:
+             split: SplitSpec) -> EvalReport:
     """Score the probe on the test split."""
     if split.test.size == 0:
         raise DataError("empty test split")
     y_true = labels[split.test]
     y_pred = probe.predict(embeddings[split.test])
-    return classification_report(y_true, y_pred, probe.num_classes, config=config)
+    return classification_report(y_true, y_pred, probe.num_classes)
 
 
 @dataclass(frozen=True)
@@ -282,10 +279,8 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
                          seed=int(base.integers(2 ** 31)))
     head_w = glorot(base, cfg.d_out, num_classes)
     head_b = np.zeros(num_classes)
-    if cfg.encoder == "gcn":
-        entry = view_entry(view)
-    else:
-        entry = ViewEntry(view, sp.eye_array(view.num_active, format="csr"))
+    entry = (view_entry(view) if cfg.encoder == "gcn"
+             else ViewEntry(view, sp.eye_array(view.num_active, format="csr")))
     train_rows = np.zeros(view.num_active, dtype=bool)
     train_rows[train_local] = True
 
@@ -293,8 +288,9 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
                  "head_w": head_w, "head_b": head_b}
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_h = running_index(train_rows)[train_local]  # the train nodes' rows of h
+    field = receptive_field(entry, train_rows)  # every epoch encodes the same rows
     for _ in range(cfg.epochs):
-        h, cache = encode(entry, params, train_rows)
+        h, cache = encode(field, params)
         _, g_logits = softmax_cross_entropy(h[train_h] @ head_w + head_b, y_train)
         g_h = np.zeros_like(h)
         g_h[train_h] = g_logits @ head_w.T
@@ -302,7 +298,7 @@ def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.
         grads = {"gcn_w1": enc_grads["gcn_w1"], "gcn_w2": enc_grads["gcn_w2"],
                  "head_w": h[train_h].T @ g_logits, "head_b": g_logits.sum(axis=0)}
         adam_step(trainable, grads, state)
-    h, _ = encode(entry, params, np.ones(view.num_active, dtype=bool))
+    h, _ = encode(receptive_field(entry, np.ones(view.num_active, dtype=bool)), params)
     return h @ head_w + head_b
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError
 from .graph import TemporalGraph, build_graph, slice_interval
 from .losses import LossConfig, multi_view_loss
-from .model import PARAM_FIELDS, READOUT_STATS, embed_views, init_params, view_entry
+from .model import PARAM_FIELDS, READOUT_STATS, embed_views, init_params, view_entry, view_inputs
 from .training import TrainConfig, contrastive_step, shared_nodes
 
 FIXTURE_NODES = 12
@@ -86,9 +86,10 @@ def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
     # a small model, for a fast sweep of the training step
     cfg = TrainConfig(loss=LossConfig(level, 0.5), d_hidden=16, d_out=8, readout_stat=stat)
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=seed)
+    inputs = [view_inputs(entry, batch, level == "graph") for entry in entries]
 
-    def loss_value():  # the step's forward alone: no backward per difference
-        pairs, _ = embed_views(entries, batch, params, stat=stat, with_neighborhood=level == "graph")
+    def loss_value():  # the step's forward alone on fixed inputs: no backward per difference
+        pairs, _ = embed_views(inputs, params, stat=stat)
         return multi_view_loss(pairs, cfg.loss.tau)[0]
 
     _, analytic = contrastive_step(entries, batch, params, cfg)

@@ -5,12 +5,12 @@ The encoder is the standard two-layer graph convolution over the
 symmetrically normalized self-loop adjacency: ReLU after the first
 propagation, no activation after the second (the second layer's output is
 the representation handed to downstream consumers). It computes only the
-rows it is asked for, from the rows they need of the parameter-free first
-propagation Â·X. The caller keeps Â·X per view in one full-height array,
-and a row is computed the first time a step reads it (:func:`view_entry`);
-each read returns a copy of its rows. The projection head is linear ->
-LeakyReLU -> linear -> row L2 normalization. All views share one
-parameter object.
+rows it is asked for, from the rows they need of the first propagation
+P0 = Â·X. P0 and Â's rows carry no parameters, so they are taken apart
+from the encoder (:func:`receptive_field`, :func:`view_inputs`), and a
+caller that encodes the same rows again takes them once. The projection
+head is linear -> LeakyReLU -> linear -> row L2 normalization. All views
+share one parameter object.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .errors import DataError
+from .errors import DataError, NumericError
 from .graph import SampledView, running_index
 
 CHECKPOINT_MAGIC = "tgcl-checkpoint v1"
@@ -119,24 +119,13 @@ def adj_matmul(entry: ViewEntry, x: np.ndarray, rows: np.ndarray):
     return entry.adj[rows] @ x
 
 
+@dataclass(eq=False)
 class ViewEntry:
-    """One view with what the encoder needs of it: Â (``adj``, as
-    :func:`normalize_adjacency` returns it), and the rows of P0 = Â·X
-    computed so far.
+    """One view with its Â (``adj``, as :func:`normalize_adjacency`
+    returns it)."""
 
-    P0 is the first propagation and has no parameters, so a row once
-    computed serves every later step that draws the view's window. P0 is
-    held full height (``p0_rows``), and ``done`` marks the rows computed so
-    far. A read (:meth:`p0`) computes the rows it asks for that no earlier
-    read did, as one ``adj_matmul`` over those rows, and writes them in
-    place. Each row is bit-identical to that row of Â @ X.
-    """
-
-    def __init__(self, view: SampledView, adj: sp.csr_array):
-        self.view = view
-        self.adj = adj
-        self.p0_rows = np.empty(view.features.shape)  # row i holds P0's row i once done[i]
-        self.done = np.zeros(view.features.shape[0], dtype=bool)
+    view: SampledView
+    adj: sp.csr_array
 
     @property
     def vals(self) -> np.ndarray:
@@ -147,18 +136,24 @@ class ViewEntry:
         vals.flags.writeable = False
         return vals
 
-    def p0(self, frontier: np.ndarray) -> np.ndarray:
-        """P0[frontier] for a boolean mask over the view's nodes, as a new
-        array."""
-        missing = frontier & ~self.done
-        if missing.any():
-            self.p0_rows[missing] = adj_matmul(self, self.view.features, missing)
-            self.done |= missing
-        return self.p0_rows[frontier]
-
 
 def view_entry(view: SampledView) -> ViewEntry:
     return ViewEntry(view, normalize_adjacency(view))
+
+
+def receptive_field(entry: ViewEntry, rows: np.ndarray):
+    """The parameter-free part of :func:`encode` for the rows ``rows``, a
+    boolean mask over the view's nodes: (a_rows, p0). F is the set of nodes
+    Â[rows] reaches; ``a_rows`` is Â[rows] with its columns renumbered to
+    positions in F, and ``p0`` is P0[F], those rows of P0 = Â·X, each
+    bit-identical to that row of the full product."""
+    a_rows = entry.adj[rows]
+    frontier = np.zeros(rows.shape[0], dtype=bool)
+    frontier[a_rows.indices] = True
+    p0 = adj_matmul(entry, entry.view.features, frontier)
+    cols = running_index(frontier)[a_rows.indices]  # positions in F
+    a_rows = sp.csr_array((a_rows.data, cols, a_rows.indptr), shape=(a_rows.shape[0], p0.shape[0]))
+    return a_rows, p0
 
 
 @dataclass(eq=False)
@@ -169,25 +164,14 @@ class EncodeCache:
     p1: np.ndarray  # Â[rows] · ReLU(s1)
 
 
-def encode(entry: ViewEntry, params: ModelParams, rows: np.ndarray):
-    """Two-layer graph convolution, ReLU between the layers, on the rows
-    asked for.
-
-    ``entry`` holds the view, its Â and its P0 = Â·X (:class:`ViewEntry`)
-    and ``rows`` is a boolean mask over the view's nodes. Layer 1 runs only
-    on F, the columns of Â[rows], and reads only P0[F]:
-    H = Â[rows] · ReLU(P0[F] · W1) · W2. Returns (H, cache); H has one row
-    per True entry of ``rows``, in row order.
+def encode(field, params: ModelParams):
+    """Two-layer graph convolution, ReLU between the layers, on the rows of
+    a :func:`receptive_field` ``field``: H = Â[rows] · ReLU(P0[F] · W1) · W2.
+    Returns (H, cache); H has one row per row asked for, in row order.
     """
-    d_in = entry.view.features.shape[1]
-    if d_in != params.d_in:
-        raise ValueError(f"feature dim {d_in} != encoder input dim {params.d_in}")
-    a_rows = entry.adj[rows]
-    frontier = np.zeros(rows.shape[0], dtype=bool)
-    frontier[a_rows.indices] = True
-    p0 = entry.p0(frontier)
-    cols = running_index(frontier)[a_rows.indices]  # positions in F
-    a_rows = sp.csr_array((a_rows.data, cols, a_rows.indptr), shape=(a_rows.shape[0], p0.shape[0]))
+    a_rows, p0 = field
+    if p0.shape[1] != params.d_in:
+        raise ValueError(f"feature dim {p0.shape[1]} != encoder input dim {params.d_in}")
     s1 = kernels.matmul(p0, params.gcn_w1)
     p1 = a_rows @ np.maximum(s1, 0.0)
     h = kernels.matmul(p1, params.gcn_w2)
@@ -285,44 +269,47 @@ class ViewCache:
     stat: str
 
 
-def embed_views(
-    entries,
-    batch_nodes: np.ndarray,
-    params: ModelParams,
-    stat: str = "mean",
-    with_neighborhood: bool = True,
-):
+def view_inputs(entry: ViewEntry, batch_nodes: np.ndarray, with_neighborhood: bool):
+    """The parameter-free part of :func:`embed_views` for one view and the
+    ``batch_nodes`` (internal graph node indices, all active in the view):
+    (field, batch, neigh). ``field`` is the :func:`receptive_field` of the
+    batch rows, and of their neighbour rows with the neighborhood; ``batch``
+    holds the batch rows' positions in the encoder's H, and ``neigh`` their
+    readout rows with columns into H, or None without the neighborhood."""
+    batch_local = entry.view.local_index_of(np.asarray(batch_nodes, dtype=np.int64))
+    rows = np.zeros(entry.view.num_active, dtype=bool)
+    rows[batch_local] = True
+    neigh = readout_rows(entry.adj, batch_local) if with_neighborhood else None
+    if neigh is not None:
+        rows[neigh.indices] = True
+    pos = running_index(rows)  # the row of H of each node in rows
+    batch = pos[batch_local]
+    if neigh is not None:
+        neigh = sp.csr_array((neigh.data, pos[neigh.indices], neigh.indptr),
+                             shape=(batch.size, np.count_nonzero(rows)))
+    return receptive_field(entry, rows), batch, neigh
+
+
+def embed_views(inputs, params: ModelParams, stat: str = "mean"):
     """Encode every view with the same parameters and project the batch
     rows into queries and keys.
 
-    ``entries`` are :class:`ViewEntry` objects (see :func:`view_entry`).
-    ``batch_nodes`` are internal graph node indices that must be active in
-    every view. The queries are the projected batch rows. With the
-    neighborhood, the keys are the projected readouts of those rows; the
-    batch rows and the readouts go through one projection. Without it,
-    the keys are the queries. Returns (pairs, caches), both lists indexed
-    by view, with pairs[i] = (queries, keys).
+    ``inputs`` holds one :func:`view_inputs` triple per view. The queries
+    are the projected batch rows. With the neighborhood, the keys are the
+    projected readouts of those rows; the batch rows and the readouts go
+    through one projection. Without it, the keys are the queries. Returns
+    (pairs, caches), both lists indexed by view, with pairs[i] =
+    (queries, keys).
     """
-    batch_nodes = np.asarray(batch_nodes, dtype=np.int64)
     pairs, caches = [], []
-    for entry in entries:
-        batch_local = entry.view.local_index_of(batch_nodes)
-        rows = np.zeros(entry.view.num_active, dtype=bool)
-        rows[batch_local] = True
-        if with_neighborhood:
-            neigh = readout_rows(entry.adj, batch_local)
-            rows[neigh.indices] = True
-        h, enc_cache = encode(entry, params, rows)
-        pos = running_index(rows)  # the row of h of each node in rows
-        batch = pos[batch_local]
-        x, neigh_h = h[batch], None
-        if with_neighborhood:
-            neigh_h = sp.csr_array((neigh.data, pos[neigh.indices], neigh.indptr),
-                                   shape=(batch.size, len(h)))
-            x = np.vstack([x, readout(neigh_h, h, stat=stat)])
+    for field, batch, neigh in inputs:
+        h, enc_cache = encode(field, params)
+        x = h[batch]
+        if neigh is not None:
+            x = np.vstack([x, readout(neigh, h, stat=stat)])
         z, proj_cache = project(x, params)
-        pairs.append((z[:batch.size], z[batch.size:]) if with_neighborhood else (z, z))
-        caches.append(ViewCache(enc_cache, batch, h, proj_cache, neigh_h, stat))
+        pairs.append((z, z) if neigh is None else (z[:batch.size], z[batch.size:]))
+        caches.append(ViewCache(enc_cache, batch, h, proj_cache, neigh, stat))
     return pairs, caches
 
 
@@ -353,9 +340,13 @@ def save_params(path, params: ModelParams, meta: dict | None = None) -> None:
 
     Layout: one magic line, one JSON line (dims, tensor manifest, meta),
     then the tensors' C-order little-endian float64 bytes in manifest
-    order. Written atomically via a temp file.
+    order. Written atomically via a temp file. A non-finite tensor raises
+    NumericError and writes nothing, since :func:`load_params` rejects it.
     """
     path = Path(path)
+    for f in PARAM_FIELDS:
+        if not np.isfinite(getattr(params, f)).all():
+            raise NumericError(f"non-finite values in {f}; checkpoint {path} not written")
     header = {
         "dims": {"d_in": params.d_in, "d_hidden": params.d_hidden, "d_out": params.d_out},
         "tensors": [{"name": f, "shape": list(getattr(params, f).shape)} for f in PARAM_FIELDS],

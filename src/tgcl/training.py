@@ -25,8 +25,10 @@ from .model import (
     embed_views_backward,
     encode,
     init_params,
+    receptive_field,
     save_params,
     view_entry,
+    view_inputs,
 )
 from .sampling import SamplerConfig, sample_windows
 
@@ -124,9 +126,9 @@ def contrastive_step(entries, batch: np.ndarray, params: ModelParams, cfg: Train
     the InfoNCE objective of ``cfg.loss`` and ``cfg.readout_stat`` over the
     ``batch`` nodes and backpropagate it. Returns (loss, grads). A non-finite
     loss raises NumericError ahead of the backward, which cannot run on it."""
+    inputs = [view_inputs(entry, batch, cfg.loss.level == "graph") for entry in entries]
     with np.errstate(over="ignore", invalid="ignore"):  # the step's own checks report
-        pairs, caches = embed_views(entries, batch, params, stat=cfg.readout_stat,
-                                    with_neighborhood=cfg.loss.level == "graph")
+        pairs, caches = embed_views(inputs, params, stat=cfg.readout_stat)
         loss, zgrads = multi_view_loss(pairs, cfg.loss.tau)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss}")
@@ -138,9 +140,10 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
 
     Per epoch: sample v windows, slice views, intersect active sets, draw
     the minibatch, take a :func:`contrastive_step`, Adam step. A window drawn
-    again while it is among the last s distinct ones reuses its view,
-    adjacency and the rows of Â·X its earlier steps read. A checkpoint is written to cfg.checkpoint_path
-    after the final epoch (and every checkpoint_every epochs when set).
+    again while it is among the last s distinct ones reuses its view and
+    adjacency. A checkpoint is written to cfg.checkpoint_path after the final
+    epoch (and every checkpoint_every epochs when set); non-finite weights
+    raise NumericError instead.
     """
     cfg.validate()
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=cfg.seed)
@@ -212,5 +215,6 @@ def embed_all(graph: TemporalGraph, params: ModelParams) -> np.ndarray:
     pre-projection hidden matrix, one row per node in graph.node_ids
     order. Isolated nodes see only their self-loop.
     """
-    h, _ = encode(view_entry(full_view(graph)), params, np.ones(graph.num_nodes, dtype=bool))
+    field = receptive_field(view_entry(full_view(graph)), np.ones(graph.num_nodes, dtype=bool))
+    h, _ = encode(field, params)
     return h

@@ -826,6 +826,21 @@ def test_embed_exits_3_when_the_checkpoint_overflows_the_encoder(tmp_path, capsy
     assert not out.exists()
 
 
+def test_train_exits_3_rather_than_write_a_non_finite_checkpoint(tmp_path, capsys):
+    # on the README's demo graph the one Adam update at lr 1e308 leaves
+    # non-finite weights; the run exited 0 with a checkpoint embed rejects
+    prefix = tmp_path / "demo"
+    assert dispatch(["synth", "--k", "3", "--n", "120", "--T", "10.0", "--events", "800",
+                     "--ratio-in-out", "10.0", "--seed", "1", "--out-prefix", str(prefix)]) == 0
+    run = tmp_path / "run"
+    assert dispatch(["train", "--edges", f"{prefix}.edges.csv", "--out", str(run), "--epochs", "1",
+                     "--lr", "1e308", "--d-hidden", "8", "--d-out", "4",
+                     "--feature-policy", "random", "--feature-dim", "32"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite values in ") and err.count("\n") == 1
+    assert not (run / "params.ckpt").exists() and not (run / "params.ckpt.tmp").exists()
+
+
 @pytest.mark.parametrize("ratios,classes", [("1:0:9", 2), ("2:1:7", 10)])
 def test_linear_eval_rejects_an_empty_validation_split(tmp_path, capsys, ratios, classes):
     # 2:1:7 over classes of 4 gives each class round(0.4) = 0 validation nodes

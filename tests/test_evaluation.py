@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tgcl.model
 from tgcl import (
     AdamState,
     DataError,
@@ -340,10 +343,10 @@ def test_report_all_one_class_predictions():
 
 def test_report_perfect_case_and_dict():
     y = np.array([0, 1, 1, 2])
-    rep = classification_report(y, y.copy(), 3, config={"note": "x"})
+    rep = classification_report(y, y.copy(), 3)
     assert rep.accuracy == 1.0 and rep.weighted_f1 == 1.0
     d = rep.as_dict()
-    assert d["config"] == {"note": "x"}
+    assert set(d) == {"accuracy", "weighted_f1", "per_class"}
     assert len(d["per_class"]) == 3
     assert d["per_class"][1]["support"] == 2
     assert d["per_class"][1]["f1"] == 1.0
@@ -588,6 +591,22 @@ def test_invariance_per_span_labels_accepted():
     base = probe_invariance(g, g.labels, 2, FAST_PROBE)
     same = probe_invariance(g, [g.labels, g.labels], 2, FAST_PROBE)
     np.testing.assert_array_equal(base.matrix, same.matrix)
+
+
+@pytest.mark.parametrize("encoder", ["gcn", "mlp"])
+def test_invariance_probe_takes_two_fields_per_timespan(monkeypatch, encoder):
+    # one receptive field for the train rows, taken before the epoch loop,
+    # and one for every row at the end, whatever the number of epochs; the
+    # second computes all of P0, not only the rows the first left out
+    counted = mock.Mock(wraps=tgcl.model.adj_matmul)
+    monkeypatch.setattr(tgcl.model, "adj_matmul", counted)
+    g = _probe_fixture()
+    for epochs in (3, 30):
+        counted.reset_mock()
+        res = probe_invariance(g, g.labels, 2, replace(FAST_PROBE, epochs=epochs, encoder=encoder))
+        frontiers = [call.args[2] for call in counted.call_args_list]
+        assert len(frontiers) == 2 * np.isfinite(np.diag(res.matrix)).sum() == 4
+        assert not any(f.all() for f in frontiers[::2]) and all(f.all() for f in frontiers[1::2])
 
 
 def test_invariance_mlp_encoder_runs():

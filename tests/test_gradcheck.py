@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 
 import tgcl.gradcheck
+import tgcl.model
 from tgcl import fixture_graph, fixture_views, model_grad_errors, run_grad_check
 from tgcl.gradcheck import max_relative_error
 from tgcl.model import PARAM_FIELDS, READOUT_STATS
@@ -76,3 +79,15 @@ def test_a_nan_error_makes_every_maximum_above_it_nan(monkeypatch):
                         lambda level, seed, h, stat: {"w1": 1e-7, "w2": float("nan")})
     report = run_grad_check()
     assert np.isnan(report["node"]["max"]) and np.isnan(report["worst"])
+
+
+def test_grad_check_takes_each_views_inputs_twice_per_setting(monkeypatch):
+    # four settings (node level, graph level under three readouts) of two
+    # views: each view's P0 rows are taken once for the finite differences'
+    # forwards and once by the step, however small the difference step
+    counted = mock.Mock(wraps=tgcl.model.adj_matmul)
+    monkeypatch.setattr(tgcl.model, "adj_matmul", counted)
+    for h in (1e-5, 1e-3):
+        counted.reset_mock()
+        run_grad_check(h=h)
+        assert counted.call_count == 16

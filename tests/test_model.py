@@ -1,15 +1,14 @@
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import tgcl.model
 from tgcl import (
     DataError,
     ModelParams,
+    NumericError,
     build_graph,
     embed_views,
     embed_views_backward,
@@ -22,9 +21,11 @@ from tgcl import (
     project,
     readout,
     readout_rows,
+    receptive_field,
     save_params,
     slice_interval,
     view_entry,
+    view_inputs,
 )
 from tgcl.model import (
     CHECKPOINT_MAGIC,
@@ -57,7 +58,14 @@ def _identity_params(d):
 
 def _encode_all(view, params):
     """The encoder asked for every row of the view."""
-    return encode(view_entry(view), params, np.ones(view.num_active, dtype=bool))
+    return encode(receptive_field(view_entry(view), np.ones(view.num_active, dtype=bool)), params)
+
+
+def _embed(entries, batch, params, stat="mean", with_neighborhood=True):
+    """embed_views on the views' inputs for the batch nodes, as a training
+    step builds them."""
+    return embed_views([view_inputs(entry, batch, with_neighborhood) for entry in entries],
+                       params, stat=stat)
 
 
 def _dense_norm_adj(view):
@@ -311,7 +319,7 @@ def test_embed_views_identical_windows_equal():
     views = _two_view_graph()
     params = init_params(5, 8, 4, seed=0)
     batch = np.arange(6)
-    pairs, _ = embed_views([views[0], views[0]], batch, params)
+    pairs, _ = _embed([views[0], views[0]], batch, params)
     np.testing.assert_array_equal(pairs[0][0], pairs[1][0])
     np.testing.assert_array_equal(pairs[0][1], pairs[1][1])
 
@@ -319,7 +327,7 @@ def test_embed_views_identical_windows_equal():
 def test_embed_views_shapes_and_alignment():
     views = _two_view_graph()
     params = init_params(5, 8, 4, seed=0)
-    pairs, caches = embed_views(views, np.array([3]), params)
+    pairs, caches = _embed(views, np.array([3]), params)
     for entry, (q, k), cache in zip(views, pairs, caches):
         view = entry.view
         assert q.shape == (1, 4) and k.shape == (1, 4)
@@ -333,7 +341,7 @@ def test_embed_views_compositional_oracle():
     views = _two_view_graph(seed=7)
     params = init_params(5, 8, 4, seed=1)
     batch = np.array([0, 2, 5])
-    pairs, _ = embed_views(views, batch, params, stat="sum")
+    pairs, _ = _embed(views, batch, params, stat="sum")
     for entry, (q, k) in zip(views, pairs):
         h, _ = _encode_all(entry.view, params)
         local = entry.view.local_index_of(batch)
@@ -348,9 +356,9 @@ def test_embed_views_weight_sharing():
     views = _two_view_graph(seed=2)
     params = init_params(5, 8, 4, seed=3)
     batch = np.arange(5)
-    before, _ = embed_views(views, batch, params)
+    before, _ = _embed(views, batch, params)
     params.gcn_w1[0, 0] += 0.25
-    after, _ = embed_views(views, batch, params)
+    after, _ = _embed(views, batch, params)
     for b, a in zip(before, after):
         assert not np.allclose(b[0], a[0])
 
@@ -358,7 +366,7 @@ def test_embed_views_weight_sharing():
 def test_embed_views_without_neighborhood():
     views = _two_view_graph(seed=4)
     params = init_params(5, 8, 4, seed=0)
-    pairs, caches = embed_views(views, np.arange(4), params, with_neighborhood=False)
+    pairs, caches = _embed(views, np.arange(4), params, with_neighborhood=False)
     assert all(k is q for q, k in pairs)
     assert all(c.neigh is None for c in caches)
 
@@ -372,12 +380,12 @@ def test_embed_views_backward_fd():
     w_k = [rng.standard_normal((7, 4)) for _ in views]
 
     def loss():
-        pairs, _ = embed_views(views, batch, params, stat="mean")
+        pairs, _ = _embed(views, batch, params, stat="mean")
         return float(
             sum(np.sum(wq * q) + np.sum(wk * k) for wq, wk, (q, k) in zip(w_q, w_k, pairs))
         )
 
-    _, caches = embed_views(views, batch, params, stat="mean")
+    _, caches = _embed(views, batch, params, stat="mean")
     zgrads = list(zip(w_q, w_k))
     grads = embed_views_backward(zgrads, caches, params)
     for name in PARAM_FIELDS:
@@ -443,8 +451,7 @@ def test_restricted_encoder_matches_the_full_path(level, stat):
     params = init_params(5, 8, 4, seed=4)
     batch = np.array([30, 2, 17, 3])  # unsorted, as make_minibatch draws them
     want, zgrads, want_grads = _full_path(entries, batch, params, level, stat)
-    pairs, caches = embed_views(entries, batch, params, stat=stat,
-                                with_neighborhood=level == "graph")
+    pairs, caches = _embed(entries, batch, params, stat=stat, with_neighborhood=level == "graph")
     for entry, cache, (q, k), (wq, wk) in zip(entries, caches, pairs, want):
         assert cache.enc.p0.shape[0] < entry.view.num_active  # the restriction restricts
         np.testing.assert_allclose(q, wq, rtol=0, atol=1e-12)
@@ -497,8 +504,8 @@ def test_restricted_encode_rows_equal_the_full_encode(view, data):
                                        max_size=view.num_active)))
     params = init_params(3, 4, 2, seed=data.draw(st.integers(0, 3)))
     entry = view_entry(view)
-    full, _ = encode(entry, params, np.ones(view.num_active, dtype=bool))
-    h, _ = encode(entry, params, rows)
+    full, _ = encode(receptive_field(entry, np.ones(view.num_active, dtype=bool)), params)
+    h, _ = encode(receptive_field(entry, rows), params)
     assert h.shape[0] == rows.sum()
     assert h.tobytes() == full[rows].tobytes()
 
@@ -522,36 +529,26 @@ def _views_with_isolated_nodes(draw):
 
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(_views_with_isolated_nodes(), st.data())
-def test_p0_rows_are_the_rows_of_the_full_product_each_computed_once(view, data):
+def test_receptive_field_is_the_rows_of_the_full_product(view, data):
     n = view.num_active
-    masks = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
-    reads = []
-    for _ in range(data.draw(st.integers(1, 5))):
-        kind = data.draw(st.sampled_from(["mask", "empty", "all", "repeat"]))
-        if kind == "repeat" and reads:
-            reads.append(reads[data.draw(st.integers(0, len(reads) - 1))].copy())
-        elif kind in ("empty", "all"):
-            reads.append(np.full(n, kind == "all"))
-        else:
-            reads.append(data.draw(masks))
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     entry = view_entry(view)
+    dense = entry.adj.toarray()
+    frontier = dense[rows].any(axis=0)  # F: every node a row asked for reaches
     full = entry.adj @ view.features
-    computed = []
-    product = tgcl.model.adj_matmul
+    a_rows, p0 = receptive_field(entry, rows)
+    assert (p0.dtype, p0.shape) == (full.dtype, full[frontier].shape)
+    assert p0.tobytes() == full[frontier].tobytes()
+    assert a_rows.shape == (rows.sum(), frontier.sum())
+    assert a_rows.toarray().tobytes() == dense[rows][:, frontier].tobytes()
 
-    def counted(entry, x, rows):
-        computed.append(rows.copy())
-        return product(entry, x, rows)
 
-    with mock.patch.object(tgcl.model, "adj_matmul", counted):
-        for frontier in reads:
-            block = entry.p0(frontier)
-            assert (block.dtype, block.shape) == (full.dtype, full[frontier].shape)
-            assert block.tobytes() == full[frontier].tobytes()
-            block[:] = np.nan  # a read is a copy: later reads still see Â @ X
-    # every row read is computed once, and no row that no read asked for
-    times = np.sum(computed, axis=0) if computed else np.zeros(n, dtype=int)
-    np.testing.assert_array_equal(times, np.any(reads, axis=0).astype(int))
+def test_save_params_refuses_non_finite_tensors(tmp_path):
+    params = init_params(3, 4, 2)
+    params.proj_b2[1] = np.inf
+    with pytest.raises(NumericError, match="non-finite values in proj_b2"):
+        save_params(tmp_path / "p.ckpt", params)
+    assert list(tmp_path.iterdir()) == []  # the temp file is never opened
 
 
 def test_param_count_formula():
