@@ -6,8 +6,9 @@ probe-invariance, grad-check. Exit codes: 0 success, 1 usage error,
 
 Every option can also come from a flat key=value config file (--config);
 precedence is flags > config file > built-in defaults, and the fully
-resolved settings are written next to each subcommand's outputs as
-`config.resolved` so any run can be reproduced from its artifacts alone.
+resolved settings are written next to each subcommand's outputs (train's
+as `config.resolved`, the others' as `config.<subcommand>.resolved`) so
+any run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ def _read_config_file(path: str, opts: dict) -> dict:
     conf = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):  # the tables' line rule: \n alone
         line = raw.strip()
         if not line or line[0] == "#":  # the comment rule of every table
             continue
@@ -203,6 +204,9 @@ def _merge_config(parser: _Parser, ns: argparse.Namespace, opts: dict) -> dict:
             parser.error(f"--{flag} is required (flag or config file)")
         else:
             conf[dest] = default
+        value = conf[dest]  # the resolved config file must hold it: checked before any work
+        if isinstance(value, str) and value.encode("utf-8", "replace").decode() != value:
+            raise DataError(f"--{flag} {value!r} is not valid UTF-8")
     if conf.get("seed", 0) < 0:
         raise DataError(f"seed must be non-negative, got {conf['seed']}")
     return conf
@@ -224,13 +228,14 @@ def _write(path, text: str) -> None:
 
 
 def _write_resolved(directory: Path, command: str, conf: dict) -> None:
-    """Write the settings as a config file that --config reads back: unset
-    options are left out, and the command and version are comments."""
+    """Write the settings as a config file that --config reads back, train's as
+    config.resolved: unset options are left out, the command and version are comments."""
     lines = [f"# command={command}\n", f"# version={__version__}\n"]
     for key in sorted(conf):
         if conf[key] is not None:
             lines.append(f"{key.replace('_', '-')}={_fmt_value(conf[key])}\n")
-    _write(directory / "config.resolved", "".join(lines))
+    name = "config.resolved" if command == "train" else f"config.{command}.resolved"
+    _write(directory / name, "".join(lines))
 
 
 def _run_sample_views(conf: dict) -> int:

@@ -4,8 +4,8 @@ Each kernel holds an algorithm or a rounding rule that one NumPy
 expression would not: the row-stable GEMM, LeakyReLU in its max form, row
 L2 normalization with its zero-row and overflow rules, segment max, and the
 in-place Adam update. Each but Adam comes as a forward function and a
-matching ``*_backward`` that maps the output gradient (plus whatever the
-forward saw) to input gradients. The model module wires them together by
+matching ``*_backward`` that maps the output gradient (plus what the
+forward saw or returned) to input gradients. The model module wires them together by
 hand, with the one-expression steps (bias adds, the encoder's ReLU)
 written out there; there is no tape. Arrays are float64.
 """
@@ -42,29 +42,29 @@ def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
 
 
 def leaky_relu_backward(grad: np.ndarray, x: np.ndarray, slope: float = 0.01) -> np.ndarray:
+    """``x`` is the forward's input or its output: for 0 < slope <= 1 the
+    output is positive exactly where the input is, NaN and signed zeros too."""
     out = grad * slope
     np.copyto(out, grad, where=x > 0.0)
     return out
 
 
-def row_l2_normalize(x: np.ndarray) -> np.ndarray:
-    """Each row over its L2 norm. A zero row stays a zero row: its norm is
-    taken as inf."""
+def row_l2_normalize(x: np.ndarray):
+    """Each row over its L2 norm, and the norms: (rows, norms). A zero row
+    stays a zero row: its norm is taken as inf."""
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         norms = np.linalg.norm(x, axis=1)
     huge = np.nonzero(norms == np.inf)[0]  # x / inf would be a silent zero row
     if huge.size:
         raise NumericError(f"overflowing row norm(s) {huge[:5].tolist()} in l2 normalization")
     norms[norms == 0.0] = np.inf
-    return x / norms[:, None]
+    return x / norms[:, None], norms
 
 
-def row_l2_normalize_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # z = x / |x|;  dL/dx = (g - z (z.g)) / |x|; a zero row's |x| is inf, so z = dL/dx = 0
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0.0] = np.inf
-    z = x / norms
-    return (grad - z * np.sum(z * grad, axis=1, keepdims=True)) / norms
+def row_l2_normalize_backward(grad: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """From the forward's (rows, norms) = (z, |x|): dL/dx = (g - z (z.g)) / |x|;
+    a zero row's |x| is inf, so z = dL/dx = 0."""
+    return (grad - z * np.sum(z * grad, axis=1, keepdims=True)) / norms[:, None]
 
 
 def segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

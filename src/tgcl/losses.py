@@ -36,7 +36,6 @@ class LossConfig:
         return self
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray, tau: float = 1.0):
     """Mean cross-entropy of row-softmax(scores / tau) against integer targets,
     and its exact gradient: (softmax - one-hot) / (rows * tau).
@@ -49,7 +48,14 @@ def softmax_cross_entropy(scores: np.ndarray, targets: np.ndarray, tau: float = 
     a non-finite loss or gradient, without a NumPy warning, for the callers'
     finiteness checks to report.
     """
-    logits = np.divide(scores, tau, order="C")
+    logits = np.array(scores, dtype=np.result_type(scores, tau), order="C")  # np.divide's dtype
+    return _cross_entropy(logits, targets, tau)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray, tau: float):
+    """:func:`softmax_cross_entropy` on C-ordered scores that it owns and overwrites."""
+    logits /= tau
     rows, cols = logits.shape
     starts = np.arange(0, rows * cols, cols)
     m = logits.take(starts + logits.argmax(axis=1))
@@ -81,7 +87,7 @@ def infonce(q: np.ndarray, k: np.ndarray, tau: float):
         raise ValueError("empty batch")
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    loss, grad = softmax_cross_entropy(q @ k.T, np.arange(n), tau)
+    loss, grad = _cross_entropy(q @ k.T, np.arange(n), tau)  # q @ k.T is fresh and C-ordered
     return loss, grad @ k, grad.T @ q
 
 
@@ -107,4 +113,6 @@ def multi_view_loss(pairs, tau: float):
                 g_k[ki] += gk
                 total += loss
     scale = 1.0 / (v * (v - 1))
-    return total * scale, [(gq * scale, gk * scale) for gq, gk in zip(g_q, g_k)]
+    for g in g_q + g_k:
+        g *= scale
+    return total * scale, list(zip(g_q, g_k))

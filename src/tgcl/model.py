@@ -232,9 +232,9 @@ def readout_backward(grad_out: np.ndarray, rows: sp.csr_array, h: np.ndarray, st
 @dataclass(eq=False)
 class ProjectCache:
     x: np.ndarray
-    s1: np.ndarray
-    l1: np.ndarray
-    s2: np.ndarray
+    l1: np.ndarray  # LeakyReLU(s1), positive exactly where s1 is
+    z: np.ndarray  # the rows of s2 over their norms
+    norms: np.ndarray
 
 
 LEAKY_SLOPE = 0.01
@@ -242,17 +242,19 @@ LEAKY_SLOPE = 0.01
 
 def project(x: np.ndarray, params: ModelParams):
     """Two-layer MLP head with LeakyReLU, rows L2-normalized to the sphere."""
-    s1 = kernels.matmul(x, params.proj_w1) + params.proj_b1
+    s1 = kernels.matmul(x, params.proj_w1)
+    s1 += params.proj_b1
     l1 = kernels.leaky_relu(s1, LEAKY_SLOPE)
-    s2 = kernels.matmul(l1, params.proj_w2) + params.proj_b2
-    z = kernels.row_l2_normalize(s2)
-    return z, ProjectCache(x=x, s1=s1, l1=l1, s2=s2)
+    s2 = kernels.matmul(l1, params.proj_w2)
+    s2 += params.proj_b2
+    z, norms = kernels.row_l2_normalize(s2)
+    return z, ProjectCache(x=x, l1=l1, z=z, norms=norms)
 
 
 def project_backward(grad_z: np.ndarray, cache: ProjectCache, params: ModelParams):
-    g_s2 = kernels.row_l2_normalize_backward(grad_z, cache.s2)
+    g_s2 = kernels.row_l2_normalize_backward(grad_z, cache.z, cache.norms)
     g_l1, g_w2 = kernels.matmul_backward(g_s2, cache.l1, params.proj_w2)
-    g_s1 = kernels.leaky_relu_backward(g_l1, cache.s1, LEAKY_SLOPE)
+    g_s1 = kernels.leaky_relu_backward(g_l1, cache.l1, LEAKY_SLOPE)
     g_x, g_w1 = kernels.matmul_backward(g_s1, cache.x, params.proj_w1)
     grads = {"proj_w1": g_w1, "proj_b1": g_s1.sum(axis=0),
              "proj_w2": g_w2, "proj_b2": g_s2.sum(axis=0)}

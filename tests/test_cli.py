@@ -123,7 +123,7 @@ def test_sample_views_out_file(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert len(out.read_text().strip().splitlines()) == 2
-    resolved = (out.parent / "config.resolved").read_text()
+    resolved = (out.parent / "config.sample-views.resolved").read_text()
     assert "command=sample-views\n" in resolved
     assert f"version={__version__}\n" in resolved
     assert "strategy=sequential\n" in resolved
@@ -226,7 +226,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     capsys.readouterr()
     # v=2 from the flag wins over v=3 from the file; s=5 from the file holds
     assert len(out.read_text().strip().splitlines()) == 2
-    resolved = (out.parent / "config.resolved").read_text()
+    resolved = (out.parent / "config.sample-views.resolved").read_text()
     assert "s=5\n" in resolved and "v=2\n" in resolved
 
 
@@ -315,8 +315,43 @@ def test_train_reruns_from_its_config_resolved(tmp_path, capsys):
     assert (third / "params.ckpt").read_bytes() == (fourth / "params.ckpt").read_bytes()
 
 
+def test_later_subcommands_leave_the_training_settings_in_config_resolved(tmp_path, capsys):
+    # the README walkthrough's steps 3-5 in one directory, then step 3 again
+    # from the file they leave: train's settings, so the rerun repeats the run
+    edges, labels = _synth(tmp_path)
+    run = _train(tmp_path, edges)
+    assert dispatch(["embed", "--edges", str(edges), "--ckpt", str(run / "params.ckpt"),
+                     "--out", str(run / "emb.csv")]) == 0
+    assert dispatch(["linear-eval", "--embeddings", str(run / "emb.csv"), "--labels", str(labels),
+                     "--out", str(run / "report.json")]) == 0
+    again = tmp_path / "again"
+    assert dispatch(["train", "--config", str(run / "config.resolved"), "--out", str(again)]) == 0
+    capsys.readouterr()
+    for name in ("train_log.csv", "params.ckpt"):
+        assert (run / name).read_bytes() == (again / name).read_bytes(), name
+    for command in ("embed", "linear-eval"):
+        assert f"# command={command}\n" in (run / f"config.{command}.resolved").read_text()
+
+
+def test_a_value_that_is_not_utf8_is_a_data_error_before_any_work(tmp_path, capsys):
+    # config.resolved cannot hold a path holding the byte 0x85 (as Python
+    # decodes argv), so the value is refused before any work
+    edges, _ = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "run\udc85"
+    assert dispatch(["train", "--edges", str(edges), "--out", str(out), "--epochs", "1"]) == 2
+    assert "error: --out " in capsys.readouterr().err
+    assert not out.exists()
+    # the same byte in a config file, which is read as UTF-8
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(f"edges={edges}\nout=run\x85\n".encode("latin-1"))
+    assert dispatch(["train", "--config", str(conf), "--epochs", "1"]) == 2
+    assert f"error: cannot read config file {conf}: " in capsys.readouterr().err
+
+
 def test_config_resolved_round_trip_keeps_a_hash_in_a_path(tmp_path, capsys):
-    for name in ("a#b", "a #b"):
+    # and the characters str.splitlines() breaks a line at, where only \n ends one
+    for name in ("a#b", "a #b", "a\u0085b\u2028c\x1cd"):
         edges, _ = _synth(tmp_path / name)
         first = _train(tmp_path / name, edges)
         assert f"edges={edges}\n" in (first / "config.resolved").read_text()

@@ -165,7 +165,7 @@ def _num(valid, odd):
     return st.sampled_from(valid), odd
 
 
-_OUT = st.just("ok"), st.sampled_from(["ok", "under-a-file"])
+_OUT = st.just("ok"), st.sampled_from(["ok", "under-a-file", "not-utf8"])
 _S = _num([2, 3, 4], _SIZES | st.sampled_from([2 ** 62, 2 ** 63, 10 ** 20]))
 _V = _num([2, 3], _SIZES)
 _SEED = _num([0, 1, 3], _SEEDS)
@@ -318,6 +318,8 @@ def test_dispatch_keeps_its_exit_code_contract(base, command):
                 elif key != "missing":
                     path.write_bytes(_mutate(base.files[key], mutation))
                 value = path
+            elif value == "not-utf8":  # the byte 0x85 in a path, as Python decodes argv
+                value = tmp / "out\udc85" / _OUT_NAMES[name]
             elif value in ("ok", "under-a-file"):
                 value = out if value == "ok" else tmp / "a-file" / _OUT_NAMES[name]
             if route == "flag":
@@ -325,7 +327,7 @@ def test_dispatch_keeps_its_exit_code_contract(base, command):
             else:
                 config.append(f"{flag}={_text(value)}\n")
         if config:
-            (tmp / "conf.txt").write_text("".join(config))
+            (tmp / "conf.txt").write_text("".join(config), errors="surrogateescape")
             argv.append(f"--config={tmp / 'conf.txt'}")
 
         code, stdout, stderr, runtime = _run(argv)  # an escaping exception fails the property

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tgcl import AdamState, NumericError, adam_step
 from tgcl.kernels import (
@@ -50,20 +53,24 @@ def test_matmul_shape_error():
 
 
 def test_row_l2_345():
-    out = row_l2_normalize(np.array([[3.0, 4.0]]))
+    out, norms = row_l2_normalize(np.array([[3.0, 4.0]]))
     np.testing.assert_allclose(out, [[0.6, 0.8]])
+    assert norms.tolist() == [5.0]
 
 
 def test_row_l2_zero_row_stays_zero_with_a_zero_gradient():
     # a projection row that is exactly zero, as from a hidden row whose ReLU
     # units are all dead, scores 0 against every key instead of ending the run
     x = np.array([[0.0, -0.0], [3.0, 4.0]])
-    assert row_l2_normalize(x).tolist() == [[0.0, 0.0], [0.6, 0.8]]
-    g = row_l2_normalize_backward(np.array([[1.0, 2.0], [1.0, 2.0]]), x)
+    z, norms = row_l2_normalize(x)
+    assert z.tolist() == [[0.0, 0.0], [0.6, 0.8]]
+    assert norms.tolist() == [np.inf, 5.0]
+    g = row_l2_normalize_backward(np.array([[1.0, 2.0], [1.0, 2.0]]), z, norms)
     assert g[0].tolist() == [0.0, 0.0]
-    assert g[1].tobytes() == row_l2_normalize_backward(np.array([[1.0, 2.0]]), x[1:])[0].tobytes()
+    one = row_l2_normalize_backward(np.array([[1.0, 2.0]]), *row_l2_normalize(x[1:]))
+    assert g[1].tobytes() == one[0].tobytes()
     # a NaN row stays NaN, for the loss check to report
-    assert np.isnan(row_l2_normalize(np.array([[np.nan, 0.0]]))).all()
+    assert np.isnan(row_l2_normalize(np.array([[np.nan, 0.0]]))[0]).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -88,6 +95,40 @@ def test_leaky_relu_bytes_equal_the_select_form():
         assert leaky_relu(x, slope).tobytes() == want.tobytes(), slope
         want = g * np.where(x > 0.0, 1.0, slope)
         assert leaky_relu_backward(g, x, slope).tobytes() == want.tobytes(), slope
+        # the projection head keeps only the output, which is positive where x is
+        assert leaky_relu_backward(g, leaky_relu(x, slope), slope).tobytes() == want.tobytes()
+
+
+# every double is a candidate: signed zeros, NaN, infinities and subnormals among them
+_ANY_FLOATS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                         elements=st.floats(width=64) | st.sampled_from([0.0, -0.0, np.nan]))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_ANY_FLOATS, st.floats(0.0, 1.0, exclude_min=True), st.data())
+def test_leaky_relu_backward_from_the_output_equals_it_from_the_input(x, slope, data):
+    g = data.draw(hnp.arrays(np.float64, x.shape, elements=st.floats(-1e3, 1e3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        from_output = leaky_relu_backward(g, leaky_relu(x, slope), slope)
+    assert from_output.tobytes() == leaky_relu_backward(g, x, slope).tobytes()
+
+
+def _former_row_l2_normalize_backward(grad, x):
+    """The backward before it took the forward's rows and norms, verbatim."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0.0] = np.inf
+    z = x / norms
+    return (grad - z * np.sum(z * grad, axis=1, keepdims=True)) / norms
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                  elements=st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0])), st.data())
+def test_row_l2_backward_bytes_equal_the_former_recompute(x, data):
+    # zero rows (their norm is inf) and rows of subnormals or 1e100s included
+    g = data.draw(hnp.arrays(np.float64, x.shape, elements=st.floats(-1e3, 1e3)))
+    got = row_l2_normalize_backward(g, *row_l2_normalize(x))
+    assert got.tobytes() == _former_row_l2_normalize_backward(g, x).tobytes()
 
 
 def test_segment_reduce_examples():
@@ -122,8 +163,8 @@ def test_row_l2_backward_fd():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 3)) + 0.5
     w = rng.standard_normal((4, 3))
-    g = row_l2_normalize_backward(w, x)
-    assert _rel_err(g, _fd_grad(lambda z: np.sum(w * row_l2_normalize(z)), x)) < TOL
+    g = row_l2_normalize_backward(w, *row_l2_normalize(x))
+    assert _rel_err(g, _fd_grad(lambda z: np.sum(w * row_l2_normalize(z)[0]), x)) < TOL
 
 
 def test_segment_reduce_backward_fd():
@@ -142,8 +183,8 @@ def test_adjoint_inner_product_identity():
     x = rng.standard_normal((4, 3)) + 0.3
     d = rng.standard_normal((4, 3)) * 1e-7
     w = rng.standard_normal((4, 3))
-    lhs = np.sum(w * (row_l2_normalize(x + d) - row_l2_normalize(x)))
-    rhs = np.sum(row_l2_normalize_backward(w, x) * d)
+    lhs = np.sum(w * (row_l2_normalize(x + d)[0] - row_l2_normalize(x)[0]))
+    rhs = np.sum(row_l2_normalize_backward(w, *row_l2_normalize(x)) * d)
     assert abs(lhs - rhs) < 1e-12
 
 

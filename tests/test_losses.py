@@ -303,6 +303,36 @@ def test_multi_view_loss_is_the_pairwise_average_with_exact_gradients(drawn):
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
+def _former_multi_view_loss(pairs, tau):
+    """multi_view_loss and infonce as they were before they worked in place:
+    the scores went through softmax_cross_entropy's copy, and the scaled
+    gradients were new arrays."""
+    v = len(pairs)
+    g_q = [np.zeros_like(q) for q, _ in pairs]
+    g_k = [np.zeros_like(k) for _, k in pairs]
+    total = 0.0
+    for qi, (q, _) in enumerate(pairs):
+        for ki, (_, k) in enumerate(pairs):
+            if ki != qi:
+                loss, grad = softmax_cross_entropy(q @ k.T, np.arange(q.shape[0]), tau)
+                g_q[qi] += grad @ k
+                g_k[ki] += grad.T @ q
+                total += loss
+    scale = 1.0 / (v * (v - 1))
+    return total * scale, [(gq * scale, gk * scale) for gq, gk in zip(g_q, g_k)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(_drawn_pairs())
+def test_multi_view_loss_bytes_equal_the_former_form(drawn):
+    pairs, tau = drawn
+    loss, grads = multi_view_loss(pairs, tau)
+    want_loss, want_grads = _former_multi_view_loss(pairs, tau)
+    assert _bits(loss) == _bits(want_loss)
+    assert [(_bits(gq), _bits(gk)) for gq, gk in grads] == \
+        [(_bits(gq), _bits(gk)) for gq, gk in want_grads]
+
+
 def test_misaligned_views_rejected():
     rng = np.random.default_rng(8)
     a = _unit_rows(rng, 5, 4)

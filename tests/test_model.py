@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tgcl import (
     DataError,
@@ -27,6 +28,7 @@ from tgcl import (
     view_entry,
     view_inputs,
 )
+from tgcl.kernels import matmul
 from tgcl.model import (
     CHECKPOINT_MAGIC,
     PARAM_FIELDS,
@@ -508,6 +510,33 @@ def test_restricted_encode_rows_equal_the_full_encode(view, data):
     h, _ = encode(receptive_field(entry, rows), params)
     assert h.shape[0] == rows.sum()
     assert h.tobytes() == full[rows].tobytes()
+
+
+# zeros, NaN, infinities and subnormals among finite values
+_SPECIALS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_small_views(), st.data())
+def test_encode_backward_bytes_at_zero_and_nan_pre_activations(view, data):
+    # P0 and W1 with zero rows and columns, NaN and infinities make the
+    # pre-activations s1 = P0 · W1 hold 0.0 and NaN (a GEMM sums from +0.0, so
+    # never -0.0; the LeakyReLU tests cover -0.0). The W1 gradient must be the
+    # bytes of P0ᵀ · ((Â[rows]ᵀ · g W2ᵀ) * (s1 > 0)), the form a ReLU that keeps
+    # only a mask of s1 for its backward has to reproduce
+    n = view.num_active
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    a_rows, p0 = receptive_field(view_entry(view), rows)
+    p0 = data.draw(hnp.arrays(np.float64, p0.shape, elements=_SPECIALS))
+    params = init_params(p0.shape[1], 4, 2, seed=0)
+    params.gcn_w1 = data.draw(hnp.arrays(np.float64, params.gcn_w1.shape, elements=_SPECIALS))
+    g = data.draw(hnp.arrays(np.float64, (a_rows.shape[0], 2), elements=st.floats(-1e3, 1e3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, cache = encode((a_rows, p0), params)
+        got = encode_backward(g, cache, params)["gcn_w1"]
+        s1 = matmul(p0, params.gcn_w1)
+        want = p0.T @ ((a_rows.T @ (g @ params.gcn_w2.T)) * (s1 > 0.0))
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite

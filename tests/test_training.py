@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from tgcl import (
     embed_all,
     fixture_graph,
     fixture_views,
+    generate_synthetic,
     init_params,
     load_params,
     make_minibatch,
@@ -236,6 +238,33 @@ def test_a_non_finite_loss_stops_the_step_ahead_of_its_backward():
     params.gcn_w2[0, 0] = np.nan
     with pytest.raises(NumericError, match=r"^non-finite loss nan$"):
         contrastive_step([view_entry(v) for v in views], shared_nodes(views), params, cfg)
+
+
+def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib():
+    # 3 random views of a 400-node graph, a 256-node batch and the default
+    # widths, as the graph-rand-400 benchmark trains. The projection head
+    # keeps for its backward only what it reads (its input, the LeakyReLU's
+    # output, the normalized rows and their norms) and the loss works in place
+    # on the scores it computes, so the step peaks at 9.01 MiB. A step that
+    # keeps the head's pre-activations and copies the scores before the
+    # softmax peaks at 10.50 MiB, which the bound rejects
+    graph = generate_synthetic(k=4, n=400, T=20.0, p_in=5.0, p_out=1.0, events=8000,
+                               feature_dim=64)
+    cfg = TrainConfig(sampler=SamplerConfig("random", 4, 3), loss=LossConfig("graph", 0.5))
+    entries = [view_entry(slice_interval(graph, w.lo, w.hi))
+               for w in sample_windows(graph, cfg.sampler, 1, 0)]
+    batch = make_minibatch(shared_nodes([e.view for e in entries]), 256, np.random.default_rng(0))
+    assert batch.size == 256
+    params = init_params(graph.feature_dim, seed=0)
+    contrastive_step(entries, batch, params, cfg)  # any first-call allocation happens here
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        contrastive_step(entries, batch, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * 2 ** 20, peak / 2 ** 20
 
 
 def test_train_checkpoints_every_k_epochs_and_after_the_last(monkeypatch, tmp_path):
