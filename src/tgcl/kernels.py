@@ -1,6 +1,7 @@
-"""Dense numeric kernels with exact reverse-mode adjoints, plus Adam.
+"""Numeric kernels: dense ones with exact reverse-mode adjoints, Adam, and
+the sparse propagation product.
 
-Each kernel holds an algorithm or a rounding rule that one NumPy
+Each dense kernel holds an algorithm or a rounding rule that one NumPy
 expression would not: the row-stable GEMM, LeakyReLU in its max form, row
 L2 normalization with its zero-row and overflow rules, segment max, and the
 in-place Adam update. Each but Adam comes as a forward function and a
@@ -8,13 +9,20 @@ matching ``*_backward`` that maps the output gradient (plus what the
 forward saw or returned) to input gradients. The model module wires them together by
 hand, with the one-expression steps (bias adds, the encoder's ReLU)
 written out there; there is no tape. Arrays are float64.
+
+:func:`spmm` is ``adj @ x`` for a CSR ``adj``, byte for byte. A large
+product is cut into row blocks that run on the CPUs this process may use
+(:data:`SPLIT_WORK` sets which products are large).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .errors import NumericError
 
@@ -34,6 +42,74 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def matmul_backward(grad: np.ndarray, a: np.ndarray, b: np.ndarray):
     return grad @ b.T, a.T @ grad
+
+
+# multiply-adds (nonzeros × columns) per row block of :func:`spmm`; a product
+# of less than twice this runs serially. Set from the benchmark's workloads:
+# their training products (1.9M at most) and a 400-node embed (1.9M) stay
+# serial, a 10k-node embed's two products (26M and 52M) split. Two blocks
+# already win at about 1M on a 2-CPU host; what a split does to training
+# throughput is unmeasured, so training stays serial.
+SPLIT_WORK = 1 << 22
+
+_pool = None  # the worker threads of spmm, made on first use
+_pool_pid = None  # the process that made them: a forked child makes its own
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool, _pool_pid
+    if _pool is None or _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1), thread_name_prefix="tgcl-spmm")
+        _pool_pid = os.getpid()
+    return _pool
+
+
+def spmm(adj, x: np.ndarray) -> np.ndarray:
+    """adj @ x for a CSR array ``adj`` and a 2-D array ``x``, byte for byte.
+
+    The product is cut into min(CPUs, nnz × columns // SPLIT_WORK) blocks
+    of rows with about equal nonzeros; with one block it is ``adj @ x``.
+    Each block runs the routine that ``adj @ x`` runs (SciPy's
+    ``csr_matvecs``, or ``csr_matvec`` for one column) on its rows,
+    writing them in place into one zeroed output, so every row is summed in
+    the order and with the rounding SciPy gives it. The calling thread runs
+    the first block and makes every array; the pool's threads only run the
+    routine on the others.
+    """
+    if x.shape[0] != adj.shape[1]:  # the routines read x unchecked
+        raise ValueError(f"spmm shape mismatch: {adj.shape} x {x.shape}")
+    blocks = min(_cpu_count(), adj.nnz * x.shape[1] // SPLIT_WORK)
+    if blocks < 2:
+        return adj @ x
+    (m, n), k = adj.shape, x.shape[1]
+    indptr = adj.indptr
+    out = np.zeros((m, k), dtype=np.result_type(adj.dtype, x.dtype))
+    cuts = np.searchsorted(indptr, np.arange(blocks) * int(indptr[-1]) // blocks).tolist() + [m]
+    xs = x.ravel()
+    tasks = []
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        if r0 == r1:
+            continue
+        p0, p1 = indptr[r0], indptr[r1]
+        csr = (indptr[r0:r1 + 1] - p0, adj.indices[p0:p1], adj.data[p0:p1])
+        if k == 1:  # adj @ x runs a one-column product as a vector product
+            tasks.append((_sparsetools.csr_matvec, r1 - r0, n, *csr, xs, out[r0:r1, 0]))
+        else:
+            tasks.append((_sparsetools.csr_matvecs, r1 - r0, n, k, *csr, xs, out[r0:r1].ravel()))
+    pending = [_executor().submit(*task) for task in tasks[1:]]
+    try:
+        tasks[0][0](*tasks[0][1:])
+    finally:  # the workers write into out until their futures are done
+        for future in pending:
+            future.result()
+    return out
 
 
 def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:

@@ -115,8 +115,9 @@ def normalize_adjacency(view: SampledView) -> sp.csr_array:
 
 def adj_matmul(entry: ViewEntry, x: np.ndarray, rows: np.ndarray):
     """Â[rows] @ x for the entry's Â and a boolean mask ``rows`` over its
-    nodes; each row is bit-identical to that row of the full product."""
-    return entry.adj[rows] @ x
+    nodes; each row is bit-identical to that row of the full product. With
+    every row asked, Â is not copied."""
+    return kernels.spmm(entry.adj if rows.all() else entry.adj[rows], x)
 
 
 @dataclass(eq=False)
@@ -146,7 +147,10 @@ def receptive_field(entry: ViewEntry, rows: np.ndarray):
     boolean mask over the view's nodes: (a_rows, p0). F is the set of nodes
     Â[rows] reaches; ``a_rows`` is Â[rows] with its columns renumbered to
     positions in F, and ``p0`` is P0[F], those rows of P0 = Â·X, each
-    bit-identical to that row of the full product."""
+    bit-identical to that row of the full product. With every row asked, F
+    is every node (each row holds its self-loop), so ``a_rows`` is Â itself."""
+    if rows.all():
+        return entry.adj, adj_matmul(entry, entry.view.features, rows)
     a_rows = entry.adj[rows]
     frontier = np.zeros(rows.shape[0], dtype=bool)
     frontier[a_rows.indices] = True
@@ -173,7 +177,7 @@ def encode(field, params: ModelParams):
     if p0.shape[1] != params.d_in:
         raise ValueError(f"feature dim {p0.shape[1]} != encoder input dim {params.d_in}")
     s1 = kernels.matmul(p0, params.gcn_w1)
-    p1 = a_rows @ np.maximum(s1, 0.0)
+    p1 = kernels.spmm(a_rows, np.maximum(s1, 0.0))
     h = kernels.matmul(p1, params.gcn_w2)
     return h, EncodeCache(a_rows=a_rows, p0=p0, s1=s1, p1=p1)
 

@@ -572,6 +572,17 @@ def test_receptive_field_is_the_rows_of_the_full_product(view, data):
     assert a_rows.toarray().tobytes() == dense[rows][:, frontier].tobytes()
 
 
+def test_an_all_rows_receptive_field_is_a_hat_itself():
+    # every node reaches itself through its self-loop, so F is every node in
+    # order: the field holds Â, not a copy with renumbered columns
+    view = full_view(build_graph(np.array([0, 1, 2, 5]), np.array([1, 2, 0, 5]),
+                                 np.arange(4.0), feature_policy="random", feature_dim=3))
+    entry = view_entry(view)
+    a_rows, p0 = receptive_field(entry, np.ones(view.num_active, dtype=bool))
+    assert a_rows is entry.adj
+    assert p0.tobytes() == (entry.adj @ view.features).tobytes()
+
+
 def test_save_params_refuses_non_finite_tensors(tmp_path):
     params = init_params(3, 4, 2)
     params.proj_b2[1] = np.inf

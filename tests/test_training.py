@@ -267,6 +267,24 @@ def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib():
     assert peak < 9.5 * 2 ** 20, peak / 2 ** 20
 
 
+def test_embed_all_of_a_400_node_graph_keeps_its_transient_memory_under_1_75_mib():
+    # graph-rand-400's make-up. Its products stay serial, and the all-rows
+    # field is Â itself, so embed_all peaks at 1.60 MiB: the view, Â, P0 and
+    # the encoder's three 400 × 128 arrays
+    graph = generate_synthetic(k=4, n=400, T=20.0, p_in=5.0, p_out=1.0, events=8000,
+                               feature_dim=64)
+    params = init_params(graph.feature_dim, seed=0)
+    embed_all(graph, params)  # any first-call allocation happens here
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        embed_all(graph, params)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2 ** 20, peak / 2 ** 20
+
+
 def test_train_checkpoints_every_k_epochs_and_after_the_last(monkeypatch, tmp_path):
     saved, save_params = [], training.save_params
 
