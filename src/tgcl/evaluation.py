@@ -271,16 +271,15 @@ class InvarianceResult:
         return float(vals.mean())
 
 
-def _fit_timespan_probe(view: SampledView, y_train: np.ndarray, train_local: np.ndarray,
+def _fit_timespan_probe(view: SampledView, x: np.ndarray, y_train: np.ndarray, train_local: np.ndarray,
                         num_classes: int, cfg: InvarianceConfig, stream: int) -> np.ndarray:
-    """Train one independent supervised encoder; returns per-active-node logits."""
+    """Train one independent supervised encoder on features ``x``; returns per-active-node logits."""
     base = np.random.default_rng([cfg.seed, 31, stream])
-    params = init_params(view.features.shape[1], cfg.d_hidden, cfg.d_out,
-                         seed=int(base.integers(2 ** 31)))
+    params = init_params(x.shape[1], cfg.d_hidden, cfg.d_out, seed=int(base.integers(2 ** 31)))
     head_w = glorot(base, cfg.d_out, num_classes)
     head_b = np.zeros(num_classes)
-    entry = (view_entry(view) if cfg.encoder == "gcn"
-             else ViewEntry(view, sp.eye_array(view.num_active, format="csr")))
+    entry = (view_entry(view, x) if cfg.encoder == "gcn"
+             else ViewEntry(view, sp.eye_array(view.num_active, format="csr"), x))
     train_rows = np.zeros(view.num_active, dtype=bool)
     train_rows[train_local] = True
 
@@ -351,7 +350,7 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # checked below and by adam_step
             logits = _fit_timespan_probe(
-                views[t], y_full[train_nodes], views[t].local_index_of(train_nodes),
+                views[t], graph.features, y_full[train_nodes], views[t].local_index_of(train_nodes),
                 num_classes, cfg, stream=t)
         if not np.isfinite(logits).all():
             raise NumericError(f"non-finite logits from the probe of timespan {t}")

@@ -82,7 +82,7 @@ def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
     graph = fixture_graph(seed)
     views = fixture_views(graph)
     batch = shared_nodes(views)
-    entries = [view_entry(view) for view in views]
+    entries = [view_entry(view, graph.features) for view in views]
     # a small model, for a fast sweep of the training step
     cfg = TrainConfig(loss=LossConfig(level, 0.5), d_hidden=16, d_out=8, readout_stat=stat)
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=seed)

@@ -80,8 +80,8 @@ class SampledView:
 
     ``active`` holds the internal node indices that appear as an endpoint
     of a retained edge (sorted); ``src``/``dst`` are positions into
-    ``active``; ``features`` is the feature matrix restricted to the
-    active nodes, in ``active`` order.
+    ``active``. A view holds structure only: its node i's features are
+    row ``active[i]`` of the graph's one feature matrix.
     """
 
     lo: float
@@ -90,7 +90,6 @@ class SampledView:
     src: np.ndarray
     dst: np.ndarray
     timestamps: np.ndarray
-    features: np.ndarray
 
     @property
     def is_empty(self) -> bool:
@@ -284,7 +283,7 @@ def build_graph(
     timestamps = np.asarray(timestamps, dtype=np.float64)
     m = timestamps.shape[0]
     order = np.argsort(timestamps, kind="stable")
-    src, dst = index[:m][order], index[m:2 * m][order]
+    src, dst, timestamps = index[:m][order], index[m:2 * m][order], timestamps[order]
 
     n = node_ids.shape[0]
     feature_spec = None
@@ -293,8 +292,11 @@ def build_graph(
         matrix = np.asarray(matrix, dtype=np.float64)
         feats = np.zeros((n, matrix.shape[1]), dtype=np.float64)
         feats[np.searchsorted(node_ids, ids)] = matrix
-    else:
-        deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+    else:  # a line repeated verbatim is one event, and only edges that share a time repeat one
+        rank = np.cumsum(np.diff(timestamps, prepend=np.nan) != 0)  # equal times, equal ranks
+        tied = np.bincount(rank)[rank] > 1
+        once = np.unique(np.column_stack([rank[tied], src[tied], dst[tied]]), axis=0)
+        deg = np.bincount(np.concatenate([src[~tied], dst[~tied], once[:, 1:].ravel()]), minlength=n)
         feats = synthesize_features(n, deg, feature_policy, feature_dim, feature_seed)
         feature_spec = {"policy": feature_policy, "dim": feature_dim, "seed": feature_seed}
         if feature_policy == "random":  # every row depends on the node count
@@ -310,10 +312,10 @@ def build_graph(
         node_ids=node_ids,
         src=src,
         dst=dst,
-        timestamps=timestamps[order],
+        timestamps=timestamps,
         features=feats,
-        t_min=float(timestamps[order[0]]),
-        t_max=float(timestamps[order[-1]]),
+        t_min=float(timestamps[0]),
+        t_max=float(timestamps[-1]),
         labels=codes,
         feature_spec=feature_spec,
     )
@@ -373,16 +375,14 @@ def _edge_slice_view(graph: TemporalGraph, lo: float, hi: float, i: int, j: int,
     mask = np.full(graph.num_nodes, every_node)
     mask[src] = True
     mask[dst] = True
-    active = np.flatnonzero(mask)
     local = running_index(mask)  # a node's position in active
     return SampledView(
         lo=float(lo),
         hi=float(hi),
-        active=active,
+        active=np.flatnonzero(mask),
         src=local[src],
         dst=local[dst],
         timestamps=graph.timestamps[i:j],
-        features=graph.features[active],
     )
 
 

@@ -10,9 +10,9 @@ forward saw or returned) to input gradients. The model module wires them togethe
 hand, with the one-expression steps (bias adds, the encoder's ReLU)
 written out there; there is no tape. Arrays are float64.
 
-:func:`spmm` is ``adj @ x`` for a CSR ``adj``, byte for byte. A large
-product is cut into row blocks that run on the CPUs this process may use
-(:data:`SPLIT_WORK` sets which products are large).
+:func:`spmm` is ``adj @ x`` for a CSR ``adj``, byte for byte; every sparse
+product of the model runs on it, the two transposed ones on CSR transposes.
+A large product is split by rows over the CPUs (:data:`SPLIT_WORK` says which).
 """
 
 from __future__ import annotations

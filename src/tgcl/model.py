@@ -114,19 +114,20 @@ def normalize_adjacency(view: SampledView) -> sp.csr_array:
 
 
 def adj_matmul(entry: ViewEntry, x: np.ndarray, rows: np.ndarray):
-    """Â[rows] @ x for the entry's Â and a boolean mask ``rows`` over its
-    nodes; each row is bit-identical to that row of the full product. With
-    every row asked, Â is not copied."""
-    return kernels.spmm(entry.adj if rows.all() else entry.adj[rows], x)
+    """Rows ``rows`` (a boolean mask over the view's nodes) of P0 = Â·X, each bit-identical to
+    that row of the full product; ``x`` is ``entry.x``, passed for bench/tracer.py to read."""
+    a = entry.adj if rows.all() else entry.adj[rows]  # Â itself with every row asked
+    cols = entry.view.active[a.indices]  # graph ids, sorted as active is
+    return kernels.spmm(sp.csr_array((a.data, cols, a.indptr), shape=(a.shape[0], len(x))), x)
 
 
 @dataclass(eq=False)
 class ViewEntry:
-    """One view with its Â (``adj``, as :func:`normalize_adjacency`
-    returns it)."""
+    """One view, its Â (``adj``) and a reference to the graph's feature matrix ``x``."""
 
     view: SampledView
     adj: sp.csr_array
+    x: np.ndarray
 
     @property
     def vals(self) -> np.ndarray:
@@ -138,8 +139,8 @@ class ViewEntry:
         return vals
 
 
-def view_entry(view: SampledView) -> ViewEntry:
-    return ViewEntry(view, normalize_adjacency(view))
+def view_entry(view: SampledView, x: np.ndarray) -> ViewEntry:
+    return ViewEntry(view, normalize_adjacency(view), x)
 
 
 def receptive_field(entry: ViewEntry, rows: np.ndarray):
@@ -150,11 +151,11 @@ def receptive_field(entry: ViewEntry, rows: np.ndarray):
     bit-identical to that row of the full product. With every row asked, F
     is every node (each row holds its self-loop), so ``a_rows`` is Â itself."""
     if rows.all():
-        return entry.adj, adj_matmul(entry, entry.view.features, rows)
+        return entry.adj, adj_matmul(entry, entry.x, rows)
     a_rows = entry.adj[rows]
     frontier = np.zeros(rows.shape[0], dtype=bool)
     frontier[a_rows.indices] = True
-    p0 = adj_matmul(entry, entry.view.features, frontier)
+    p0 = adj_matmul(entry, entry.x, frontier)
     cols = running_index(frontier)[a_rows.indices]  # positions in F
     a_rows = sp.csr_array((a_rows.data, cols, a_rows.indptr), shape=(a_rows.shape[0], p0.shape[0]))
     return a_rows, p0
@@ -185,7 +186,7 @@ def encode(field, params: ModelParams):
 def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, params: ModelParams) -> dict:
     """Gradients of W1 and W2 from the gradient of :func:`encode`'s H."""
     g_p1, g_w2 = kernels.matmul_backward(grad_h2, cache.p1, params.gcn_w2)
-    g_s1 = (cache.a_rows.T @ g_p1) * (cache.s1 > 0.0)
+    g_s1 = kernels.spmm(cache.a_rows.T.tocsr(), g_p1) * (cache.s1 > 0.0)
     return {"gcn_w1": cache.p0.T @ g_s1, "gcn_w2": g_w2}
 
 
@@ -215,7 +216,7 @@ def readout(rows: sp.csr_array, h: np.ndarray, stat: str = "mean"):
     if stat == "max":
         out = kernels.segment_reduce(h[rows.indices], rows.indptr)
     else:
-        out = rows @ h
+        out = kernels.spmm(rows, h)
         if stat == "mean":
             out /= np.diff(rows.indptr)[:, None]
     return out
@@ -230,7 +231,7 @@ def readout_backward(grad_out: np.ndarray, rows: sp.csr_array, h: np.ndarray, st
         return grad_h
     if stat == "mean":
         grad_out = grad_out / np.diff(rows.indptr)[:, None]
-    return rows.T @ grad_out
+    return kernels.spmm(rows.T.tocsr(), grad_out)
 
 
 @dataclass(eq=False)

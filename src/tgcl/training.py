@@ -156,7 +156,7 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
         drawn = []
         for w in windows:
             if (w.lo, w.hi) not in entries:
-                entries[w.lo, w.hi] = view_entry(slice_interval(graph, w.lo, w.hi))
+                entries[w.lo, w.hi] = view_entry(slice_interval(graph, w.lo, w.hi), graph.features)
                 if len(entries) > cfg.sampler.s:
                     del entries[next(iter(entries))]  # the oldest
             drawn.append(entries[w.lo, w.hi])
@@ -215,6 +215,6 @@ def embed_all(graph: TemporalGraph, params: ModelParams) -> np.ndarray:
     pre-projection hidden matrix, one row per node in graph.node_ids
     order. Isolated nodes see only their self-loop.
     """
-    field = receptive_field(view_entry(full_view(graph)), np.ones(graph.num_nodes, dtype=bool))
-    h, _ = encode(field, params)
+    rows = np.ones(graph.num_nodes, dtype=bool)  # the view goes before the encoder runs
+    h, _ = encode(receptive_field(view_entry(full_view(graph), graph.features), rows), params)
     return h

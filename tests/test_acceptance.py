@@ -322,7 +322,7 @@ def test_acceptance_9_readout_and_normalization():
         perm = rng.permutation(view.timestamps.size)
         shuffled = type(view)(lo=view.lo, hi=view.hi, active=view.active,
                               src=view.src[perm], dst=view.dst[perm],
-                              timestamps=view.timestamps[perm], features=view.features)
+                              timestamps=view.timestamps[perm])
         for stat in ("mean", "max", "sum"):
             a = readout(readout_rows(adj, batch), h, stat=stat)
             b = readout(readout_rows(normalize_adjacency(shuffled), batch), h, stat=stat)

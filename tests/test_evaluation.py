@@ -659,17 +659,17 @@ def test_invariance_needs_two_to_one_timespan_per_edge(s):
         probe_invariance(g, g.labels, s, FAST_PROBE)
 
 
-def _full_height_probe(view, y_train, train_local, num_classes, cfg, stream):
+def _full_height_probe(view, x, y_train, train_local, num_classes, cfg, stream):
     """The timespan probe with a dense Â and the encoder run on every row,
     forward and backward: the oracle for the compact rows of h."""
     base = np.random.default_rng([cfg.seed, 31, stream])
-    params = init_params(view.features.shape[1], cfg.d_hidden, cfg.d_out,
+    params = init_params(x.shape[1], cfg.d_hidden, cfg.d_out,
                          seed=int(base.integers(2 ** 31)))
     limit = np.sqrt(6.0 / (cfg.d_out + num_classes))
     head_w = base.uniform(-limit, limit, size=(cfg.d_out, num_classes))
     head_b = np.zeros(num_classes)
     a = normalize_adjacency(view).toarray()
-    p0 = a @ view.features
+    p0 = a @ x[view.active]
     trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
                  "head_w": head_w, "head_b": head_b}
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -693,7 +693,7 @@ def test_timespan_probe_unsorted_train_rows_match_the_full_height_path():
     train_local = np.array([17, 3, 36, 21, 8, 29, 0])
     y_train = g.labels[view.active[train_local]]
     cfg = InvarianceConfig(epochs=5, d_hidden=16, d_out=8)
-    got = _fit_timespan_probe(view, y_train, train_local, 2, cfg, stream=1)
-    want = _full_height_probe(view, y_train, train_local, 2, cfg, stream=1)
+    got = _fit_timespan_probe(view, g.features, y_train, train_local, 2, cfg, stream=1)
+    want = _full_height_probe(view, g.features, y_train, train_local, 2, cfg, stream=1)
     assert got.shape == (view.num_active, 2)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)

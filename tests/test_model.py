@@ -44,7 +44,7 @@ def _random_view(n=30, m=90, d=6, seed=0):
     dst = rng.integers(0, n, size=m)
     ts = rng.uniform(0.0, 10.0, size=m)
     g = build_graph(src, dst, ts, feature_policy="random", feature_dim=d, feature_seed=seed)
-    return slice_interval(g, 0.0, 10.0)
+    return slice_interval(g, 0.0, 10.0), g.features
 
 
 def _identity_params(d):
@@ -58,9 +58,9 @@ def _identity_params(d):
     )
 
 
-def _encode_all(view, params):
-    """The encoder asked for every row of the view."""
-    return encode(receptive_field(view_entry(view), np.ones(view.num_active, dtype=bool)), params)
+def _encode_all(view, x, params):
+    """The encoder asked for every row of the view, on the graph's features x."""
+    return encode(receptive_field(view_entry(view, x), np.ones(view.num_active, dtype=bool)), params)
 
 
 def _embed(entries, batch, params, stat="mean", with_neighborhood=True):
@@ -99,7 +99,7 @@ def test_adjacency_two_nodes_one_edge():
 
 
 def test_adjacency_matches_dense_oracle():
-    view = _random_view(seed=3)
+    view, _ = _random_view(seed=3)
     adj = normalize_adjacency(view)
     assert np.max(np.abs(adj.toarray() - _dense_norm_adj(view))) < 1e-12
     # entries in (0, 1], diagonal strictly positive, symmetric
@@ -129,7 +129,7 @@ def test_encode_isolated_identity_returns_features():
     g = build_graph(np.array([0, 1]), np.array([0, 2]), np.array([1.0, 9.0]),
                     features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 2.0)  # only the self-loop edge at node 0
-    h, _ = _encode_all(view, _identity_params(3))
+    h, _ = _encode_all(view, g.features, _identity_params(3))
     np.testing.assert_allclose(h, [[1.5, 0.0, 0.5]])  # relu between the layers
 
 
@@ -142,7 +142,7 @@ def test_encode_path_graph_dense_oracle():
     w2 = np.array([[2.0, 0.0], [-1.0, 1.0]])
     params = ModelParams(gcn_w1=w1, gcn_w2=w2, proj_w1=np.eye(2),
                          proj_b1=np.zeros(2), proj_w2=np.eye(2), proj_b2=np.zeros(2))
-    h, _ = _encode_all(view, params)
+    h, _ = _encode_all(view, g.features, params)
 
     x = np.stack([feats[i] for i in range(3)])
     a_hat = _dense_norm_adj(view)
@@ -151,9 +151,9 @@ def test_encode_path_graph_dense_oracle():
 
 
 def test_encode_dim_mismatch():
-    view = _random_view(d=6)
+    view, x = _random_view(d=6)
     with pytest.raises(ValueError, match="dim"):
-        _encode_all(view, init_params(5, 8, 4))
+        _encode_all(view, x, init_params(5, 8, 4))
 
 
 def _fd_param_grad(loss_fn, arr, h=1e-5):
@@ -177,15 +177,15 @@ def _rel_err(a, b):
 
 
 def test_encode_backward_fd():
-    view = _random_view(n=10, m=25, d=4, seed=5)
+    view, x = _random_view(n=10, m=25, d=4, seed=5)
     params = init_params(4, d_hidden=5, d_out=3, seed=1)
     w = np.random.default_rng(2).standard_normal((view.num_active, 3))
 
     def loss():
-        h, _ = _encode_all(view, params)
+        h, _ = _encode_all(view, x, params)
         return float(np.sum(w * h))
 
-    h, cache = _encode_all(view, params)
+    h, cache = _encode_all(view, x, params)
     grads = encode_backward(w, cache, params)
     for name in ("gcn_w1", "gcn_w2"):
         fd = _fd_param_grad(loss, getattr(params, name))
@@ -198,7 +198,7 @@ def test_readout_mean_sum_hand_case():
     g = build_graph(np.array([0, 0]), np.array([1, 2]), np.array([1.0, 2.0]),
                     features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 3.0)
-    h = view.features  # use raw features as the hidden rows
+    h = g.features[view.active]  # use raw features as the hidden rows
     batch = view.local_index_of(np.array([0]))
     out = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
     np.testing.assert_allclose(out, [[2.0, 4.0]])
@@ -214,7 +214,7 @@ def test_readout_excludes_self_and_falls_back_when_isolated():
     g = build_graph(np.array([0, 2]), np.array([1, 2]), np.array([1.0, 1.5]),
                     features=(np.arange(3), feats))
     view = slice_interval(g, 0.0, 2.0)
-    h = view.features
+    h = g.features[view.active]
     batch = view.local_index_of(np.array([0, 1, 2]))
     out = readout(readout_rows(normalize_adjacency(view), batch), h, stat="mean")
     # neighbors only: 0 sees 1, 1 sees 0; 2 has none and keeps its own row
@@ -222,7 +222,7 @@ def test_readout_excludes_self_and_falls_back_when_isolated():
 
 
 def test_readout_matches_naive_loop():
-    view = _random_view(n=20, m=50, d=5, seed=9)
+    view, _ = _random_view(n=20, m=50, d=5, seed=9)
     rng = np.random.default_rng(1)
     h = rng.standard_normal((view.num_active, 5))
     batch = np.arange(view.num_active)
@@ -241,7 +241,7 @@ def test_readout_matches_naive_loop():
 
 
 def test_readout_permutation_invariance():
-    view = _random_view(n=15, m=40, d=4, seed=11)
+    view, _ = _random_view(n=15, m=40, d=4, seed=11)
     rng = np.random.default_rng(2)
     h = rng.standard_normal((view.num_active, 4))
     batch = np.arange(view.num_active)
@@ -249,7 +249,7 @@ def test_readout_permutation_invariance():
     shuffled = type(view)(
         lo=view.lo, hi=view.hi, active=view.active,
         src=view.src[perm], dst=view.dst[perm],
-        timestamps=view.timestamps[perm], features=view.features,
+        timestamps=view.timestamps[perm],
     )
     for stat in ("mean", "sum", "max"):
         a = readout(readout_rows(normalize_adjacency(view), batch), h, stat=stat)
@@ -258,9 +258,9 @@ def test_readout_permutation_invariance():
 
 
 def test_readout_unknown_stat():
-    view = _random_view()
+    view, x = _random_view()
     with pytest.raises(ValueError, match="unknown readout stat"):
-        readout(readout_rows(normalize_adjacency(view), np.array([0])), view.features, stat="median")
+        readout(readout_rows(normalize_adjacency(view), np.array([0])), x, stat="median")
 
 
 def test_project_rows_unit_norm():
@@ -314,7 +314,7 @@ def _two_view_graph(seed=0, d=5):
         np.concatenate([ts, extra_ts]), feature_policy="random", feature_dim=d,
         feature_seed=seed,
     )
-    return [view_entry(slice_interval(g, lo, hi)) for lo, hi in ((0.0, 5.0), (5.0, 10.0))]
+    return [view_entry(slice_interval(g, lo, hi), g.features) for lo, hi in ((0.0, 5.0), (5.0, 10.0))]
 
 
 def test_embed_views_identical_windows_equal():
@@ -334,7 +334,7 @@ def test_embed_views_shapes_and_alignment():
         view = entry.view
         assert q.shape == (1, 4) and k.shape == (1, 4)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-6)
-        full, _ = _encode_all(view, params)
+        full, _ = _encode_all(view, entry.x, params)
         local = view.local_index_of(np.array([3]))
         np.testing.assert_array_equal(cache.h[cache.batch], full[local])
 
@@ -345,7 +345,7 @@ def test_embed_views_compositional_oracle():
     batch = np.array([0, 2, 5])
     pairs, _ = _embed(views, batch, params, stat="sum")
     for entry, (q, k) in zip(views, pairs):
-        h, _ = _encode_all(entry.view, params)
+        h, _ = _encode_all(entry.view, entry.x, params)
         local = entry.view.local_index_of(batch)
         queries, _ = project(h[local], params)
         r = readout(readout_rows(entry.adj, local), h, stat="sum")
@@ -404,7 +404,7 @@ def _ring_views(n=40, chords=10, seed=0, d=5):
     dst = np.concatenate([(ring + 1) % n, (ring + 1) % n, rng.integers(0, n, 2 * chords)])
     ts = np.concatenate([np.full(n, 1.0), np.full(n, 9.0), rng.uniform(0.0, 10.0, 2 * chords)])
     g = build_graph(src, dst, ts, feature_policy="random", feature_dim=d, feature_seed=seed)
-    return [view_entry(slice_interval(g, lo, hi)) for lo, hi in ((0.0, 5.0), (5.0, 10.0))]
+    return [view_entry(slice_interval(g, lo, hi), g.features) for lo, hi in ((0.0, 5.0), (5.0, 10.0))]
 
 
 def _full_path(entries, batch, params, level, stat):
@@ -415,7 +415,7 @@ def _full_path(entries, batch, params, level, stat):
     for entry in entries:
         view, adj = entry.view, entry.adj
         a = adj.toarray()
-        p0 = a @ view.features
+        p0 = a @ entry.x[view.active]
         s1 = p0 @ params.gcn_w1
         p1 = a @ np.maximum(s1, 0.0)
         h = p1 @ params.gcn_w2
@@ -475,12 +475,13 @@ def _small_views(draw):
     src, dst = np.array(ends).T
     g = build_graph(src, dst, np.arange(len(ends), dtype=np.float64),
                     feature_policy="random", feature_dim=3, feature_seed=n)
-    return slice_interval(g, g.t_min, g.t_max)
+    return slice_interval(g, g.t_min, g.t_max), g.features
 
 
 @settings(deadline=None, derandomize=True)
 @given(_small_views())
-def test_normalized_adjacency_is_the_symmetric_dense_reference(view):
+def test_normalized_adjacency_is_the_symmetric_dense_reference(small):
+    view, _ = small
     norm = normalize_adjacency(view).toarray()
     np.testing.assert_array_equal(norm, norm.T)
     np.testing.assert_allclose(norm, _dense_norm_adj(view), rtol=1e-15, atol=0)
@@ -488,7 +489,8 @@ def test_normalized_adjacency_is_the_symmetric_dense_reference(view):
 
 @settings(deadline=None, derandomize=True)
 @given(_small_views())
-def test_neighbour_rows_sum_to_distinct_neighbour_counts(view):
+def test_neighbour_rows_sum_to_distinct_neighbour_counts(small):
+    view, _ = small
     neighbours = [set() for _ in range(view.num_active)]
     for u, v in zip(view.src.tolist(), view.dst.tolist()):
         if u != v:
@@ -501,11 +503,12 @@ def test_neighbour_rows_sum_to_distinct_neighbour_counts(view):
 
 @settings(deadline=None, derandomize=True)
 @given(_small_views(), st.data())
-def test_restricted_encode_rows_equal_the_full_encode(view, data):
+def test_restricted_encode_rows_equal_the_full_encode(small, data):
+    view, x = small
     rows = np.array(data.draw(st.lists(st.booleans(), min_size=view.num_active,
                                        max_size=view.num_active)))
     params = init_params(3, 4, 2, seed=data.draw(st.integers(0, 3)))
-    entry = view_entry(view)
+    entry = view_entry(view, x)
     full, _ = encode(receptive_field(entry, np.ones(view.num_active, dtype=bool)), params)
     h, _ = encode(receptive_field(entry, rows), params)
     assert h.shape[0] == rows.sum()
@@ -518,7 +521,8 @@ _SPECIALS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, np.nan, np.inf, -
 
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(_small_views(), st.data())
-def test_encode_backward_bytes_at_zero_and_nan_pre_activations(view, data):
+def test_encode_backward_bytes_at_zero_and_nan_pre_activations(small, data):
+    view, x = small
     # P0 and W1 with zero rows and columns, NaN and infinities make the
     # pre-activations s1 = P0 · W1 hold 0.0 and NaN (a GEMM sums from +0.0, so
     # never -0.0; the LeakyReLU tests cover -0.0). The W1 gradient must be the
@@ -526,7 +530,7 @@ def test_encode_backward_bytes_at_zero_and_nan_pre_activations(view, data):
     # only a mask of s1 for its backward has to reproduce
     n = view.num_active
     rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    a_rows, p0 = receptive_field(view_entry(view), rows)
+    a_rows, p0 = receptive_field(view_entry(view, x), rows)
     p0 = data.draw(hnp.arrays(np.float64, p0.shape, elements=_SPECIALS))
     params = init_params(p0.shape[1], 4, 2, seed=0)
     params.gcn_w1 = data.draw(hnp.arrays(np.float64, params.gcn_w1.shape, elements=_SPECIALS))
@@ -541,9 +545,11 @@ def test_encode_backward_bytes_at_zero_and_nan_pre_activations(view, data):
 
 @st.composite
 def _views_with_isolated_nodes(draw):
-    """The full view of a small graph: duplicate, reversed and self edges
-    are common, and label-only nodes are isolated, so their rows of Â hold
-    only the self-loop."""
+    """The full view of a small graph, or the view of a window of its
+    edges, and the graph: duplicate, reversed and self edges are common, and
+    label-only nodes are isolated, so their rows of Â in the full view hold
+    only the self-loop. A window leaves them out, so its active nodes are a
+    strict subset of the graph's and view node i need not be graph node i."""
     n = draw(st.integers(1, 8))
     ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                          min_size=1, max_size=20))
@@ -553,18 +559,22 @@ def _views_with_isolated_nodes(draw):
                     labels=(extra, extra % 2) if extra.size else None,
                     feature_policy="random", feature_dim=draw(st.sampled_from([1, 3])),
                     feature_seed=n)
-    return full_view(g)
+    if extra.size and draw(st.booleans()):
+        lo = draw(st.integers(0, len(ends) - 1))
+        return slice_interval(g, lo, draw(st.integers(lo, len(ends) - 1))), g
+    return full_view(g), g
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(_views_with_isolated_nodes(), st.data())
-def test_receptive_field_is_the_rows_of_the_full_product(view, data):
+def test_receptive_field_is_the_rows_of_the_full_product(view_graph, data):
+    view, graph = view_graph
     n = view.num_active
     rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    entry = view_entry(view)
+    entry = view_entry(view, graph.features)
     dense = entry.adj.toarray()
     frontier = dense[rows].any(axis=0)  # F: every node a row asked for reaches
-    full = entry.adj @ view.features
+    full = entry.adj @ graph.features[view.active]
     a_rows, p0 = receptive_field(entry, rows)
     assert (p0.dtype, p0.shape) == (full.dtype, full[frontier].shape)
     assert p0.tobytes() == full[frontier].tobytes()
@@ -575,12 +585,13 @@ def test_receptive_field_is_the_rows_of_the_full_product(view, data):
 def test_an_all_rows_receptive_field_is_a_hat_itself():
     # every node reaches itself through its self-loop, so F is every node in
     # order: the field holds Â, not a copy with renumbered columns
-    view = full_view(build_graph(np.array([0, 1, 2, 5]), np.array([1, 2, 0, 5]),
-                                 np.arange(4.0), feature_policy="random", feature_dim=3))
-    entry = view_entry(view)
+    g = build_graph(np.array([0, 1, 2, 5]), np.array([1, 2, 0, 5]),
+                    np.arange(4.0), feature_policy="random", feature_dim=3)
+    view = full_view(g)
+    entry = view_entry(view, g.features)
     a_rows, p0 = receptive_field(entry, np.ones(view.num_active, dtype=bool))
     assert a_rows is entry.adj
-    assert p0.tobytes() == (entry.adj @ view.features).tobytes()
+    assert p0.tobytes() == (entry.adj @ g.features[view.active]).tobytes()
 
 
 def test_save_params_refuses_non_finite_tensors(tmp_path):

@@ -185,7 +185,7 @@ def _floor_close(got, want, tol):
 def test_one_step_matches_the_dense_reference(level, stat, step):
     graph, windows, batch, params = step
     want_loss, want = _reference_step(graph, windows, batch, params, level, stat)
-    entries = [view_entry(slice_interval(graph, lo, hi)) for lo, hi in windows]
+    entries = [view_entry(slice_interval(graph, lo, hi), graph.features) for lo, hi in windows]
     cfg = TrainConfig(loss=LossConfig(level, TAU), readout_stat=stat)
     loss, grads = contrastive_step(entries, batch, params, cfg)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), (loss, want_loss)

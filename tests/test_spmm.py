@@ -70,6 +70,34 @@ def test_a_split_product_is_adj_at_x_byte_for_byte(product, cpus):
     assert out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("split", [False, True])
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_csr_products(), st.data(), st.integers(2, 4))
+def test_a_product_on_the_csr_transpose_is_a_t_at_g_byte_for_byte(split, product, data, cpus):
+    # the encoder's and the readout's backward take aᵀ·g as spmm on the CSR
+    # transpose. SciPy runs aᵀ·g as a scatter over a's rows; both sum each
+    # output row from zero in increasing row order of a, duplicates in storage
+    # order. Without the split the product is one block. One exception: where
+    # a row of a one-column product meets two NaNs of different bits, SciPy's
+    # CSR routine, and so spmm, keeps the first and its CSC routine the last.
+    # No CSR kernel can equal both, and spmm stays adj @ x
+    a, x = product
+    g = data.draw(hnp.arrays(np.float64, (a.shape[0], x.shape[1]),
+                             elements=st.floats(allow_nan=True, allow_infinity=True) | SPECIALS))
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            mp.setattr(kernels, "SPLIT_WORK", 1)
+            mp.setattr(kernels, "_cpu_count", lambda: cpus)
+        out = kernels.spmm(a.T.tocsr(), g)
+    ref = a.T @ g
+    assert (out.dtype, out.shape) == (ref.dtype, ref.shape)
+    if g.shape[1] == 1:
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(out), nan)
+        out, ref = out[~nan], ref[~nan]
+    assert out.tobytes() == ref.tobytes()
+
+
 def test_a_split_product_refuses_an_operand_of_the_wrong_height(monkeypatch):
     # SciPy's routines read x without checking its size
     monkeypatch.setattr(kernels, "SPLIT_WORK", 1)

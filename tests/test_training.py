@@ -237,7 +237,7 @@ def test_a_non_finite_loss_stops_the_step_ahead_of_its_backward():
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=7)
     params.gcn_w2[0, 0] = np.nan
     with pytest.raises(NumericError, match=r"^non-finite loss nan$"):
-        contrastive_step([view_entry(v) for v in views], shared_nodes(views), params, cfg)
+        contrastive_step([view_entry(v, graph.features) for v in views], shared_nodes(views), params, cfg)
 
 
 def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib():
@@ -251,7 +251,7 @@ def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib():
     graph = generate_synthetic(k=4, n=400, T=20.0, p_in=5.0, p_out=1.0, events=8000,
                                feature_dim=64)
     cfg = TrainConfig(sampler=SamplerConfig("random", 4, 3), loss=LossConfig("graph", 0.5))
-    entries = [view_entry(slice_interval(graph, w.lo, w.hi))
+    entries = [view_entry(slice_interval(graph, w.lo, w.hi), graph.features)
                for w in sample_windows(graph, cfg.sampler, 1, 0)]
     batch = make_minibatch(shared_nodes([e.view for e in entries]), 256, np.random.default_rng(0))
     assert batch.size == 256

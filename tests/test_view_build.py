@@ -21,8 +21,7 @@ def _oracle_view(graph, edges):
     src, dst = graph.src[edges], graph.dst[edges]
     active = np.unique(np.concatenate([src, dst]))
     return {"active": active, "src": np.searchsorted(active, src),
-            "dst": np.searchsorted(active, dst), "timestamps": graph.timestamps[edges],
-            "features": graph.features[active]}
+            "dst": np.searchsorted(active, dst), "timestamps": graph.timestamps[edges]}
 
 
 def _oracle_adjacency(view):
@@ -125,7 +124,7 @@ def test_full_view_matches_the_sort_based_oracle(graph):
     view = full_view(graph)
     # every node is active, isolated and label-only nodes included
     _check(view, {"active": np.arange(graph.num_nodes, dtype=np.int64), "src": graph.src,
-                  "dst": graph.dst, "timestamps": graph.timestamps, "features": graph.features})
+                  "dst": graph.dst, "timestamps": graph.timestamps})
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
