@@ -84,7 +84,7 @@ _SYNTH_OPTS = {
 _TRAIN_OPTS = {
     "edges": (str, _REQUIRED, "edges csv"),
     "features": (str, None, "optional node features csv"),
-    "labels": (str, None, "optional labels csv (stored, not used in training)"),
+    "labels": (str, None, "optional labels csv; training reads no label, its ids join the node table"),
     "strategy": (str, "sequential", "sampling strategy", STRATEGIES),
     "s": (int, 4, "timespan count"),
     "v": (int, 2, "views per epoch"),

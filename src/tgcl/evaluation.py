@@ -2,15 +2,16 @@
 classification metrics, the temporal invariance probe, and a synthetic
 persistent-community graph generator used as the desk-scale fixture.
 
-The invariance probe splits a graph into sequential timespans, trains an
-independent supervised encoder per timespan, and reports how often the
-per-timespan predictions agree on nodes shared across timespans. High
-agreement on community-structured data is the empirical premise behind
-treating timespan views as label-preserving augmentations.
+The invariance probe splits a graph into sequential timespans, fits an
+independent supervised encoder per timespan (one self-contained call),
+and reports how often their predictions agree on the nodes the timespans
+share. High agreement on community-structured data is the empirical premise
+behind treating timespan views as label-preserving augmentations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,10 +20,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, NumericError
-from .graph import SampledView, TemporalGraph, build_graph, running_index, to_snapshots
+from .graph import SampledView, TemporalGraph, build_graph, to_snapshots
 from .kernels import AdamState, adam_step
 from .losses import softmax_cross_entropy
-from .model import ViewEntry, encode, encode_backward, glorot, init_params, receptive_field, view_entry
+from .model import ViewEntry, encode, encode_backward, glorot, init_params, view_entry, view_inputs
 from .training import shared_nodes
 
 PROBE_ENCODERS = ("gcn", "mlp")
@@ -271,34 +272,42 @@ class InvarianceResult:
         return float(vals.mean())
 
 
-def _fit_timespan_probe(view: SampledView, x: np.ndarray, y_train: np.ndarray, train_local: np.ndarray,
-                        num_classes: int, cfg: InvarianceConfig, stream: int) -> np.ndarray:
-    """Train one independent supervised encoder on features ``x``; returns per-active-node logits."""
+def _fit_timespan_probe(view: SampledView, x: np.ndarray, train_nodes: np.ndarray, y_train: np.ndarray,
+                        eval_nodes: np.ndarray, num_classes: int, cfg: InvarianceConfig,
+                        stream: int) -> np.ndarray:
+    """Fit one supervised encoder on timespan ``stream``'s view; return the logits of
+    ``eval_nodes``, a row each in the order given (internal ids, as ``train_nodes``, in any
+    order). Its rows come from :func:`view_inputs`. It opens its own errstate and raises its
+    own NumericError, naming the timespan, so a fit behaves the same on any thread."""
     base = np.random.default_rng([cfg.seed, 31, stream])
     params = init_params(x.shape[1], cfg.d_hidden, cfg.d_out, seed=int(base.integers(2 ** 31)))
     head_w = glorot(base, cfg.d_out, num_classes)
     head_b = np.zeros(num_classes)
     entry = (view_entry(view, x) if cfg.encoder == "gcn"
              else ViewEntry(view, sp.eye_array(view.num_active, format="csr"), x))
-    train_rows = np.zeros(view.num_active, dtype=bool)
-    train_rows[train_local] = True
 
     trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
                  "head_w": head_w, "head_b": head_b}
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    train_h = running_index(train_rows)[train_local]  # the train nodes' rows of h
-    field = receptive_field(entry, train_rows)  # every epoch encodes the same rows
-    for _ in range(cfg.epochs):
-        h, cache = encode(field, params)
-        _, g_logits = softmax_cross_entropy(h[train_h] @ head_w + head_b, y_train)
-        g_h = np.zeros_like(h)
-        g_h[train_h] = g_logits @ head_w.T
-        enc_grads = encode_backward(g_h, cache, params)
-        grads = {"gcn_w1": enc_grads["gcn_w1"], "gcn_w2": enc_grads["gcn_w2"],
-                 "head_w": h[train_h].T @ g_logits, "head_b": g_logits.sum(axis=0)}
-        adam_step(trainable, grads, state)
-    h, _ = encode(receptive_field(entry, np.ones(view.num_active, dtype=bool)), params)
-    return h @ head_w + head_b
+    field, train_h, _ = view_inputs(entry, train_nodes, False)  # every epoch encodes the same rows
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below and by adam_step
+        for _ in range(cfg.epochs):
+            h, cache = encode(field, params)
+            _, g_logits = softmax_cross_entropy(h[train_h] @ head_w + head_b, y_train)
+            g_h = np.zeros_like(h)
+            g_h[train_h] = g_logits @ head_w.T
+            enc_grads = encode_backward(g_h, cache, params)
+            grads = {"gcn_w1": enc_grads["gcn_w1"], "gcn_w2": enc_grads["gcn_w2"],
+                     "head_w": h[train_h].T @ g_logits, "head_b": g_logits.sum(axis=0)}
+            try:
+                adam_step(trainable, grads, state)
+            except NumericError as exc:
+                raise NumericError(f"{exc} in the probe of timespan {stream}") from exc
+        h, _ = encode(view_inputs(entry, view.active, False)[0], params)  # Â itself
+        logits = h @ head_w + head_b
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits from the probe of timespan {stream}")
+    return logits[view.local_index_of(eval_nodes)]
 
 
 def probe_invariance(graph: TemporalGraph, labels, s: int,
@@ -307,9 +316,9 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
 
     ``labels`` is either one full-length label array used everywhere or a
     sequence of s arrays (one per timespan), which enables the
-    shuffled-label control. Each timespan trains a fresh encoder on its
-    own view of the train split, then predicts the shared test nodes.
-    A run that measures fewer than two timespans is a DataError.
+    shuffled-label control. It picks the timespans to measure and compares
+    their predictions of the shared test nodes; each is one fit on its view
+    of the train split (:func:`_fit_timespan_probe`). Fewer than two is a DataError.
     """
     cfg.validate()
     if not 2 <= s <= graph.num_edges:  # more timespans than edges leave some empty
@@ -337,37 +346,27 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
     nonempty = [view for view in views if not view.is_empty]
     eval_nodes = np.intersect1d(shared_nodes(nonempty), split.test, assume_unique=True)
 
-    preds = [None] * s
-    for t in range(s):
-        if views[t].is_empty:
+    preds = {}  # measured timespan -> its predictions of eval_nodes
+    for t, view in enumerate(views):
+        if view.is_empty:
             warnings.warn(f"timespan {t} has no edges; marked missing")
             continue
         y_full = labels_per_span[t]
-        train_nodes = np.intersect1d(split.train, views[t].active, assume_unique=True)
+        train_nodes = np.intersect1d(split.train, view.active, assume_unique=True)
         train_nodes = train_nodes[y_full[train_nodes] >= 0]
         if train_nodes.size == 0 or eval_nodes.size == 0:
             warnings.warn(f"timespan {t} has no shared labeled nodes; marked missing")
             continue
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below and by adam_step
-            logits = _fit_timespan_probe(
-                views[t], graph.features, y_full[train_nodes], views[t].local_index_of(train_nodes),
-                num_classes, cfg, stream=t)
-        if not np.isfinite(logits).all():
-            raise NumericError(f"non-finite logits from the probe of timespan {t}")
-        preds[t] = np.argmax(logits[views[t].local_index_of(eval_nodes)], axis=1)
+        logits = _fit_timespan_probe(view, graph.features, train_nodes, y_full[train_nodes],
+                                     eval_nodes, num_classes, cfg, stream=t)
+        preds[t] = np.argmax(logits, axis=1)
 
-    measured = sum(p is not None for p in preds)
-    if measured < 2:
-        raise DataError(f"no pair of timespans to compare: measured {measured} of {s}, the rest "
+    if len(preds) < 2:
+        raise DataError(f"no pair of timespans to compare: measured {len(preds)} of {s}, the rest "
                         f"have no edges or no shared labeled train or test node")
     matrix = np.full((s, s), np.nan)
-    for i in range(s):
-        if preds[i] is not None:
-            matrix[i, i] = 1.0
-        for j in range(i + 1, s):
-            if preds[i] is not None and preds[j] is not None:
-                agree = float(np.mean(preds[i] == preds[j]))
-                matrix[i, j] = matrix[j, i] = agree
+    for i, j in itertools.combinations_with_replacement(preds, 2):  # the diagonal reads 1.0
+        matrix[i, j] = matrix[j, i] = np.mean(preds[i] == preds[j])
     return InvarianceResult(matrix=matrix, eval_nodes=eval_nodes)
 
 

@@ -168,11 +168,11 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
             batch = make_minibatch(shared, cfg.batch_size, batch_rng)
             try:
                 loss, grads = contrastive_step(drawn, batch, params, cfg)
+                with np.errstate(over="ignore", invalid="ignore"):  # tgcl's later checks report
+                    adam_step(params.as_dict(), grads, state)
             except NumericError as exc:
                 spans = "; ".join(f"[{w.lo:.6g}, {w.hi:.6g}]" for w in windows)
                 raise NumericError(f"{exc} at epoch {epoch}; windows {spans}") from exc
-            with np.errstate(over="ignore", invalid="ignore"):  # tgcl's later checks report
-                adam_step(params.as_dict(), grads, state)
             epoch_loss += loss
         epoch_loss /= cfg.batches_per_epoch
 

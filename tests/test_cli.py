@@ -832,6 +832,32 @@ def test_probe_invariance_exits_3_when_its_logits_overflow(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_probe_invariance_names_the_timespan_whose_adam_update_overflows(tmp_path, capsys):
+    # the first Adam step at lr 1e308 leaves weights whose second epoch's
+    # squared gradient is not finite; the message named no probe or timespan
+    edges, labels = _synth(tmp_path, n=60, events=500)
+    out = tmp_path / "matrix.csv"
+    assert dispatch(["probe-invariance", "--edges", str(edges), "--labels", str(labels),
+                     "--s", "2", "--epochs", "2", "--lr", "1e308", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "squared grad[" in err and "in the probe of timespan 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_names_the_epoch_whose_adam_update_overflows(tmp_path, capsys):
+    # weight decay 1e300 makes the first update's squared gradient overflow;
+    # Adam ran outside the step's try, and the message named no epoch
+    edges, _ = _synth(tmp_path)
+    out = tmp_path / "run"
+    assert dispatch(["train", "--edges", str(edges), "--out", str(out), "--epochs", "2",
+                     "--weight-decay", "1e300", "--d-hidden", "8", "--d-out", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "squared grad[" in err and " at epoch 1; windows [" in err
+    assert not (out / "params.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_train_exits_3_when_a_projection_norm_overflows(tmp_path, capsys):
     # after one step at lr 1e50 the second step's projection rows have norms
     # that overflow; they were divided to zero rows, and the run exited 0.

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -24,6 +25,7 @@ from tgcl import (
     probe_invariance,
     slice_interval,
     softmax_cross_entropy,
+    to_snapshots,
     train_linear_probe,
 )
 from tgcl import evaluation
@@ -693,7 +695,39 @@ def test_timespan_probe_unsorted_train_rows_match_the_full_height_path():
     train_local = np.array([17, 3, 36, 21, 8, 29, 0])
     y_train = g.labels[view.active[train_local]]
     cfg = InvarianceConfig(epochs=5, d_hidden=16, d_out=8)
-    got = _fit_timespan_probe(view, g.features, y_train, train_local, 2, cfg, stream=1)
+    got = _fit_timespan_probe(view, g.features, view.active[train_local], y_train, view.active,
+                              2, cfg, stream=1)
     want = _full_height_probe(view, g.features, y_train, train_local, 2, cfg, stream=1)
     assert got.shape == (view.num_active, 2)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def _timespan_fit_args(encoder, **over):
+    """A fit of timespan 0 of the probe fixture, train and eval nodes unsorted."""
+    g = _probe_fixture()
+    view = to_snapshots(g, 2)[0]
+    rng = np.random.default_rng(5)
+    nodes = rng.permutation(view.active)
+    train, evals = nodes[:12], nodes[12:]
+    cfg = replace(FAST_PROBE, encoder=encoder, **over)
+    return view, g.features, train, g.labels[train], evals, 2, cfg, 0
+
+
+@pytest.mark.parametrize("encoder", ["gcn", "mlp"])
+def test_a_timespan_fit_on_a_worker_thread_gives_the_main_threads_bytes(encoder):
+    args = _timespan_fit_args(encoder)
+    main = _fit_timespan_probe(*args)
+    with ThreadPoolExecutor(1) as pool:
+        worker = pool.submit(_fit_timespan_probe, *args).result()
+    assert main.shape == (args[4].size, 2)
+    assert worker.tobytes() == main.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_timespan_fit_keeps_its_numeric_policy_on_a_worker_thread():
+    # np.errstate does not reach a worker thread: a fit that relied on its
+    # caller's would warn there where it should raise tgcl's error
+    args = _timespan_fit_args("gcn", epochs=1, lr=1e308)
+    with ThreadPoolExecutor(1) as pool, \
+            pytest.raises(NumericError, match="non-finite logits from the probe of timespan 0"):
+        pool.submit(_fit_timespan_probe, *args).result()

@@ -98,6 +98,19 @@ def test_a_product_on_the_csr_transpose_is_a_t_at_g_byte_for_byte(split, product
     assert out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_a_one_column_row_keeps_the_nan_adj_at_x_keeps(monkeypatch, split):
+    # every row meets two NaNs of different bits. adj @ x runs one column
+    # through csr_matvec, which keeps the first; csr_matvecs keeps the last,
+    # so a split that ran one-column blocks through it would differ here
+    adj = sp.csr_array(np.ones((4, 2)))
+    x = np.array([[0x7FF8000000000001], [0x7FF8000000000002]], dtype=np.uint64).view(np.float64)
+    if split:
+        monkeypatch.setattr(kernels, "SPLIT_WORK", 1)
+        monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    assert kernels.spmm(adj, x).tobytes() == (adj @ x).tobytes()
+
+
 def test_a_split_product_refuses_an_operand_of_the_wrong_height(monkeypatch):
     # SciPy's routines read x without checking its size
     monkeypatch.setattr(kernels, "SPLIT_WORK", 1)
