@@ -3,10 +3,11 @@ classification metrics, the temporal invariance probe, and a synthetic
 persistent-community graph generator used as the desk-scale fixture.
 
 The invariance probe splits a graph into sequential timespans, fits an
-independent supervised encoder per timespan (one self-contained call),
-and reports how often their predictions agree on the nodes the timespans
-share. High agreement on community-structured data is the empirical premise
-behind treating timespan views as label-preserving augmentations.
+independent supervised encoder per timespan (one self-contained call; the
+timespans run on the CPUs' task pool), and reports how often their
+predictions agree on the nodes the timespans share. High agreement on
+community-structured data is the empirical premise behind treating
+timespan views as label-preserving augmentations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, NumericError
 from .graph import SampledView, TemporalGraph, build_graph, to_snapshots
-from .kernels import AdamState, adam_step
+from .kernels import AdamState, adam_step, map_tasks
 from .losses import softmax_cross_entropy
 from .model import ViewEntry, encode, encode_backward, glorot, init_params, view_entry, view_inputs
 from .training import shared_nodes
@@ -310,6 +311,15 @@ def _fit_timespan_probe(view: SampledView, x: np.ndarray, train_nodes: np.ndarra
     return logits[view.local_index_of(eval_nodes)]
 
 
+def _fit_or_failure(*args):
+    """:func:`_fit_timespan_probe`'s logits, or the exception it raised, which
+    :func:`probe_invariance` raises in its timespan's place."""
+    try:
+        return _fit_timespan_probe(*args)
+    except Exception as exc:
+        return exc
+
+
 def probe_invariance(graph: TemporalGraph, labels, s: int,
                      cfg: InvarianceConfig = InvarianceConfig()) -> InvarianceResult:
     """Agreement of independent per-timespan supervised probes.
@@ -318,7 +328,9 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
     sequence of s arrays (one per timespan), which enables the
     shuffled-label control. It picks the timespans to measure and compares
     their predictions of the shared test nodes; each is one fit on its view
-    of the train split (:func:`_fit_timespan_probe`). Fewer than two is a DataError.
+    of the train split (:func:`_fit_timespan_probe`), and the fits run as tasks of
+    :func:`tgcl.kernels.map_tasks`. Its warnings, and a failed fit's error, come in
+    timespan order, as a serial loop gives them. Fewer than two is a DataError.
     """
     cfg.validate()
     if not 2 <= s <= graph.num_edges:  # more timespans than edges leave some empty
@@ -346,20 +358,25 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
     nonempty = [view for view in views if not view.is_empty]
     eval_nodes = np.intersect1d(shared_nodes(nonempty), split.test, assume_unique=True)
 
-    preds = {}  # measured timespan -> its predictions of eval_nodes
+    fits = {}  # measured timespan -> the arguments of its fit; a timespan not here is missing
     for t, view in enumerate(views):
-        if view.is_empty:
-            warnings.warn(f"timespan {t} has no edges; marked missing")
-            continue
         y_full = labels_per_span[t]
         train_nodes = np.intersect1d(split.train, view.active, assume_unique=True)
         train_nodes = train_nodes[y_full[train_nodes] >= 0]
-        if train_nodes.size == 0 or eval_nodes.size == 0:
+        if not view.is_empty and train_nodes.size and eval_nodes.size:
+            fits[t] = (view, graph.features, train_nodes, y_full[train_nodes], eval_nodes,
+                       num_classes, cfg, t)
+    logits = dict(zip(fits, map_tasks(_fit_or_failure, fits.values())))
+    preds = {}  # measured timespan -> its predictions of eval_nodes
+    for t, view in enumerate(views):  # warnings and a failed fit's error in timespan order
+        if view.is_empty:
+            warnings.warn(f"timespan {t} has no edges; marked missing")
+        elif t not in logits:
             warnings.warn(f"timespan {t} has no shared labeled nodes; marked missing")
-            continue
-        logits = _fit_timespan_probe(view, graph.features, train_nodes, y_full[train_nodes],
-                                     eval_nodes, num_classes, cfg, stream=t)
-        preds[t] = np.argmax(logits, axis=1)
+        elif isinstance(logits[t], Exception):
+            raise logits[t]
+        else:
+            preds[t] = np.argmax(logits[t], axis=1)
 
     if len(preds) < 2:
         raise DataError(f"no pair of timespans to compare: measured {len(preds)} of {s}, the rest "

@@ -13,11 +13,18 @@ written out there; there is no tape. Arrays are float64.
 :func:`spmm` is ``adj @ x`` for a CSR ``adj``, byte for byte; every sparse
 product of the model runs on it, the two transposed ones on CSR transposes.
 A large product is split by rows over the CPUs (:data:`SPLIT_WORK` says which).
+
+:func:`map_tasks` runs independent tasks over the CPUs the process may use,
+on one thread pool: spmm's row blocks, a training step's views and InfoNCE
+pairs, and the invariance probe's timespans. Its callers form every sum on
+the calling thread, in task order, so no output depends on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,12 +55,23 @@ def matmul_backward(grad: np.ndarray, a: np.ndarray, b: np.ndarray):
 # of less than twice this runs serially. Set from the benchmark's workloads:
 # their training products (1.9M at most) and a 400-node embed (1.9M) stay
 # serial, a 10k-node embed's two products (26M and 52M) split. Two blocks
-# already win at about 1M on a 2-CPU host; what a split does to training
-# throughput is unmeasured, so training stays serial.
+# already win at about 1M on a 2-CPU host. Training keeps its CPUs busy with
+# whole views and loss pairs instead, inside which every product is serial
 SPLIT_WORK = 1 << 22
 
-_pool = None  # the worker threads of spmm, made on first use
-_pool_pid = None  # the process that made them: a forked child makes its own
+_pool = None  # the worker threads of map_tasks, made on first use
+_pool_lock = threading.Lock()
+_in_task = contextvars.ContextVar("tgcl_in_task", default=False)
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: it makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _cpu_count() -> int:
@@ -64,11 +82,58 @@ def _cpu_count() -> int:
 
 
 def _executor() -> ThreadPoolExecutor:
-    global _pool, _pool_pid
-    if _pool is None or _pool_pid != os.getpid():
-        _pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1), thread_name_prefix="tgcl-spmm")
-        _pool_pid = os.getpid()
-    return _pool
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1), thread_name_prefix="tgcl")
+        return _pool
+
+
+def _run_share(fn, tasks, err):
+    """fn(*task) for each task until one raises, under the NumPy error state
+    ``err`` (NumPy before 2 keeps it per thread): (results, the exception or None)."""
+    results = []
+    try:
+        with np.errstate(**err):
+            for task in tasks:
+                results.append(fn(*task))
+    except Exception as exc:  # map_tasks raises it once every task is done
+        return results, exc
+    return results, None
+
+
+def map_tasks(fn, tasks) -> list:
+    """[fn(*task) for task in tasks], run over the CPUs this process may use.
+
+    With ways = min(len(tasks), CPUs), the calling thread runs tasks[0::ways]
+    and pool thread w runs tasks[w::ways], each in a copy of the caller's
+    context and under its NumPy error state. It waits for every task, then
+    raises the first failure in task order, the exception the serial loop
+    would raise. With one way, and inside a task (on any thread), it is the
+    serial loop, so a task never waits on the pool it runs on. The caller
+    runs a share itself, so the arrays it keeps come from its own malloc arena.
+    """
+    tasks = list(tasks)
+    ways = min(len(tasks), _cpu_count())
+    if ways < 2 or _in_task.get():
+        return [fn(*task) for task in tasks]
+    err = np.geterr()
+    token = _in_task.set(True)
+    futures = []
+    try:
+        pool = _executor()
+        futures = [pool.submit(contextvars.copy_context().run, _run_share, fn, tasks[w::ways], err)
+                   for w in range(1, ways)]
+        mine = _run_share(fn, tasks[0::ways], err)
+    finally:
+        _in_task.reset(token)
+        shares = [future.result() for future in futures]  # the tasks run until they are done
+    shares.insert(0, mine)
+    failed = [(w + len(results) * ways, exc)
+              for w, (results, exc) in enumerate(shares) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [shares[i % ways][0][i // ways] for i in range(len(tasks))]
 
 
 def spmm(adj, x: np.ndarray) -> np.ndarray:
@@ -79,14 +144,14 @@ def spmm(adj, x: np.ndarray) -> np.ndarray:
     Each block runs the routine that ``adj @ x`` runs (SciPy's
     ``csr_matvecs``, or ``csr_matvec`` for one column) on its rows,
     writing them in place into one zeroed output, so every row is summed in
-    the order and with the rounding SciPy gives it. The calling thread runs
-    the first block and makes every array; the pool's threads only run the
-    routine on the others.
+    the order and with the rounding SciPy gives it. The calling thread makes
+    every array and the blocks run on :func:`map_tasks`; inside one of its
+    tasks there is one block.
     """
     if x.shape[0] != adj.shape[1]:  # the routines read x unchecked
         raise ValueError(f"spmm shape mismatch: {adj.shape} x {x.shape}")
     blocks = min(_cpu_count(), adj.nnz * x.shape[1] // SPLIT_WORK)
-    if blocks < 2:
+    if blocks < 2 or _in_task.get():
         return adj @ x
     (m, n), k = adj.shape, x.shape[1]
     indptr = adj.indptr
@@ -100,15 +165,10 @@ def spmm(adj, x: np.ndarray) -> np.ndarray:
         p0, p1 = indptr[r0], indptr[r1]
         csr = (indptr[r0:r1 + 1] - p0, adj.indices[p0:p1], adj.data[p0:p1])
         if k == 1:  # adj @ x runs a one-column product as a vector product
-            tasks.append((_sparsetools.csr_matvec, r1 - r0, n, *csr, xs, out[r0:r1, 0]))
+            tasks.append((r1 - r0, n, *csr, xs, out[r0:r1, 0]))
         else:
-            tasks.append((_sparsetools.csr_matvecs, r1 - r0, n, k, *csr, xs, out[r0:r1].ravel()))
-    pending = [_executor().submit(*task) for task in tasks[1:]]
-    try:
-        tasks[0][0](*tasks[0][1:])
-    finally:  # the workers write into out until their futures are done
-        for future in pending:
-            future.result()
+            tasks.append((r1 - r0, n, k, *csr, xs, out[r0:r1].ravel()))
+    map_tasks(_sparsetools.csr_matvec if k == 1 else _sparsetools.csr_matvecs, tasks)
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .kernels import map_tasks
 
 LOSS_LEVELS = ("node", "graph")
 
@@ -97,21 +98,22 @@ def multi_view_loss(pairs, tau: float):
 
     ``pairs[i]`` is view i's (queries, keys), as :func:`tgcl.embed_views`
     returns them. Returns (loss, grads) with grads[i] = (g_queries,
-    g_keys) for view i, ready for the embedding backward pass.
+    g_keys) for view i, ready for the embedding backward pass. Each ordered
+    pair is a task of :func:`tgcl.kernels.map_tasks`; their terms are summed
+    in pair order.
     """
     v = len(pairs)
     if v < 2:
         raise ValueError(f"need at least 2 views, got {v}")
+    order = [(qi, ki) for qi in range(v) for ki in range(v) if ki != qi]
+    terms = map_tasks(infonce, [(pairs[qi][0], pairs[ki][1], tau) for qi, ki in order])
     g_q = [np.zeros_like(q) for q, _ in pairs]
     g_k = [np.zeros_like(k) for _, k in pairs]
     total = 0.0
-    for qi, (q, _) in enumerate(pairs):
-        for ki, (_, k) in enumerate(pairs):
-            if ki != qi:
-                loss, gq, gk = infonce(q, k, tau)
-                g_q[qi] += gq
-                g_k[ki] += gk
-                total += loss
+    for (qi, ki), (loss, gq, gk) in zip(order, terms):
+        g_q[qi] += gq
+        g_k[ki] += gk
+        total += loss
     scale = 1.0 / (v * (v - 1))
     for g in g_q + g_k:
         g *= scale

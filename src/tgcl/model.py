@@ -165,8 +165,8 @@ def receptive_field(entry: ViewEntry, rows: np.ndarray):
 class EncodeCache:
     a_rows: sp.csr_array  # Â[rows], its columns renumbered to positions in F
     p0: np.ndarray  # P0[F]
-    s1: np.ndarray  # P0[F] · W1
-    p1: np.ndarray  # Â[rows] · ReLU(s1)
+    mask: np.ndarray  # S1 > 0, the ReLU's mask, where S1 = P0[F] · W1
+    p1: np.ndarray  # Â[rows] · ReLU(S1)
 
 
 def encode(field, params: ModelParams):
@@ -180,13 +180,13 @@ def encode(field, params: ModelParams):
     s1 = kernels.matmul(p0, params.gcn_w1)
     p1 = kernels.spmm(a_rows, np.maximum(s1, 0.0))
     h = kernels.matmul(p1, params.gcn_w2)
-    return h, EncodeCache(a_rows=a_rows, p0=p0, s1=s1, p1=p1)
+    return h, EncodeCache(a_rows=a_rows, p0=p0, mask=s1 > 0.0, p1=p1)
 
 
 def encode_backward(grad_h2: np.ndarray, cache: EncodeCache, params: ModelParams) -> dict:
     """Gradients of W1 and W2 from the gradient of :func:`encode`'s H."""
     g_p1, g_w2 = kernels.matmul_backward(grad_h2, cache.p1, params.gcn_w2)
-    g_s1 = kernels.spmm(cache.a_rows.T.tocsr(), g_p1) * (cache.s1 > 0.0)
+    g_s1 = kernels.spmm(cache.a_rows.T.tocsr(), g_p1) * cache.mask
     return {"gcn_w1": cache.p0.T @ g_s1, "gcn_w2": g_w2}
 
 
@@ -306,18 +306,19 @@ def embed_views(inputs, params: ModelParams, stat: str = "mean"):
     projected readouts of those rows; the batch rows and the readouts go
     through one projection. Without it, the keys are the queries. Returns
     (pairs, caches), both lists indexed by view, with pairs[i] =
-    (queries, keys).
+    (queries, keys). The views run as tasks of :func:`kernels.map_tasks`.
     """
-    pairs, caches = [], []
-    for field, batch, neigh in inputs:
+    def embed_view(field, batch, neigh):
         h, enc_cache = encode(field, params)
         x = h[batch]
         if neigh is not None:
             x = np.vstack([x, readout(neigh, h, stat=stat)])
         z, proj_cache = project(x, params)
-        pairs.append((z, z) if neigh is None else (z[:batch.size], z[batch.size:]))
-        caches.append(ViewCache(enc_cache, batch, h, proj_cache, neigh, stat))
-    return pairs, caches
+        pair = (z, z) if neigh is None else (z[:batch.size], z[batch.size:])
+        return pair, ViewCache(enc_cache, batch, h, proj_cache, neigh, stat)
+
+    views = kernels.map_tasks(embed_view, inputs)
+    return [pair for pair, _ in views], [cache for _, cache in views]
 
 
 def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
@@ -325,10 +326,13 @@ def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
 
     ``zgrads`` is a list of (g_queries, g_keys) aligned with the caches
     from :func:`embed_views`. Where the keys are the queries, the two
-    gradients add.
+    gradients add. Each view's backward is a task of
+    :func:`kernels.map_tasks`; it takes its cache out of ``caches``, which
+    is left all None, so the cache dies with the task. The views' gradients
+    are summed in view order.
     """
-    total = params.zeros_like_grads()
-    for (g_q, g_k), cache in zip(zgrads, caches):
+    def view_backward(i, g_q, g_k):
+        cache, caches[i] = caches[i], None
         b = cache.batch.size
         g_z = g_q + g_k if cache.neigh is None else np.vstack([g_q, g_k])
         g_x, proj_grads = project_backward(g_z, cache.proj, params)
@@ -337,7 +341,11 @@ def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
         if cache.neigh is not None:
             grad_h += readout_backward(g_x[b:], cache.neigh, cache.h, cache.stat)
         proj_grads.update(encode_backward(grad_h, cache.enc, params))
-        for k, g in proj_grads.items():
+        return proj_grads
+
+    total = params.zeros_like_grads()
+    for grads in kernels.map_tasks(view_backward, [(i, *g) for i, g in enumerate(zgrads)]):
+        for k, g in grads.items():
             total[k] += g
     return total
 

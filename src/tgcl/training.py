@@ -125,7 +125,9 @@ def contrastive_step(entries, batch: np.ndarray, params: ModelParams, cfg: Train
     """Embed the views of ``entries`` (ViewEntry objects) with ``params``, take
     the InfoNCE objective of ``cfg.loss`` and ``cfg.readout_stat`` over the
     ``batch`` nodes and backpropagate it. Returns (loss, grads). A non-finite
-    loss raises NumericError ahead of the backward, which cannot run on it."""
+    loss raises NumericError ahead of the backward, which cannot run on it.
+    The views, the loss pairs and the views' backwards run on the CPUs' task
+    pool and are summed in the serial order, so no byte depends on the CPUs."""
     inputs = [view_inputs(entry, batch, cfg.loss.level == "graph") for entry in entries]
     with np.errstate(over="ignore", invalid="ignore"):  # the step's own checks report
         pairs, caches = embed_views(inputs, params, stat=cfg.readout_stat)

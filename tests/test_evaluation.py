@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
@@ -599,16 +601,23 @@ def test_invariance_per_span_labels_accepted():
 def test_invariance_probe_takes_two_fields_per_timespan(monkeypatch, encoder):
     # one receptive field for the train rows, taken before the epoch loop,
     # and one for every row at the end, whatever the number of epochs; the
-    # second computes all of P0, not only the rows the first left out
-    counted = mock.Mock(wraps=tgcl.model.adj_matmul)
+    # second computes all of P0, not only the rows the first left out. The
+    # fits run on the task pool, so the fields are read in each thread's order
+    calls, adj_matmul = [], tgcl.model.adj_matmul
+
+    def counted(entry, x, rows):
+        calls.append((threading.get_ident(), rows))
+        return adj_matmul(entry, x, rows)
+
     monkeypatch.setattr(tgcl.model, "adj_matmul", counted)
     g = _probe_fixture()
     for epochs in (3, 30):
-        counted.reset_mock()
+        calls.clear()
         res = probe_invariance(g, g.labels, 2, replace(FAST_PROBE, epochs=epochs, encoder=encoder))
-        frontiers = [call.args[2] for call in counted.call_args_list]
-        assert len(frontiers) == 2 * np.isfinite(np.diag(res.matrix)).sum() == 4
-        assert not any(f.all() for f in frontiers[::2]) and all(f.all() for f in frontiers[1::2])
+        assert len(calls) == 2 * np.isfinite(np.diag(res.matrix)).sum() == 4
+        for thread in {ident for ident, _ in calls}:
+            frontiers = [rows for ident, rows in calls if ident == thread]
+            assert not any(f.all() for f in frontiers[::2]) and all(f.all() for f in frontiers[1::2])
 
 
 def test_invariance_mlp_encoder_runs():
@@ -636,6 +645,40 @@ def test_invariance_missing_timespan_nan():
     assert np.isnan(res.matrix[1]).all() and np.isnan(res.matrix[:, 2]).all()
     assert np.isfinite(res.matrix[0, 3])
     assert res.mean_agreement() == pytest.approx(res.matrix[0, 3])
+
+
+def test_a_failed_fit_raises_in_its_timespans_place_after_the_earlier_warnings(monkeypatch):
+    # timespans 0 and 3 have edges and fail their fits, and 1 and 2 have none.
+    # The fits run on two CPUs, before any warning: timespan 0's error comes
+    # first, and nothing is warned for the empty timespans after it
+    monkeypatch.setattr(tgcl.kernels, "_cpu_count", lambda: 2)
+    rng = np.random.default_rng(0)
+    n, m = 30, 400
+    src = rng.integers(0, n, size=m)
+    dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
+    ts = np.where(rng.random(m) < 0.5, rng.uniform(0.0, 1.0, m), rng.uniform(3.0, 4.0, m))
+    ts[0], ts[1] = 0.0, 4.0
+    g = build_graph(src, dst, ts, labels=(np.arange(n), np.arange(n) % 2),
+                    feature_policy="random", feature_dim=8)
+    cfg = replace(FAST_PROBE, epochs=1, lr=1e308)
+    with warnings.catch_warnings(record=True) as seen, \
+            pytest.raises(NumericError, match="probe of timespan 0$"):
+        warnings.simplefilter("always")
+        probe_invariance(g, g.labels, 4, cfg)
+    assert seen == []
+    # only timespan 3's fit fails: the empty timespans 1 and 2 warn first
+    fit = evaluation._fit_timespan_probe
+
+    def fails_at_3(*args):
+        if args[-1] == 3:
+            raise NumericError("timespan 3's fit failed")
+        return fit(*args)
+
+    monkeypatch.setattr(evaluation, "_fit_timespan_probe", fails_at_3)
+    with pytest.warns(UserWarning) as seen, pytest.raises(NumericError, match="timespan 3's"):
+        probe_invariance(g, g.labels, 4, FAST_PROBE)
+    assert [str(w.message) for w in seen] == ["timespan 1 has no edges; marked missing",
+                                              "timespan 2 has no edges; marked missing"]
 
 
 def test_invariance_timespan_without_labels_is_missing():

@@ -1,4 +1,4 @@
-"""The row-split sparse product: its bytes, its threads, its pool."""
+"""The row-split sparse product: its bytes, its threads, its pool (see also test_pool.py)."""
 
 import functools
 import importlib
@@ -119,17 +119,26 @@ def test_a_split_product_refuses_an_operand_of_the_wrong_height(monkeypatch):
         kernels.spmm(sp.csr_array(np.ones((4, 3))), np.ones((2, 5)))
 
 
-def test_no_thread_starts_below_the_constant(monkeypatch):
+def test_no_product_splits_below_the_constant(monkeypatch):
     # every product of graph-level training on a graph of graph-rand-400's
-    # make-up, and of its embed_all, stays on the serial path
-    monkeypatch.setattr(kernels, "_pool", None)
+    # make-up, and of its embed_all, is below twice SPLIT_WORK: each runs as
+    # one SciPy product, wherever it runs. (The step's views and loss pairs
+    # run on the task pool, inside whose tasks no product splits.)
+    work, spmm = [], kernels.spmm
+
+    def recording(adj, x):
+        work.append(adj.nnz * x.shape[1])
+        return spmm(adj, x)
+
+    monkeypatch.setattr(kernels, "spmm", recording)
     graph = generate_synthetic(k=4, n=400, T=20.0, p_in=5.0, p_out=1.0, events=8000,
                                feature_dim=64)
     cfg = TrainConfig(sampler=SamplerConfig("random", 4, 3), loss=LossConfig("graph", 0.5),
                       epochs=2, seed=0)
     params, _ = train(graph, cfg)
     embed_all(graph, params)
-    assert kernels._pool is None
+    assert len(work) == 2 * 3 * 5 + 2  # per view: 3 forward products and 2 backward
+    assert max(work) < 2 * kernels.SPLIT_WORK
 
 
 def _small_graph():
@@ -148,8 +157,9 @@ def _recording(fn, record, name):
 
 
 def test_public_functions_run_on_the_main_thread_while_blocks_run_on_others(monkeypatch):
-    # a span tracer that keeps one stack, as bench/tracer.py does, may wrap
-    # any public function of the layer modules: none may run in a worker.
+    # embed_all runs every public function of the layer modules on the
+    # calling thread, and only SciPy's routine on the pool's, so a span
+    # tracer that keeps one stack, as bench/tracer.py does, sees it whole.
     # Each wrapper goes wherever tgcl looks the name up, as the tracer puts it
     monkeypatch.setattr(kernels, "SPLIT_WORK", 1)
     monkeypatch.setattr(kernels, "_cpu_count", lambda: 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgcl import training
+from tgcl import kernels, training
 from tgcl import (
     DataError,
     LossConfig,
@@ -240,14 +240,20 @@ def test_a_non_finite_loss_stops_the_step_ahead_of_its_backward():
         contrastive_step([view_entry(v, graph.features) for v in views], shared_nodes(views), params, cfg)
 
 
-def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib():
+def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib(monkeypatch):
     # 3 random views of a 400-node graph, a 256-node batch and the default
-    # widths, as the graph-rand-400 benchmark trains. The projection head
-    # keeps for its backward only what it reads (its input, the LeakyReLU's
-    # output, the normalized rows and their norms) and the loss works in place
-    # on the scores it computes, so the step peaks at 9.01 MiB. A step that
-    # keeps the head's pre-activations and copies the scores before the
-    # softmax peaks at 10.50 MiB, which the bound rejects
+    # widths, as the graph-rand-400 benchmark trains, on two CPUs whatever
+    # the host has: the caller runs views 0 and 2, a pool thread view 1. The
+    # projection head keeps for its backward only what it reads (its input,
+    # the LeakyReLU's output, the normalized rows and their norms), the
+    # encoder only the ReLU's mask of S1, the loss works in place on the
+    # scores it computes, and each view's cache dies with its backward.
+    # Serially the step peaks at 7.50 MiB; on two CPUs its peak depends on how
+    # the two views' backwards overlap, 7.50-9.18 MiB over 40 steps, so the
+    # largest of 20 peaks is what the bound holds. A step that keeps S1 peaks
+    # at up to 10.3 MiB on two CPUs, which the bound rejects. (On three CPUs
+    # all three views overlap, up to 10.85 MiB.)
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
     graph = generate_synthetic(k=4, n=400, T=20.0, p_in=5.0, p_out=1.0, events=8000,
                                feature_dim=64)
     cfg = TrainConfig(sampler=SamplerConfig("random", 4, 3), loss=LossConfig("graph", 0.5))
@@ -257,14 +263,17 @@ def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib():
     assert batch.size == 256
     params = init_params(graph.feature_dim, seed=0)
     contrastive_step(entries, batch, params, cfg)  # any first-call allocation happens here
+    peaks = []
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        contrastive_step(entries, batch, params, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        for _ in range(20):
+            start = tracemalloc.get_traced_memory()[0]
+            contrastive_step(entries, batch, params, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            tracemalloc.reset_peak()
     finally:
         tracemalloc.stop()
-    assert peak < 9.5 * 2 ** 20, peak / 2 ** 20
+    assert max(peaks) < 9.5 * 2 ** 20, max(peaks) / 2 ** 20
 
 
 def test_embed_all_of_a_400_node_graph_keeps_its_transient_memory_under_1_75_mib():
