@@ -110,7 +110,9 @@ def map_tasks(fn, tasks) -> list:
     context and under its NumPy error state. It waits for every task, then
     raises the first failure in task order, the exception the serial loop
     would raise. With one way, and inside a task (on any thread), it is the
-    serial loop, so a task never waits on the pool it runs on. The caller
+    serial loop, so a task never waits on the pool it runs on: this is the
+    one place that rule is kept, so spmm inside a task runs its row blocks
+    one after another, with the same bytes. The caller
     runs a share itself, so the arrays it keeps come from its own malloc arena.
     """
     tasks = list(tasks)
@@ -145,13 +147,13 @@ def spmm(adj, x: np.ndarray) -> np.ndarray:
     ``csr_matvecs``, or ``csr_matvec`` for one column) on its rows,
     writing them in place into one zeroed output, so every row is summed in
     the order and with the rounding SciPy gives it. The calling thread makes
-    every array and the blocks run on :func:`map_tasks`; inside one of its
-    tasks there is one block.
+    every array and the blocks run on :func:`map_tasks`, serially inside
+    one of its tasks.
     """
     if x.shape[0] != adj.shape[1]:  # the routines read x unchecked
         raise ValueError(f"spmm shape mismatch: {adj.shape} x {x.shape}")
     blocks = min(_cpu_count(), adj.nnz * x.shape[1] // SPLIT_WORK)
-    if blocks < 2 or _in_task.get():
+    if blocks < 2:
         return adj @ x
     (m, n), k = adj.shape, x.shape[1]
     indptr = adj.indptr
@@ -199,8 +201,15 @@ def row_l2_normalize(x: np.ndarray):
 
 def row_l2_normalize_backward(grad: np.ndarray, z: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """From the forward's (rows, norms) = (z, |x|): dL/dx = (g - z (z.g)) / |x|;
-    a zero row's |x| is inf, so z = dL/dx = 0."""
-    return (grad - z * np.sum(z * grad, axis=1, keepdims=True)) / norms[:, None]
+    a zero row's |x| is inf, so z = dL/dx = 0. One array of grad's size is
+    allocated, each step written into it with the rounding of the one
+    expression."""
+    out = np.multiply(z, grad)
+    dots = np.sum(out, axis=1, keepdims=True)
+    np.multiply(z, dots, out=out)
+    np.subtract(grad, out, out=out)
+    out /= norms[:, None]
+    return out
 
 
 def segment_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

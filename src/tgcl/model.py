@@ -257,13 +257,17 @@ def project(x: np.ndarray, params: ModelParams):
 
 
 def project_backward(grad_z: np.ndarray, cache: ProjectCache, params: ModelParams):
+    """(dL/dx, the head's grads) from dL/dz. Each gradient is dropped once
+    read, so at most two arrays of the batch's size are alive at a time."""
     g_s2 = kernels.row_l2_normalize_backward(grad_z, cache.z, cache.norms)
+    grad_z = None
+    g_b2 = g_s2.sum(axis=0)
     g_l1, g_w2 = kernels.matmul_backward(g_s2, cache.l1, params.proj_w2)
+    g_s2 = None
     g_s1 = kernels.leaky_relu_backward(g_l1, cache.l1, LEAKY_SLOPE)
+    g_l1 = None
     g_x, g_w1 = kernels.matmul_backward(g_s1, cache.x, params.proj_w1)
-    grads = {"proj_w1": g_w1, "proj_b1": g_s1.sum(axis=0),
-             "proj_w2": g_w2, "proj_b2": g_s2.sum(axis=0)}
-    return g_x, grads
+    return g_x, {"proj_w1": g_w1, "proj_b1": g_s1.sum(axis=0), "proj_w2": g_w2, "proj_b2": g_b2}
 
 
 @dataclass(eq=False)
@@ -324,22 +328,33 @@ def embed_views(inputs, params: ModelParams, stat: str = "mean"):
 def embed_views_backward(zgrads, caches, params: ModelParams) -> dict:
     """Accumulate parameter gradients from per-view (queries, keys) grads.
 
-    ``zgrads`` is a list of (g_queries, g_keys) aligned with the caches
-    from :func:`embed_views`. Where the keys are the queries, the two
-    gradients add. Each view's backward is a task of
-    :func:`kernels.map_tasks`; it takes its cache out of ``caches``, which
-    is left all None, so the cache dies with the task. The views' gradients
-    are summed in view order.
+    ``zgrads`` holds one (g_queries, g_keys) per view, aligned with the
+    list ``caches`` from :func:`embed_views`. Where the keys are the
+    queries, the two gradients add. Each view's backward is a task of
+    :func:`kernels.map_tasks`. The backward consumes the caches: each task
+    takes its view's cache out of ``caches``, which is left all None, and
+    empties it as it reads it, so a view's arrays die during its backward
+    and not after every view's. The views' gradients are summed in view order.
     """
+    zgrads = list(zgrads)
+    if not isinstance(caches, list):
+        raise TypeError(f"caches must be the list embed_views returned, got {type(caches).__name__}")
+    if len(caches) != len(zgrads):
+        raise ValueError(f"{len(zgrads)} views' gradients for {len(caches)} caches")
+    if any(cache is None for cache in caches):
+        raise ValueError("a cache was consumed by an earlier embed_views_backward")
+
     def view_backward(i, g_q, g_k):
         cache, caches[i] = caches[i], None
         b = cache.batch.size
-        g_z = g_q + g_k if cache.neigh is None else np.vstack([g_q, g_k])
-        g_x, proj_grads = project_backward(g_z, cache.proj, params)
+        g_x, proj_grads = project_backward(
+            g_q + g_k if cache.neigh is None else np.vstack([g_q, g_k]), cache.proj, params)
+        cache.proj = None  # dropped as soon as read, as are g_x and h below
         grad_h = np.zeros_like(cache.h)
         grad_h[cache.batch] += g_x[:b]  # the batch positions are distinct
         if cache.neigh is not None:
             grad_h += readout_backward(g_x[b:], cache.neigh, cache.h, cache.stat)
+        g_x = cache.h = None
         proj_grads.update(encode_backward(grad_h, cache.enc, params))
         return proj_grads
 

@@ -395,6 +395,22 @@ def test_embed_views_backward_fd():
         assert _rel_err(grads[name], fd) < 1e-4, name
 
 
+def test_embed_views_backward_consumes_its_caches():
+    views = _two_view_graph(seed=5)
+    params = init_params(5, 6, 4, seed=2)
+    pairs, caches = _embed(views, np.arange(7), params, stat="mean")
+    zgrads = [(np.ones_like(q), np.ones_like(k)) for q, k in pairs]
+    with pytest.raises(TypeError, match="caches must be the list embed_views returned"):
+        embed_views_backward(zgrads, tuple(caches), params)
+    with pytest.raises(ValueError, match="3 views' gradients for 2 caches"):
+        embed_views_backward(zgrads + zgrads[:1], caches, params)
+    assert all(cache is not None for cache in caches)  # a refused call takes nothing
+    embed_views_backward(zgrads, caches, params)
+    assert caches == [None, None]
+    with pytest.raises(ValueError, match="consumed by an earlier embed_views_backward"):
+        embed_views_backward(zgrads, caches, params)
+
+
 def _ring_views(n=40, chords=10, seed=0, d=5):
     """Two view entries of a sparse graph. A ring in each half keeps every
     node active in both, so a small batch has a small receptive field."""

@@ -123,7 +123,8 @@ def test_no_product_splits_below_the_constant(monkeypatch):
     # every product of graph-level training on a graph of graph-rand-400's
     # make-up, and of its embed_all, is below twice SPLIT_WORK: each runs as
     # one SciPy product, wherever it runs. (The step's views and loss pairs
-    # run on the task pool, inside whose tasks no product splits.)
+    # run on the task pool, inside whose tasks a split product's blocks would
+    # run one after another.)
     work, spmm = [], kernels.spmm
 
     def recording(adj, x):

@@ -242,18 +242,19 @@ def test_a_non_finite_loss_stops_the_step_ahead_of_its_backward():
 
 def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib(monkeypatch):
     # 3 random views of a 400-node graph, a 256-node batch and the default
-    # widths, as the graph-rand-400 benchmark trains, on two CPUs whatever
-    # the host has: the caller runs views 0 and 2, a pool thread view 1. The
+    # widths, as the graph-rand-400 benchmark trains, with as many ways as
+    # the step has views, whatever the host has: the caller and two pool
+    # threads each run one view, one backward and two InfoNCE pairs. The
     # projection head keeps for its backward only what it reads (its input,
     # the LeakyReLU's output, the normalized rows and their norms), the
-    # encoder only the ReLU's mask of S1, the loss works in place on the
-    # scores it computes, and each view's cache dies with its backward.
-    # Serially the step peaks at 7.50 MiB; on two CPUs its peak depends on how
-    # the two views' backwards overlap, 7.50-9.18 MiB over 40 steps, so the
-    # largest of 20 peaks is what the bound holds. A step that keeps S1 peaks
-    # at up to 10.3 MiB on two CPUs, which the bound rejects. (On three CPUs
-    # all three views overlap, up to 10.85 MiB.)
-    monkeypatch.setattr(kernels, "_cpu_count", lambda: 2)
+    # encoder only the ReLU's mask of S1, and the loss works in place on the
+    # scores it computes. A view's backward drops each array once read, its
+    # cache's too, so the backwards overlap in little memory. Serially the
+    # step peaks at 7.14 MiB, in the loss; on three ways its peak depends on
+    # how the views' tasks overlap, 7.15-7.65 MiB in 4 runs of 40 steps on a
+    # 2-CPU host, so the largest of 20 peaks is what the bound holds. A view's
+    # backward that keeps its cache whole until it returns peaks at 9.55-10.09
+    # MiB on three ways in 3 such runs, over the bound.
     graph = generate_synthetic(k=4, n=400, T=20.0, p_in=5.0, p_out=1.0, events=8000,
                                feature_dim=64)
     cfg = TrainConfig(sampler=SamplerConfig("random", 4, 3), loss=LossConfig("graph", 0.5))
@@ -262,10 +263,12 @@ def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib(monkeypatch
     batch = make_minibatch(shared_nodes([e.view for e in entries]), 256, np.random.default_rng(0))
     assert batch.size == 256
     params = init_params(graph.feature_dim, seed=0)
-    contrastive_step(entries, batch, params, cfg)  # any first-call allocation happens here
+    monkeypatch.setattr(kernels, "_cpu_count", lambda: len(entries))
+    monkeypatch.setattr(kernels, "_pool", None)  # made anew, with len(entries) - 1 threads
     peaks = []
-    tracemalloc.start()
     try:
+        contrastive_step(entries, batch, params, cfg)  # any first-call allocation happens here
+        tracemalloc.start()
         for _ in range(20):
             start = tracemalloc.get_traced_memory()[0]
             contrastive_step(entries, batch, params, cfg)
@@ -273,6 +276,9 @@ def test_a_graph_level_step_keeps_its_transient_memory_under_9_5_mib(monkeypatch
             tracemalloc.reset_peak()
     finally:
         tracemalloc.stop()
+        if kernels._pool is not None:
+            kernels._pool.shutdown()
+    assert kernels._pool._max_workers == len(entries) - 1
     assert max(peaks) < 9.5 * 2 ** 20, max(peaks) / 2 ** 20
 
 
