@@ -443,24 +443,15 @@ def dispatch(argv) -> int:
     opts, runner = _SUBCOMMANDS[name]
     parser = _build_parser(name, opts)
     try:
-        ns = parser.parse_args(argv[1:])
-        conf = _merge_config(parser, ns, opts)
-    except SystemExit as exc:
+        return runner(_merge_config(parser, parser.parse_args(argv[1:]), opts))
+    except SystemExit as exc:  # argparse's usage errors and --help
         return int(exc.code or 0)
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
-        return runner(conf)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 def main() -> None:

@@ -311,15 +311,6 @@ def _fit_timespan_probe(view: SampledView, x: np.ndarray, train_nodes: np.ndarra
     return logits[view.local_index_of(eval_nodes)]
 
 
-def _fit_or_failure(*args):
-    """:func:`_fit_timespan_probe`'s logits, or the exception it raised, which
-    :func:`probe_invariance` raises in its timespan's place."""
-    try:
-        return _fit_timespan_probe(*args)
-    except Exception as exc:
-        return exc
-
-
 def probe_invariance(graph: TemporalGraph, labels, s: int,
                      cfg: InvarianceConfig = InvarianceConfig()) -> InvarianceResult:
     """Agreement of independent per-timespan supervised probes.
@@ -329,8 +320,9 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
     shuffled-label control. It picks the timespans to measure and compares
     their predictions of the shared test nodes; each is one fit on its view
     of the train split (:func:`_fit_timespan_probe`), and the fits run as tasks of
-    :func:`tgcl.kernels.map_tasks`. Its warnings, and a failed fit's error, come in
-    timespan order, as a serial loop gives them. Fewer than two is a DataError.
+    :func:`tgcl.kernels.map_tasks`. It warns of every missing timespan, in timespan
+    order, before any fit starts; a failed fit's error is the first in timespan order,
+    raised after every fit is done. Fewer than two measured is a DataError.
     """
     cfg.validate()
     if not 2 <= s <= graph.num_edges:  # more timespans than edges leave some empty
@@ -363,20 +355,16 @@ def probe_invariance(graph: TemporalGraph, labels, s: int,
         y_full = labels_per_span[t]
         train_nodes = np.intersect1d(split.train, view.active, assume_unique=True)
         train_nodes = train_nodes[y_full[train_nodes] >= 0]
-        if not view.is_empty and train_nodes.size and eval_nodes.size:
-            fits[t] = (view, graph.features, train_nodes, y_full[train_nodes], eval_nodes,
-                       num_classes, cfg, t)
-    logits = dict(zip(fits, map_tasks(_fit_or_failure, fits.values())))
-    preds = {}  # measured timespan -> its predictions of eval_nodes
-    for t, view in enumerate(views):  # warnings and a failed fit's error in timespan order
         if view.is_empty:
             warnings.warn(f"timespan {t} has no edges; marked missing")
-        elif t not in logits:
+        elif not (train_nodes.size and eval_nodes.size):
             warnings.warn(f"timespan {t} has no shared labeled nodes; marked missing")
-        elif isinstance(logits[t], Exception):
-            raise logits[t]
         else:
-            preds[t] = np.argmax(logits[t], axis=1)
+            fits[t] = (view, graph.features, train_nodes, y_full[train_nodes], eval_nodes,
+                       num_classes, cfg, t)
+    # measured timespan -> its predictions of eval_nodes
+    preds = {t: np.argmax(logits, axis=1)
+             for t, logits in zip(fits, map_tasks(_fit_timespan_probe, fits.values()))}
 
     if len(preds) < 2:
         raise DataError(f"no pair of timespans to compare: measured {len(preds)} of {s}, the rest "

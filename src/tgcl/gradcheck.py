@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import TemporalGraph, build_graph, slice_interval
+from .kernels import map_tasks
 from .losses import LossConfig, multi_view_loss
 from .model import PARAM_FIELDS, READOUT_STATS, embed_views, init_params, view_entry, view_inputs
 from .training import TrainConfig, contrastive_step, shared_nodes
@@ -105,6 +106,9 @@ def run_grad_check(seed: int = 7, h: float = 1e-5) -> dict:
     """Both loss levels on the fixture, the graph level under every readout
     statistic; returns per-level and worst errors.
 
+    The four settings run as tasks of :func:`tgcl.kernels.map_tasks`; each
+    setting's step and finite differences run serially inside its task.
+
     The graph level's ``per_param`` is each parameter's worst error over
     the statistics, and its ``per_stat`` each statistic's worst error. A
     NaN error (a difference that did not compute) makes every maximum
@@ -112,9 +116,9 @@ def run_grad_check(seed: int = 7, h: float = 1e-5) -> dict:
     """
     if not 0.0 < h < np.inf:
         raise DataError(f"finite-difference step h must be positive and finite, got {h}")
-    node = model_grad_errors(level="node", seed=seed, h=h, stat="mean")  # reads no readout
-    by_stat = {stat: model_grad_errors(level="graph", seed=seed, h=h, stat=stat)
-               for stat in READOUT_STATS}
+    settings = [("node", seed, h, "mean")] + [("graph", seed, h, stat) for stat in READOUT_STATS]
+    node, *graph_errors = map_tasks(model_grad_errors, settings)  # the node level reads no readout
+    by_stat = dict(zip(READOUT_STATS, graph_errors))
     graph = {name: float(np.max([errors[name] for errors in by_stat.values()])) for name in node}
     report = {level: {"per_param": errors, "max": float(np.max(list(errors.values())))}
               for level, errors in (("node", node), ("graph", graph))}

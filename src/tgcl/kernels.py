@@ -16,8 +16,9 @@ A large product is split by rows over the CPUs (:data:`SPLIT_WORK` says which).
 
 :func:`map_tasks` runs independent tasks over the CPUs the process may use,
 on one thread pool: spmm's row blocks, a training step's views and InfoNCE
-pairs, and the invariance probe's timespans. Its callers form every sum on
-the calling thread, in task order, so no output depends on the CPU count.
+pairs, grad-check's four settings and the invariance probe's timespans. It
+raises the first failure in task order. Its callers form every sum on the
+calling thread, in task order, so no output depends on the CPU count.
 """
 
 from __future__ import annotations

@@ -627,18 +627,20 @@ def test_invariance_mlp_encoder_runs():
     assert np.isfinite(res.matrix).all()
 
 
-def test_invariance_missing_timespan_nan():
-    # edges live only in the first and last quarter of the timespan
+def _two_bursts_graph():
+    """30 nodes whose edges live only in the first and last quarter of [0, 4]."""
     rng = np.random.default_rng(0)
     n, m = 30, 400
     src = rng.integers(0, n, size=m)
     dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
     ts = np.where(rng.random(m) < 0.5, rng.uniform(0.0, 1.0, m), rng.uniform(3.0, 4.0, m))
     ts[0], ts[1] = 0.0, 4.0  # pin the bounds
-    from tgcl import build_graph
+    return build_graph(src, dst, ts, labels=(np.arange(n), np.arange(n) % 2),
+                       feature_policy="random", feature_dim=8)
 
-    g = build_graph(src, dst, ts, labels=(np.arange(n), np.arange(n) % 2),
-                    feature_policy="random", feature_dim=8)
+
+def test_invariance_missing_timespan_nan():
+    g = _two_bursts_graph()
     with pytest.warns(UserWarning, match="no edges"):
         res = probe_invariance(g, g.labels, 4, FAST_PROBE)
     assert np.flatnonzero(np.isnan(np.diag(res.matrix))).tolist() == [1, 2]  # marked missing
@@ -647,26 +649,41 @@ def test_invariance_missing_timespan_nan():
     assert res.mean_agreement() == pytest.approx(res.matrix[0, 3])
 
 
-def test_a_failed_fit_raises_in_its_timespans_place_after_the_earlier_warnings(monkeypatch):
-    # timespans 0 and 3 have edges and fail their fits, and 1 and 2 have none.
-    # The fits run on two CPUs, before any warning: timespan 0's error comes
-    # first, and nothing is warned for the empty timespans after it
+def test_every_missing_timespan_is_warned_of_before_the_first_fit_starts(monkeypatch):
+    # of six timespans, 1 has no labeled node and 2 and 3 have no edges; the
+    # three fits run on two CPUs, and each sees all three warnings issued
     monkeypatch.setattr(tgcl.kernels, "_cpu_count", lambda: 2)
-    rng = np.random.default_rng(0)
-    n, m = 30, 400
-    src = rng.integers(0, n, size=m)
-    dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
-    ts = np.where(rng.random(m) < 0.5, rng.uniform(0.0, 1.0, m), rng.uniform(3.0, 4.0, m))
-    ts[0], ts[1] = 0.0, 4.0
-    g = build_graph(src, dst, ts, labels=(np.arange(n), np.arange(n) % 2),
-                    feature_policy="random", feature_dim=8)
-    cfg = replace(FAST_PROBE, epochs=1, lr=1e308)
-    with warnings.catch_warnings(record=True) as seen, \
-            pytest.raises(NumericError, match="probe of timespan 0$"):
+    g = _two_bursts_graph()
+    labels = [g.labels, np.full(g.num_nodes, -1)] + [g.labels] * 4
+    fit, warned = evaluation._fit_timespan_probe, []
+
+    def counted(*args):
+        warned.append(len(seen))
+        return fit(*args)
+
+    monkeypatch.setattr(evaluation, "_fit_timespan_probe", counted)
+    with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
+        res = probe_invariance(g, labels, 6, FAST_PROBE)
+    assert [str(w.message) for w in seen] == ["timespan 1 has no shared labeled nodes; marked missing",
+                                              "timespan 2 has no edges; marked missing",
+                                              "timespan 3 has no edges; marked missing"]
+    assert warned == [3, 3, 3]
+    assert np.flatnonzero(np.isfinite(np.diag(res.matrix))).tolist() == [0, 4, 5]
+
+
+def test_a_failed_fit_raises_after_every_missing_timespan_is_warned_of(monkeypatch):
+    # timespans 0 and 3 have edges and fail their fits, and 1 and 2 have none.
+    # The empty timespans 1 and 2 are warned of before the fits run on two
+    # CPUs; then timespan 0's error, the first in timespan order, is raised
+    monkeypatch.setattr(tgcl.kernels, "_cpu_count", lambda: 2)
+    g = _two_bursts_graph()
+    cfg = replace(FAST_PROBE, epochs=1, lr=1e308)
+    with pytest.warns(UserWarning) as seen, pytest.raises(NumericError, match="probe of timespan 0$"):
         probe_invariance(g, g.labels, 4, cfg)
-    assert seen == []
-    # only timespan 3's fit fails: the empty timespans 1 and 2 warn first
+    assert [str(w.message) for w in seen] == ["timespan 1 has no edges; marked missing",
+                                              "timespan 2 has no edges; marked missing"]
+    # only timespan 3's fit fails: the same warnings, then its error
     fit = evaluation._fit_timespan_probe
 
     def fails_at_3(*args):

@@ -1,8 +1,9 @@
-from unittest import mock
+import json
 
 import numpy as np
 
 import tgcl.gradcheck
+import tgcl.kernels
 import tgcl.model
 from tgcl import fixture_graph, fixture_views, model_grad_errors, run_grad_check
 from tgcl.gradcheck import max_relative_error
@@ -84,10 +85,33 @@ def test_a_nan_error_makes_every_maximum_above_it_nan(monkeypatch):
 def test_grad_check_takes_each_views_inputs_twice_per_setting(monkeypatch):
     # four settings (node level, graph level under three readouts) of two
     # views: each view's P0 rows are taken once for the finite differences'
-    # forwards and once by the step, however small the difference step
-    counted = mock.Mock(wraps=tgcl.model.adj_matmul)
+    # forwards and once by the step, however small the difference step. The
+    # settings may run on several threads, so each call appends to a list
+    calls, adj_matmul = [], tgcl.model.adj_matmul
+
+    def counted(*args):
+        calls.append(args)
+        return adj_matmul(*args)
+
     monkeypatch.setattr(tgcl.model, "adj_matmul", counted)
     for h in (1e-5, 1e-3):
-        counted.reset_mock()
+        calls.clear()
         run_grad_check(h=h)
-        assert counted.call_count == 16
+        assert len(calls) == 16
+
+
+def test_each_grad_check_setting_is_one_pool_task(monkeypatch):
+    # on two CPUs, every setting runs inside a task of the pool, its own step
+    # and differences serially; the report is the one-CPU report, byte for byte
+    monkeypatch.setattr(tgcl.kernels, "_cpu_count", lambda: 1)
+    serial = json.dumps(run_grad_check())
+    in_task, errors = [], tgcl.gradcheck.model_grad_errors
+
+    def recorded(*args, **kwargs):
+        in_task.append(tgcl.kernels._in_task.get())
+        return errors(*args, **kwargs)
+
+    monkeypatch.setattr(tgcl.gradcheck, "model_grad_errors", recorded)
+    monkeypatch.setattr(tgcl.kernels, "_cpu_count", lambda: 2)
+    assert json.dumps(run_grad_check()) == serial
+    assert in_task == [True] * 4
