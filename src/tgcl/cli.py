@@ -376,9 +376,7 @@ def _run_linear_eval(conf: dict) -> int:
 
 
 def _run_probe_invariance(conf: dict) -> int:
-    graph = _load_graph_from_conf(conf)
-    if graph.labels is None:
-        raise DataError("probe-invariance requires a labels file")
+    graph = _load_graph_from_conf(conf)  # --labels is required, so graph.labels is set
     cfg = InvarianceConfig(
         epochs=conf["epochs"], lr=conf["lr"], weight_decay=conf["weight_decay"],
         encoder=conf["encoder"], ratios=conf["ratios"], seed=conf["seed"],

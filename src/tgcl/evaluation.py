@@ -118,6 +118,7 @@ def train_linear_probe(
     ``epochs`` is an upper bound: the fit stops at the first epoch whose
     validation accuracy is 1.0, epoch 0 included, since no later epoch
     can beat it. The returned probe is the one a full-length run returns.
+    Validation scores that are not finite raise NumericError, naming the epoch.
     """
     if epochs < 0:
         raise DataError(f"probe epochs must be non-negative, got {epochs}")
@@ -142,24 +143,28 @@ def train_linear_probe(
     params, grads = {"probe": theta}, {"probe": grad}
     state = AdamState(lr=lr, weight_decay=weight_decay)
 
-    def val_accuracy():
+    def val_accuracy(epoch):
         scores = x_val @ w
         scores += b
+        if not np.isfinite(scores).all():
+            raise NumericError(f"non-finite validation scores from the linear probe "
+                               f"at epoch {epoch}")
         return np.count_nonzero(scores.argmax(axis=1) == y_val) / y_val.size
 
-    best_acc, best_epoch, best = val_accuracy(), 0, theta.copy()
-    for epoch in range(1, epochs + 1):
-        if best_acc == 1.0:
-            break
-        scores = x_train @ w
-        scores += b
-        _, g_logits = softmax_cross_entropy(scores, y_train)
-        np.matmul(x_train.T, g_logits, out=grad[:d])
-        g_logits.sum(axis=0, out=grad[d])
-        adam_step(params, grads, state)
-        acc = val_accuracy()
-        if acc > best_acc:
-            best_acc, best_epoch, best = acc, epoch, theta.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by val_accuracy and adam_step
+        best_acc, best_epoch, best = val_accuracy(0), 0, theta.copy()
+        for epoch in range(1, epochs + 1):
+            if best_acc == 1.0:
+                break
+            scores = x_train @ w
+            scores += b
+            _, g_logits = softmax_cross_entropy(scores, y_train)
+            np.matmul(x_train.T, g_logits, out=grad[:d])
+            g_logits.sum(axis=0, out=grad[d])
+            adam_step(params, grads, state)
+            acc = val_accuracy(epoch)
+            if acc > best_acc:
+                best_acc, best_epoch, best = acc, epoch, theta.copy()
     return LinearProbe(w=best[:d], b=best[d], best_epoch=best_epoch)
 
 
@@ -216,23 +221,24 @@ def classification_report(y_true: np.ndarray, y_pred: np.ndarray, num_classes: i
 
 def evaluate(probe: LinearProbe, embeddings: np.ndarray, labels: np.ndarray,
              split: SplitSpec) -> EvalReport:
-    """Score the probe on the test split."""
+    """Score the probe on the test split; scores that are not finite raise NumericError."""
     if split.test.size == 0:
         raise DataError("empty test split")
-    y_true = labels[split.test]
-    y_pred = probe.predict(embeddings[split.test])
-    return classification_report(y_true, y_pred, probe.num_classes)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scores = embeddings[split.test] @ probe.w + probe.b
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite test scores from the linear probe")
+    return classification_report(labels[split.test], np.argmax(scores, axis=1), probe.num_classes)
 
 
 @dataclass(frozen=True)
 class InvarianceConfig:
-    """Protocol knobs for the per-timespan supervised probe."""
+    """Protocol knobs for the per-timespan supervised probe. Its encoder has
+    :func:`tgcl.model.init_params`' default widths, 128 hidden and 64 out."""
 
     epochs: int = 150
     lr: float = 1e-2
     weight_decay: float = 5e-4
-    d_hidden: int = 128
-    d_out: int = 64
     encoder: str = "gcn"
     ratios: tuple = (1, 1, 8)
     seed: int = 0
@@ -242,9 +248,6 @@ class InvarianceConfig:
             raise DataError(f"unknown probe encoder {self.encoder!r}; expected one of {PROBE_ENCODERS}")
         if self.epochs < 1 or not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
             raise DataError("probe epochs must be >= 1 and rates finite, lr > 0, weight decay >= 0")
-        if self.d_hidden < 1 or self.d_out < 1:
-            raise DataError(f"probe layer widths must be at least 1, got d_hidden {self.d_hidden} "
-                            f"and d_out {self.d_out}")
         if self.seed < 0:
             raise DataError(f"probe seed must be non-negative, got {self.seed}")
         return self
@@ -281,31 +284,30 @@ def _fit_timespan_probe(view: SampledView, x: np.ndarray, train_nodes: np.ndarra
     order). Its rows come from :func:`view_inputs`. It opens its own errstate and raises its
     own NumericError, naming the timespan, so a fit behaves the same on any thread."""
     base = np.random.default_rng([cfg.seed, 31, stream])
-    params = init_params(x.shape[1], cfg.d_hidden, cfg.d_out, seed=int(base.integers(2 ** 31)))
-    head_w = glorot(base, cfg.d_out, num_classes)
-    head_b = np.zeros(num_classes)
+    params = init_params(x.shape[1], seed=int(base.integers(2 ** 31)))
+    d = params.d_out
+    head = np.vstack([glorot(base, d, num_classes), np.zeros(num_classes)])  # W over b
+    w, b = head[:d], head[d]
     entry = (view_entry(view, x) if cfg.encoder == "gcn"
              else ViewEntry(view, sp.eye_array(view.num_active, format="csr"), x))
 
-    trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2,
-                 "head_w": head_w, "head_b": head_b}
+    trainable = {"gcn_w1": params.gcn_w1, "gcn_w2": params.gcn_w2, "head": head}
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     field, train_h, _ = view_inputs(entry, train_nodes, False)  # every epoch encodes the same rows
     with np.errstate(over="ignore", invalid="ignore"):  # checked below and by adam_step
         for _ in range(cfg.epochs):
             h, cache = encode(field, params)
-            _, g_logits = softmax_cross_entropy(h[train_h] @ head_w + head_b, y_train)
+            _, g_logits = softmax_cross_entropy(h[train_h] @ w + b, y_train)
             g_h = np.zeros_like(h)
-            g_h[train_h] = g_logits @ head_w.T
-            enc_grads = encode_backward(g_h, cache, params)
-            grads = {"gcn_w1": enc_grads["gcn_w1"], "gcn_w2": enc_grads["gcn_w2"],
-                     "head_w": h[train_h].T @ g_logits, "head_b": g_logits.sum(axis=0)}
+            g_h[train_h] = g_logits @ w.T
+            grads = encode_backward(g_h, cache, params)
+            grads["head"] = np.vstack([h[train_h].T @ g_logits, g_logits.sum(axis=0)])
             try:
                 adam_step(trainable, grads, state)
             except NumericError as exc:
                 raise NumericError(f"{exc} in the probe of timespan {stream}") from exc
         h, _ = encode(view_inputs(entry, view.active, False)[0], params)  # Â itself
-        logits = h @ head_w + head_b
+        logits = h @ w + b
     if not np.isfinite(logits).all():
         raise NumericError(f"non-finite logits from the probe of timespan {stream}")
     return logits[view.local_index_of(eval_nodes)]

@@ -9,6 +9,7 @@ bit-identical loss sequences and checkpoints in 64-bit mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -142,26 +143,23 @@ def train(graph: TemporalGraph, cfg: TrainConfig):
 
     Per epoch: sample v windows, slice views, intersect active sets, draw
     the minibatch, take a :func:`contrastive_step`, Adam step. A window drawn
-    again while it is among the last s distinct ones reuses its view and
-    adjacency. A checkpoint is written to cfg.checkpoint_path after the final
-    epoch (and every checkpoint_every epochs when set); non-finite weights
-    raise NumericError instead.
+    again while it is among the s windows drawn most recently (an LRU cache)
+    reuses its view and adjacency. A checkpoint is written to
+    cfg.checkpoint_path after the final epoch (and every checkpoint_every
+    epochs when set); non-finite weights raise NumericError instead.
     """
     cfg.validate()
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=cfg.seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = TrainLog()
-    entries = {}  # (lo, hi) -> ViewEntry of the last s distinct windows drawn
+    entry_of = functools.lru_cache(maxsize=cfg.sampler.s)(  # (lo, hi) -> ViewEntry
+        lambda lo, hi: view_entry(slice_interval(graph, lo, hi), graph.features))
+    drawn = []
 
     for epoch in range(1, cfg.epochs + 1):
         windows = sample_windows(graph, cfg.sampler, epoch, cfg.seed)
-        drawn = []
-        for w in windows:
-            if (w.lo, w.hi) not in entries:
-                entries[w.lo, w.hi] = view_entry(slice_interval(graph, w.lo, w.hi), graph.features)
-                if len(entries) > cfg.sampler.s:
-                    del entries[next(iter(entries))]  # the oldest
-            drawn.append(entries[w.lo, w.hi])
+        drawn.clear()  # so a view the cache let go is freed before new ones are sliced
+        drawn.extend(entry_of(w.lo, w.hi) for w in windows)
         shared = shared_nodes([entry.view for entry in drawn])
         batch_rng = np.random.default_rng([cfg.seed, epoch, 101])
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import pytest
 import tgcl
 from tgcl import (
     DataError,
+    InvarianceConfig,
     InvarianceResult,
     LossConfig,
     SamplerConfig,
@@ -21,9 +24,12 @@ from tgcl import (
     generate_synthetic,
     load_params,
     load_temporal_graph,
+    make_split,
+    run_grad_check,
     sample_windows,
     save_params,
     train,
+    train_linear_probe,
 )
 from tgcl import cli
 from tgcl.cli import dispatch
@@ -698,6 +704,12 @@ def test_probe_invariance_that_measures_no_pair_exits_2(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["linear-eval", "probe-invariance"])
+def test_ratios_of_two_parts_are_a_usage_error(tmp_path, capsys, command):
+    assert dispatch([command, "--ratios", "1:2"]) == 1
+    assert "ratios must look like 1:1:8, got '1:2'" in capsys.readouterr().err
+
+
 def test_probe_invariance_cli(tmp_path, capsys):
     edges, labels = _synth(tmp_path, n=40, events=500)
     out = tmp_path / "matrix.csv"
@@ -720,6 +732,17 @@ def test_grad_check_cli(capsys):
     assert "max relative gradient error" in out
     err = r"\d\.\d{3}e-\d\d"
     assert re.search(f"graph {err}: mean {err}, max {err}, sum {err}\\)", out), out
+
+
+def test_grad_check_out_writes_the_report_and_its_resolved_config(tmp_path, capsys):
+    out = tmp_path / "checks" / "grad_check.json"
+    assert dispatch(["grad-check", "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert {"node", "graph", "worst"} <= report.keys() and report["worst"] < 1e-4
+    resolved = (out.parent / "config.grad-check.resolved").read_text().splitlines()
+    assert resolved[0] == "# command=grad-check"
+    assert resolved[2:] == ["h=1e-05", f"out={out}", "seed=7", "tol=0.0001"]
 
 
 def test_grad_check_tol_failure(capsys):
@@ -804,6 +827,34 @@ def test_linear_eval_exits_3_when_a_squared_gradient_overflows(tmp_path, capsys)
     assert dispatch(["linear-eval", "--embeddings", str(emb), "--labels", str(labels),
                      "--out", str(out)]) == 3
     assert "squared grad[probe]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epochs,warnings_flag", [(None, None), ("1", None),
+                                                   (None, "error::RuntimeWarning"),
+                                                   ("1", "error::RuntimeWarning")])
+def test_linear_eval_exits_3_on_overflowing_scores_without_a_numpy_warning(tmp_path, epochs,
+                                                                           warnings_flag):
+    # one Adam step at 1e308 moves every weight by ~1e308, so the validation
+    # scores of ~10-sized embeddings overflow at epoch 1; a child process shows
+    # whatever NumPy would print, and its exit code
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{i},{i % 3 + 9}.0,{i % 7 + 5}.0\n" for i in range(120)), encoding="utf-8")
+    labels = tmp_path / "l.csv"
+    labels.write_text("".join(f"{i},{i % 3}\n" for i in range(120)), encoding="utf-8")
+    out = tmp_path / "r.json"
+    argv = ["linear-eval", "--embeddings", str(emb), "--labels", str(labels), "--out", str(out),
+            "--lr", "1e308", *(["--epochs", epochs] if epochs else [])]
+    src = str(Path(tgcl.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if warnings_flag:
+        env["PYTHONWARNINGS"] = warnings_flag
+    proc = subprocess.run([sys.executable, "-m", "tgcl.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("numeric failure: non-finite validation scores from the linear probe "
+                           "at epoch 1\n")
     assert not out.exists()
 
 
@@ -948,3 +999,45 @@ def test_module_entrypoint_subprocess():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+_FEATURE_DEFAULTS = {o: (load_temporal_graph, o.replace("-", "_"))
+                     for o in ("feature-policy", "feature-dim", "feature-seed")}
+
+# subcommand -> option -> (the library function or config class the option
+# feeds, the parameter or field it sets)
+_LIBRARY_DEFAULTS = {
+    "train": {
+        **{o: (SamplerConfig, o) for o in ("strategy", "s", "v")},
+        "level": (LossConfig, "level"), "tau": (LossConfig, "tau"),
+        **{o: (TrainConfig, o.replace("-", "_"))
+           for o in ("epochs", "seed", "lr", "weight-decay", "batch-size", "d-hidden", "d-out",
+                     "batches-per-epoch", "checkpoint-every")},
+        "readout": (TrainConfig, "readout_stat"),
+        **_FEATURE_DEFAULTS,
+    },
+    "probe-invariance": {
+        **{o: (InvarianceConfig, o.replace("-", "_"))
+           for o in ("seed", "epochs", "lr", "weight-decay", "encoder", "ratios")},
+        **_FEATURE_DEFAULTS,
+    },
+    "linear-eval": {"ratios": (make_split, "ratios"), "seed": (make_split, "seed"),
+                    **{o: (train_linear_probe, o.replace("-", "_"))
+                       for o in ("epochs", "lr", "weight-decay")}},
+    "grad-check": {"seed": (run_grad_check, "seed"), "h": (run_grad_check, "h")},
+    "synth": {"seed": (generate_synthetic, "seed")},
+}
+
+
+def _library_default(owner, name):
+    if dataclasses.is_dataclass(owner):
+        return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+    return inspect.signature(owner).parameters[name].default
+
+
+@pytest.mark.parametrize("command,option", [(c, o) for c, opts in _LIBRARY_DEFAULTS.items()
+                                            for o in opts])
+def test_a_cli_default_is_the_library_default_it_feeds(command, option):
+    owner, name = _LIBRARY_DEFAULTS[command][option]
+    cli_default, library_default = cli._SUBCOMMANDS[command][0][option][1], _library_default(owner, name)
+    assert (cli_default, type(cli_default)) == (library_default, type(library_default))

@@ -15,6 +15,8 @@ from tgcl import (
     AdamState,
     DataError,
     InvarianceConfig,
+    InvarianceResult,
+    LinearProbe,
     NumericError,
     adam_step,
     build_graph,
@@ -323,6 +325,39 @@ def test_probe_raises_when_a_squared_gradient_overflows():
         train_linear_probe(x * 1e160, labels, split)
 
 
+def _overflowing_probe_inputs():
+    """120 nodes of 3 classes whose embeddings are about 10 in size: one Adam
+    step at a learning rate of 1e308 moves every weight by about 1e308, so
+    every later product overflows."""
+    labels = np.arange(120) % 3
+    x = np.stack([labels + 9.0, np.arange(120) % 7 + 5.0], axis=1)
+    return x, labels, make_split(labels, (1, 1, 8), seed=0)
+
+
+@pytest.mark.filterwarnings("error")  # the probe's own check reports, not a NumPy warning
+@pytest.mark.parametrize("epochs", [1, 200])
+def test_probe_raises_on_non_finite_validation_scores_naming_the_epoch(epochs):
+    x, labels, split = _overflowing_probe_inputs()
+    with pytest.raises(NumericError, match="non-finite validation scores from the linear probe "
+                                           "at epoch 1$"):
+        train_linear_probe(x, labels, split, lr=1e308, epochs=epochs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_raises_on_non_finite_test_scores():
+    x, labels, split = _overflowing_probe_inputs()
+    probe = LinearProbe(w=np.full((2, 3), 1e308), b=np.zeros(3), best_epoch=1)
+    with pytest.raises(NumericError, match="non-finite test scores from the linear probe"):
+        evaluate(probe, x, labels, split)
+
+
+def test_evaluate_rejects_an_empty_test_split():
+    x, labels, split = _overflowing_probe_inputs()
+    probe = train_linear_probe(x, labels, split, epochs=0)
+    with pytest.raises(DataError, match="empty test split"):
+        evaluate(probe, x, labels, SplitSpec(train=split.train, val=split.val, test=split.test[:0]))
+
+
 def test_report_hand_confusion_oracle():
     y_true = np.array([0, 0, 1, 1, 2])
     y_pred = np.array([0, 1, 1, 1, 2])
@@ -538,12 +573,15 @@ def test_invariance_config_validation():
         InvarianceConfig(encoder="tree").validate()
     with pytest.raises(DataError, match="epochs"):
         InvarianceConfig(epochs=0).validate()
-    with pytest.raises(DataError, match="layer widths"):
-        InvarianceConfig(d_hidden=0).validate()
-    with pytest.raises(DataError, match="layer widths"):
-        InvarianceConfig(d_out=0).validate()
     with pytest.raises(DataError, match="seed must be non-negative"):
         InvarianceConfig(seed=-1).validate()
+
+
+def test_mean_agreement_without_a_finite_off_diagonal_entry_is_nan():
+    # only diagonal entries are finite: there is no pair to average
+    matrix = np.full((3, 3), np.nan)
+    matrix[0, 0] = matrix[2, 2] = 1.0
+    assert math.isnan(InvarianceResult(matrix=matrix, eval_nodes=np.arange(4)).mean_agreement())
 
 
 def _probe_fixture(seed=1):
@@ -551,7 +589,7 @@ def _probe_fixture(seed=1):
                               feature_policy="random", feature_dim=16)
 
 
-FAST_PROBE = InvarianceConfig(epochs=20, d_hidden=16, d_out=8, ratios=(2, 1, 7))
+FAST_PROBE = InvarianceConfig(epochs=20, ratios=(2, 1, 7))
 
 
 def test_invariance_matrix_shape_and_bounds():
@@ -622,7 +660,7 @@ def test_invariance_probe_takes_two_fields_per_timespan(monkeypatch, encoder):
 
 def test_invariance_mlp_encoder_runs():
     g = _probe_fixture()
-    cfg = InvarianceConfig(epochs=10, d_hidden=16, d_out=8, ratios=(2, 1, 7), encoder="mlp")
+    cfg = InvarianceConfig(epochs=10, ratios=(2, 1, 7), encoder="mlp")
     res = probe_invariance(g, g.labels, 2, cfg)
     assert np.isfinite(res.matrix).all()
 
@@ -725,10 +763,9 @@ def _full_height_probe(view, x, y_train, train_local, num_classes, cfg, stream):
     """The timespan probe with a dense Â and the encoder run on every row,
     forward and backward: the oracle for the compact rows of h."""
     base = np.random.default_rng([cfg.seed, 31, stream])
-    params = init_params(x.shape[1], cfg.d_hidden, cfg.d_out,
-                         seed=int(base.integers(2 ** 31)))
-    limit = np.sqrt(6.0 / (cfg.d_out + num_classes))
-    head_w = base.uniform(-limit, limit, size=(cfg.d_out, num_classes))
+    params = init_params(x.shape[1], seed=int(base.integers(2 ** 31)))
+    limit = np.sqrt(6.0 / (params.d_out + num_classes))
+    head_w = base.uniform(-limit, limit, size=(params.d_out, num_classes))
     head_b = np.zeros(num_classes)
     a = normalize_adjacency(view).toarray()
     p0 = a @ x[view.active]
@@ -754,7 +791,7 @@ def test_timespan_probe_unsorted_train_rows_match_the_full_height_path():
     view = slice_interval(g, g.t_min, g.t_max)
     train_local = np.array([17, 3, 36, 21, 8, 29, 0])
     y_train = g.labels[view.active[train_local]]
-    cfg = InvarianceConfig(epochs=5, d_hidden=16, d_out=8)
+    cfg = InvarianceConfig(epochs=5)
     got = _fit_timespan_probe(view, g.features, view.active[train_local], y_train, view.active,
                               2, cfg, stream=1)
     want = _full_height_probe(view, g.features, y_train, train_local, 2, cfg, stream=1)

@@ -180,6 +180,19 @@ def test_slice_disjoint_window_is_empty(tmp_path):
     assert g.features[view.active].shape[0] == 0
 
 
+def test_slice_rejects_a_window_whose_lo_exceeds_its_hi(tmp_path):
+    g = load_temporal_graph(_write(tmp_path, "e.csv", "0,1,1.0\n1,2,2.0\n2,0,3.0\n"))
+    with pytest.raises(DataError, match="window lo 2.5 > hi 1.5"):
+        slice_interval(g, 2.5, 1.5)
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_to_snapshots_needs_at_least_one_snapshot(tmp_path, s):
+    g = load_temporal_graph(_write(tmp_path, "e.csv", "0,1,1.0\n1,2,2.0\n2,0,3.0\n"))
+    with pytest.raises(DataError, match=f"snapshot count must be >= 1, got {s}"):
+        to_snapshots(g, s)
+
+
 def test_slice_brute_force_count(tmp_path):
     rng = np.random.default_rng(11)
     ts = rng.uniform(0, 100, size=100)

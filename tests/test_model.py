@@ -670,6 +670,14 @@ def test_checkpoint_truncated(tmp_path):
         load_params(p)
 
 
+def test_a_checkpoint_header_over_one_mib_is_a_data_error(tmp_path):
+    params = init_params(7, 5, 3, seed=9)
+    p = tmp_path / "p.ckpt"
+    save_params(p, params, meta={"note": "x" * (1 << 20)})
+    with pytest.raises(DataError, match=f"checkpoint header exceeds {1 << 20} bytes"):
+        load_params(p)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -145,16 +145,35 @@ def test_train_slices_a_window_only_when_it_left_the_cache(monkeypatch, strategy
 
     monkeypatch.setattr(training, "slice_interval", counting_slice)
     _, log = train(GRAPH, _small_cfg(sampler=SamplerConfig(strategy, s, v), epochs=8))
-    cached, expect = [], []  # the last s distinct windows, oldest first
+    cached, expect = [], []  # the s windows drawn most recently, least recent first
     for record in log.records:
         for w in record.windows:
             if (w.lo, w.hi) not in cached:
                 expect.append((w.lo, w.hi))
-                cached = (cached + [(w.lo, w.hi)])[-s:]
+            cached = ([key for key in cached if key != (w.lo, w.hi)] + [(w.lo, w.hi)])[-s:]
     assert sliced == expect
     assert most_alive[0] <= s  # evicted views are let go
     if strategy == "sequential":
         assert len(sliced) == s
+
+
+def test_train_keeps_the_windows_drawn_most_recently(monkeypatch):
+    # windows A B C A D A over three epochs at s = 3: A's hit makes B the
+    # least recent, so D evicts B and the last A hits again. A cache that
+    # evicts the oldest entry instead would let A go for D and slice it twice
+    spans = dict(A=(0.0, 6.0), B=(2.0, 8.0), C=(4.0, 10.0), D=(6.0, 12.0))
+    script = {1: "AB", 2: "CA", 3: "DA"}
+    monkeypatch.setattr(training, "sample_windows", lambda graph, cfg, epoch, seed: [
+        ViewWindow((spans[k][0] + spans[k][1]) / 2, *spans[k]) for k in script[epoch]])
+    sliced = []
+
+    def counting_slice(graph, lo, hi):
+        sliced.append((lo, hi))
+        return slice_interval(graph, lo, hi)
+
+    monkeypatch.setattr(training, "slice_interval", counting_slice)
+    train(GRAPH, _small_cfg(sampler=SamplerConfig("random", 3, 2), epochs=3))
+    assert sliced == [spans[k] for k in "ABCD"]
 
 
 def test_train_loss_decreases_on_average():
