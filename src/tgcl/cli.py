@@ -9,11 +9,18 @@ precedence is flags > config file > built-in defaults, and the fully
 resolved settings are written next to each subcommand's outputs (train's
 as `config.resolved`, the others' as `config.<subcommand>.resolved`) so
 any run can be reproduced from its artifacts alone.
+
+An option that sets a library value defaults to the library's own default
+(a config class field or a function parameter), read when the option
+tables are built. train and probe-invariance share one table of graph
+inputs: --edges, --features and the synthesized-feature settings
+--feature-policy, --feature-dim and --feature-seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -58,14 +65,26 @@ def _ratios(text: str):
         raise argparse.ArgumentTypeError(f"ratios must be integers, got {text!r}")
 
 
+def _defaults(fn) -> dict:
+    """fn's parameter defaults by name."""
+    return {name: param.default for name, param in inspect.signature(fn).parameters.items()}
+
+
+# the library defaults the options feed: each option that sets a library
+# value defaults to that value, read here once, so the CLI holds no copy
+_SAMPLER, _TRAIN, _INVARIANCE = SamplerConfig(), TrainConfig(), InvarianceConfig()
+_LOAD, _SPLIT, _LINEAR = (_defaults(load_temporal_graph), _defaults(make_split),
+                          _defaults(train_linear_probe))
+_GRAD = _defaults(gradcheck.run_grad_check)
+
 # option tables: name -> (type, default, help[, choices]); _REQUIRED means
 # the value must arrive via flag or config file, and a value outside the
 # choices is rejected from either
 _SAMPLE_OPTS = {
     "edges": (str, _REQUIRED, "edges csv (src,dst,timestamp) defining the timespan"),
-    "strategy": (str, "sequential", "sampling strategy", STRATEGIES),
-    "s": (int, 4, "number of timespans the span is divided into"),
-    "v": (int, 2, "number of views per epoch"),
+    "strategy": (str, _SAMPLER.strategy, "sampling strategy", STRATEGIES),
+    "s": (int, _SAMPLER.s, "number of timespans the span is divided into"),
+    "v": (int, _SAMPLER.v, "number of views per epoch"),
     "seed": (int, 0, "sampling seed"),
     "epochs": (int, 1, "emit windows for epochs 1..E"),
     "out": (str, None, "write windows here instead of stdout"),
@@ -77,34 +96,42 @@ _SYNTH_OPTS = {
     "T": (float, _REQUIRED, "timespan length"),
     "events": (int, _REQUIRED, "number of temporal edges"),
     "ratio-in-out": (float, _REQUIRED, "intra/inter community weight ratio"),
-    "seed": (int, 0, "generator seed"),
+    "seed": (int, _defaults(generate_synthetic)["seed"], "generator seed"),
     "out-prefix": (str, _REQUIRED, "output path prefix"),
 }
 
-_TRAIN_OPTS = {
+# the graph inputs of train and probe-invariance, read by _load_graph_from_conf
+# (embed's features follow its checkpoint instead)
+_GRAPH_OPTS = {
     "edges": (str, _REQUIRED, "edges csv"),
     "features": (str, None, "optional node features csv"),
+    "feature-policy": (str, _LOAD["feature_policy"],
+                       "synthesized-feature policy when no features file", FEATURE_POLICIES),
+    "feature-dim": (int, _LOAD["feature_dim"], "synthesized feature dimension"),
+    "feature-seed": (int, _LOAD["feature_seed"], "synthesized feature seed"),
+}
+
+_TRAIN_OPTS = {
+    **_GRAPH_OPTS,
     "labels": (str, None, "optional labels csv; training reads no label, its ids join the node table"),
-    "strategy": (str, "sequential", "sampling strategy", STRATEGIES),
-    "s": (int, 4, "timespan count"),
-    "v": (int, 2, "views per epoch"),
-    "level": (str, "node", "contrastive level", LOSS_LEVELS),
-    "tau": (float, 0.5, "InfoNCE temperature"),
-    "epochs": (int, 100, "training epochs"),
-    "seed": (int, 0, "master seed"),
+    "strategy": (str, _TRAIN.sampler.strategy, "sampling strategy", STRATEGIES),
+    "s": (int, _TRAIN.sampler.s, "timespan count"),
+    "v": (int, _TRAIN.sampler.v, "views per epoch"),
+    "level": (str, _TRAIN.loss.level, "contrastive level", LOSS_LEVELS),
+    "tau": (float, _TRAIN.loss.tau, "InfoNCE temperature"),
+    "epochs": (int, _TRAIN.epochs, "training epochs"),
+    "seed": (int, _TRAIN.seed, "master seed"),
     "out": (str, _REQUIRED, "output directory"),
-    "lr": (float, 4e-3, "Adam learning rate"),
-    "weight-decay": (float, 5e-4, "L2 weight decay"),
-    "batch-size": (int, 256, "minibatch size"),
-    "d-hidden": (int, 128, "encoder hidden width"),
-    "d-out": (int, 64, "embedding width"),
-    "readout": (str, "mean", "neighborhood statistic; read at graph level only", READOUT_STATS),
-    "feature-policy": (str, "degree-buckets", "synthesized-feature policy when no features file",
-                       FEATURE_POLICIES),
-    "feature-dim": (int, 32, "synthesized feature dimension"),
-    "feature-seed": (int, 0, "synthesized feature seed"),
-    "batches-per-epoch": (int, 1, "optimizer steps per epoch"),
-    "checkpoint-every": (int, 0, "also checkpoint every K epochs (0: only final)"),
+    "lr": (float, _TRAIN.lr, "Adam learning rate"),
+    "weight-decay": (float, _TRAIN.weight_decay, "L2 weight decay"),
+    "batch-size": (int, _TRAIN.batch_size, "minibatch size"),
+    "d-hidden": (int, _TRAIN.d_hidden, "encoder hidden width"),
+    "d-out": (int, _TRAIN.d_out, "embedding width"),
+    "readout": (str, _TRAIN.readout_stat, "neighborhood statistic; read at graph level only",
+                READOUT_STATS),
+    "batches-per-epoch": (int, _TRAIN.batches_per_epoch, "optimizer steps per epoch"),
+    "checkpoint-every": (int, _TRAIN.checkpoint_every,
+                         "also checkpoint every K epochs (0: only final)"),
 }
 
 _EMBED_OPTS = {
@@ -117,34 +144,32 @@ _EMBED_OPTS = {
 _EVAL_OPTS = {
     "embeddings": (str, _REQUIRED, "embeddings csv from embed"),
     "labels": (str, _REQUIRED, "labels csv"),
-    "ratios": (_ratios, (1, 1, 8), "train:val:test ratios"),
-    "seed": (int, 0, "split seed"),
+    "ratios": (_ratios, _SPLIT["ratios"], "train:val:test ratios"),
+    "seed": (int, _SPLIT["seed"], "split seed"),
     "out": (str, _REQUIRED, "report json path"),
-    "epochs": (int, 200, "probe epochs, an upper bound: the probe stops once validation "
-                         "accuracy is 1.0, with the result a full-length run gives"),
-    "lr": (float, 1e-2, "probe learning rate"),
-    "weight-decay": (float, 1e-4, "probe weight decay"),
+    "epochs": (int, _LINEAR["epochs"], "probe epochs, an upper bound: the probe stops once "
+                                       "validation accuracy is 1.0, with the result a "
+                                       "full-length run gives"),
+    "lr": (float, _LINEAR["lr"], "probe learning rate"),
+    "weight-decay": (float, _LINEAR["weight_decay"], "probe weight decay"),
 }
 
 _PROBE_OPTS = {
-    "edges": (str, _REQUIRED, "edges csv"),
+    **_GRAPH_OPTS,
     "labels": (str, _REQUIRED, "labels csv"),
     "s": (int, _REQUIRED, "number of sequential timespans"),
-    "seed": (int, 0, "probe seed"),
+    "seed": (int, _INVARIANCE.seed, "probe seed"),
     "out": (str, _REQUIRED, "agreement matrix csv path"),
-    "epochs": (int, 150, "supervised epochs per timespan"),
-    "lr": (float, 1e-2, "supervised learning rate"),
-    "weight-decay": (float, 5e-4, "supervised weight decay"),
-    "encoder": (str, "gcn", "probe encoder", PROBE_ENCODERS),
-    "ratios": (_ratios, (1, 1, 8), "split ratios"),
-    "feature-policy": (str, "degree-buckets", "synthesized-feature policy", FEATURE_POLICIES),
-    "feature-dim": (int, 32, "synthesized feature dimension"),
-    "feature-seed": (int, 0, "synthesized feature seed"),
+    "epochs": (int, _INVARIANCE.epochs, "supervised epochs per timespan"),
+    "lr": (float, _INVARIANCE.lr, "supervised learning rate"),
+    "weight-decay": (float, _INVARIANCE.weight_decay, "supervised weight decay"),
+    "encoder": (str, _INVARIANCE.encoder, "probe encoder", PROBE_ENCODERS),
+    "ratios": (_ratios, _INVARIANCE.ratios, "split ratios"),
 }
 
 _GRADCHECK_OPTS = {
-    "seed": (int, 7, "fixture seed"),
-    "h": (float, 1e-5, "finite-difference step"),
+    "seed": (int, _GRAD["seed"], "fixture seed"),
+    "h": (float, _GRAD["h"], "finite-difference step"),
     "tol": (float, 1e-4, "pass threshold on max relative error"),
     "out": (str, None, "optional json report path"),
 }
@@ -227,13 +252,18 @@ def _write(path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _resolved(conf: dict) -> dict:
+    """The set options as a config file spells them: option name -> value
+    text, in sorted order; unset options are left out."""
+    return {key.replace("_", "-"): _fmt_value(value)
+            for key, value in sorted(conf.items()) if value is not None}
+
+
 def _write_resolved(directory: Path, command: str, conf: dict) -> None:
     """Write the settings as a config file that --config reads back, train's as
-    config.resolved: unset options are left out, the command and version are comments."""
+    config.resolved; the command and version are comments."""
     lines = [f"# command={command}\n", f"# version={__version__}\n"]
-    for key in sorted(conf):
-        if conf[key] is not None:
-            lines.append(f"{key.replace('_', '-')}={_fmt_value(conf[key])}\n")
+    lines += [f"{key}={value}\n" for key, value in _resolved(conf).items()]
     name = "config.resolved" if command == "train" else f"config.{command}.resolved"
     _write(directory / name, "".join(lines))
 
@@ -276,8 +306,8 @@ def _run_synth(conf: dict) -> int:
 def _load_graph_from_conf(conf: dict):
     return load_temporal_graph(
         conf["edges"],
-        features_path=conf.get("features"),
-        labels_path=conf.get("labels"),
+        features_path=conf["features"],
+        labels_path=conf["labels"],
         feature_policy=conf["feature_policy"],
         feature_dim=conf["feature_dim"],
         feature_seed=conf["feature_seed"],
@@ -364,10 +394,9 @@ def _run_linear_eval(conf: dict) -> int:
     split = make_split(labels, ratios=conf["ratios"], seed=conf["seed"])
     probe = train_linear_probe(table, labels, split, lr=conf["lr"],
                                weight_decay=conf["weight_decay"], epochs=conf["epochs"])
-    echo = {k.replace("_", "-"): _fmt_value(v) for k, v in sorted(conf.items())}
     report = evaluate(probe, table, labels, split)
     out = Path(conf["out"])
-    body = {**report.as_dict(), "config": echo}
+    body = {**report.as_dict(), "config": _resolved(conf)}
     _write(out, json.dumps(body, sort_keys=True, indent=2) + "\n")
     _write_resolved(out.parent, "linear-eval", conf)
     print(f"accuracy {report.accuracy:.4f}, weighted F1 {report.weighted_f1:.4f} "

@@ -25,6 +25,7 @@ from tgcl import (
     load_params,
     load_temporal_graph,
     make_split,
+    probe_invariance,
     run_grad_check,
     sample_windows,
     save_params,
@@ -726,6 +727,26 @@ def test_probe_invariance_cli(tmp_path, capsys):
     assert mat[0, 1] == mat[1, 0]
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_probe_invariance_reads_a_features_file_as_the_api_does(tmp_path, capsys, via):
+    # train and probe-invariance share their graph inputs, --features included
+    edges, labels = _synth(tmp_path, n=40, events=500)
+    features = _features_file(tmp_path / "f.csv", 40, 6)
+    graph = load_temporal_graph(edges, features_path=features, labels_path=labels)
+    result = probe_invariance(graph, graph.labels, 2, InvarianceConfig(epochs=5, ratios=(2, 1, 7)))
+    conf = tmp_path / "probe.conf"
+    conf.write_text(f"features={features}\n", encoding="utf-8")
+    given = ["--features", str(features)] if via == "flag" else ["--config", str(conf)]
+    out = tmp_path / "run" / "agreement.csv"
+    assert dispatch(["probe-invariance", "--edges", str(edges), "--labels", str(labels),
+                     "--s", "2", "--epochs", "5", "--ratios", "2:1:7", "--out", str(out),
+                     *given]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == _per_cell_repr(result.matrix).encode()
+    resolved = (out.parent / "config.probe-invariance.resolved").read_text(encoding="utf-8")
+    assert f"features={features}\n" in resolved.splitlines(keepends=True)
+
+
 def test_grad_check_cli(capsys):
     assert dispatch(["grad-check"]) == 0
     out = capsys.readouterr().out
@@ -1007,6 +1028,7 @@ _FEATURE_DEFAULTS = {o: (load_temporal_graph, o.replace("-", "_"))
 # subcommand -> option -> (the library function or config class the option
 # feeds, the parameter or field it sets)
 _LIBRARY_DEFAULTS = {
+    "sample-views": {o: (SamplerConfig, o) for o in ("strategy", "s", "v")},
     "train": {
         **{o: (SamplerConfig, o) for o in ("strategy", "s", "v")},
         "level": (LossConfig, "level"), "tau": (LossConfig, "tau"),

@@ -211,7 +211,7 @@ _OPTIONS = {
         "epochs": _num([0, 30], st.integers(-1, 30)), "lr": _RATE, "weight-decay": _DECAY,
     },
     "probe-invariance": {
-        "edges": _file("edges"), "labels": _file("labels"),
+        "edges": _file("edges"), "features": _file("features"), "labels": _file("labels"),
         "s": _num([2, 3, 4], st.integers(-1, 6) | st.sampled_from([40, 2 ** 62])),
         "seed": _SEED, "out": _OUT, "epochs": _num([1, 3], st.integers(-1, 3)), "lr": _RATE,
         "weight-decay": _DECAY,
