@@ -10,9 +10,11 @@ resolved settings are written next to each subcommand's outputs (train's
 as `config.resolved`, the others' as `config.<subcommand>.resolved`) so
 any run can be reproduced from its artifacts alone.
 
-An option that sets a library value defaults to the library's own default
-(a config class field or a function parameter), read when the option
-tables are built. train and probe-invariance share one table of graph
+An option that sets a library value (a config class field or a function
+parameter) is passed to it by that name, and defaults to the library's own
+default, read when the option tables are built. Two are named otherwise:
+train's --readout sets readout_stat, and synth's --ratio-in-out sets p_in
+against a p_out of 1. train and probe-invariance share one table of graph
 inputs: --edges, --features and the synthesized-feature settings
 --feature-policy, --feature-dim and --feature-seed.
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, gradcheck
+from . import __version__
 from .errors import DataError, NumericError
 from .evaluation import (
     InvarianceConfig,
@@ -38,6 +40,7 @@ from .evaluation import (
     probe_invariance,
     train_linear_probe,
 )
+from .gradcheck import run_grad_check
 from .graph import FEATURE_POLICIES, csv_text, load_temporal_graph, read_table
 from .losses import LOSS_LEVELS, LossConfig
 from .model import READOUT_STATS, load_params
@@ -70,12 +73,18 @@ def _defaults(fn) -> dict:
     return {name: param.default for name, param in inspect.signature(fn).parameters.items()}
 
 
+def _named(fn, conf: dict) -> dict:
+    """The resolved options named after fn's parameters (a config class's fields)."""
+    names = inspect.signature(fn).parameters
+    return {name: value for name, value in conf.items() if name in names}
+
+
 # the library defaults the options feed: each option that sets a library
 # value defaults to that value, read here once, so the CLI holds no copy
 _SAMPLER, _TRAIN, _INVARIANCE = SamplerConfig(), TrainConfig(), InvarianceConfig()
 _LOAD, _SPLIT, _LINEAR = (_defaults(load_temporal_graph), _defaults(make_split),
                           _defaults(train_linear_probe))
-_GRAD = _defaults(gradcheck.run_grad_check)
+_GRAD = _defaults(run_grad_check)
 
 # option tables: name -> (type, default, help[, choices]); _REQUIRED means
 # the value must arrive via flag or config file, and a value outside the
@@ -272,7 +281,7 @@ def _run_sample_views(conf: dict) -> int:
     if conf["epochs"] < 1:
         raise DataError(f"epochs must be at least 1, got {conf['epochs']}")
     graph = load_temporal_graph(conf["edges"])
-    cfg = SamplerConfig(strategy=conf["strategy"], s=conf["s"], v=conf["v"])
+    cfg = SamplerConfig(**_named(SamplerConfig, conf))
     text = csv_text((epoch, index, float(w.lo), float(w.hi))
                     for epoch in range(1, conf["epochs"] + 1)
                     for index, w in enumerate(sample_windows(graph, cfg, epoch, conf["seed"])))
@@ -286,11 +295,8 @@ def _run_sample_views(conf: dict) -> int:
 
 
 def _run_synth(conf: dict) -> int:
-    graph = generate_synthetic(
-        k=conf["k"], n=conf["n"], T=conf["T"],
-        p_in=conf["ratio_in_out"], p_out=1.0,
-        events=conf["events"], seed=conf["seed"],
-    )
+    graph = generate_synthetic(p_in=conf["ratio_in_out"], p_out=1.0,
+                               **_named(generate_synthetic, conf))
     prefix = Path(conf["out_prefix"])
     edges_path, labels_path = Path(f"{prefix}.edges.csv"), Path(f"{prefix}.labels.csv")
     ids = graph.node_ids
@@ -304,14 +310,8 @@ def _run_synth(conf: dict) -> int:
 
 
 def _load_graph_from_conf(conf: dict):
-    return load_temporal_graph(
-        conf["edges"],
-        features_path=conf["features"],
-        labels_path=conf["labels"],
-        feature_policy=conf["feature_policy"],
-        feature_dim=conf["feature_dim"],
-        feature_seed=conf["feature_seed"],
-    )
+    return load_temporal_graph(conf["edges"], features_path=conf["features"],
+                               labels_path=conf["labels"], **_named(load_temporal_graph, conf))
 
 
 def _run_train(conf: dict) -> int:
@@ -319,19 +319,11 @@ def _run_train(conf: dict) -> int:
     out_dir = Path(conf["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(
-        sampler=SamplerConfig(strategy=conf["strategy"], s=conf["s"], v=conf["v"]),
-        loss=LossConfig(level=conf["level"], tau=conf["tau"]),
-        d_hidden=conf["d_hidden"],
-        d_out=conf["d_out"],
-        lr=conf["lr"],
-        weight_decay=conf["weight_decay"],
-        batch_size=conf["batch_size"],
-        epochs=conf["epochs"],
-        seed=conf["seed"],
+        sampler=SamplerConfig(**_named(SamplerConfig, conf)),
+        loss=LossConfig(**_named(LossConfig, conf)),
         readout_stat=conf["readout"],
         checkpoint_path=str(out_dir / "params.ckpt"),
-        checkpoint_every=conf["checkpoint_every"],
-        batches_per_epoch=conf["batches_per_epoch"],
+        **_named(TrainConfig, conf),
     )
     params, log = train(graph, cfg)
     _write(out_dir / "train_log.csv", "".join(log.csv_lines()))
@@ -370,11 +362,11 @@ def _run_embed(conf: dict) -> int:
     if graph.feature_dim != params.d_in:
         raise DataError(
             f"graph features have dim {graph.feature_dim} but checkpoint expects {params.d_in}")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    try:
         table = embed_all(graph, params)
-    if not np.isfinite(table).all():
+    except NumericError:
         raise NumericError(f"non-finite embeddings from {conf['ckpt']}: its weights overflow "
-                           f"the encoder on this graph")
+                           f"the encoder on this graph") from None
     out = Path(conf["out"])
     _write(out, csv_text([nid, *row] for nid, row in zip(graph.node_ids.tolist(), table.tolist())))
     _write_resolved(out.parent, "embed", conf)
@@ -406,10 +398,7 @@ def _run_linear_eval(conf: dict) -> int:
 
 def _run_probe_invariance(conf: dict) -> int:
     graph = _load_graph_from_conf(conf)  # --labels is required, so graph.labels is set
-    cfg = InvarianceConfig(
-        epochs=conf["epochs"], lr=conf["lr"], weight_decay=conf["weight_decay"],
-        encoder=conf["encoder"], ratios=conf["ratios"], seed=conf["seed"],
-    )
+    cfg = InvarianceConfig(**_named(InvarianceConfig, conf))
     result = probe_invariance(graph, graph.labels, conf["s"], cfg)
     out = Path(conf["out"])
     _write(out, csv_text(result.matrix.tolist()))
@@ -423,7 +412,7 @@ def _run_probe_invariance(conf: dict) -> int:
 def _run_grad_check(conf: dict) -> int:
     if not 0 < conf["tol"] < np.inf:
         raise DataError(f"tolerance must be positive and finite, got {conf['tol']}")
-    report = gradcheck.run_grad_check(seed=conf["seed"], h=conf["h"])
+    report = run_grad_check(**_named(run_grad_check, conf))
     per_stat = ", ".join(f"{stat} {err:.3e}" for stat, err in report["graph"]["per_stat"].items())
     print(f"max relative gradient error {report['worst']:.3e} "
           f"(node {report['node']['max']:.3e}, graph {report['graph']['max']:.3e}: {per_stat})")

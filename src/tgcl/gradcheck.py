@@ -22,7 +22,7 @@ FIXTURE_NODES = 12
 FIXTURE_SPLIT = 50.0
 
 
-def fixture_graph(seed: int = 7) -> TemporalGraph:
+def fixture_graph(seed: int) -> TemporalGraph:
     """12 nodes, ring plus random chords in each half of [0, 100].
 
     Every node sits on the ring in both halves, so the two standard views
@@ -77,15 +77,14 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(a - f) / denom).max())
 
 
-def model_grad_errors(level: str = "node", seed: int = 7, h: float = 1e-5,
-                      stat: str = "mean") -> dict:
+def model_grad_errors(level: str, seed: int, h: float, stat: str) -> dict:
     """Per-parameter worst relative gradient error on the fixture."""
     graph = fixture_graph(seed)
     views = fixture_views(graph)
     batch = shared_nodes(views)
     entries = [view_entry(view, graph.features) for view in views]
     # a small model, for a fast sweep of the training step
-    cfg = TrainConfig(loss=LossConfig(level, 0.5), d_hidden=16, d_out=8, readout_stat=stat)
+    cfg = TrainConfig(loss=LossConfig(level), d_hidden=16, d_out=8, readout_stat=stat)
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=seed)
     inputs = [view_inputs(entry, batch, level == "graph") for entry in entries]
 

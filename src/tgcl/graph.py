@@ -232,9 +232,9 @@ def csv_text(rows) -> str:
 def synthesize_features(
     num_nodes: int,
     degrees: np.ndarray,
-    policy: str = "degree-buckets",
-    dim: int = 32,
-    seed: int = 0,
+    policy: str,
+    dim: int,
+    seed: int,
 ) -> np.ndarray:
     """Deterministic label-free node features for graphs without a feature file.
 

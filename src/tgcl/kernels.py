@@ -175,15 +175,18 @@ def spmm(adj, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    """x where x > 0, else slope * x; for 0 < slope <= 1 that is the larger of the two."""
-    return np.maximum(x, slope * x)
+LEAKY_SLOPE = 0.01
 
 
-def leaky_relu_backward(grad: np.ndarray, x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    """``x`` is the forward's input or its output: for 0 < slope <= 1 the
-    output is positive exactly where the input is, NaN and signed zeros too."""
-    out = grad * slope
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """x where x > 0, else LEAKY_SLOPE * x: the larger of the two."""
+    return np.maximum(x, LEAKY_SLOPE * x)
+
+
+def leaky_relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` is the forward's input or its output: the output is positive
+    exactly where the input is, NaN and signed zeros too."""
+    out = grad * LEAKY_SLOPE
     np.copyto(out, grad, where=x > 0.0)
     return out
 
@@ -243,8 +246,8 @@ ADAM_EPS = 1e-8
 class AdamState:
     """Optimizer state for one named parameter set."""
 
-    lr: float = 4e-3
-    weight_decay: float = 0.0
+    lr: float
+    weight_decay: float
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)

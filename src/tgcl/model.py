@@ -202,7 +202,7 @@ def readout_rows(adj: sp.csr_array, batch: np.ndarray) -> sp.csr_array:
     return sp.csr_array((np.ones(cols.size), cols, indptr), shape=a_rows.shape)
 
 
-def readout(rows: sp.csr_array, h: np.ndarray, stat: str = "mean"):
+def readout(rows: sp.csr_array, h: np.ndarray, stat: str):
     """Aggregate each batch node's 1-hop in-view neighbor rows of ``h``.
 
     ``rows`` are the batch rows of a view's neighbour matrix
@@ -242,14 +242,11 @@ class ProjectCache:
     norms: np.ndarray
 
 
-LEAKY_SLOPE = 0.01
-
-
 def project(x: np.ndarray, params: ModelParams):
     """Two-layer MLP head with LeakyReLU, rows L2-normalized to the sphere."""
     s1 = kernels.matmul(x, params.proj_w1)
     s1 += params.proj_b1
-    l1 = kernels.leaky_relu(s1, LEAKY_SLOPE)
+    l1 = kernels.leaky_relu(s1)
     s2 = kernels.matmul(l1, params.proj_w2)
     s2 += params.proj_b2
     z, norms = kernels.row_l2_normalize(s2)
@@ -264,7 +261,7 @@ def project_backward(grad_z: np.ndarray, cache: ProjectCache, params: ModelParam
     g_b2 = g_s2.sum(axis=0)
     g_l1, g_w2 = kernels.matmul_backward(g_s2, cache.l1, params.proj_w2)
     g_s2 = None
-    g_s1 = kernels.leaky_relu_backward(g_l1, cache.l1, LEAKY_SLOPE)
+    g_s1 = kernels.leaky_relu_backward(g_l1, cache.l1)
     g_l1 = None
     g_x, g_w1 = kernels.matmul_backward(g_s1, cache.x, params.proj_w1)
     return g_x, {"proj_w1": g_w1, "proj_b1": g_s1.sum(axis=0), "proj_w2": g_w2, "proj_b2": g_b2}
@@ -301,7 +298,7 @@ def view_inputs(entry: ViewEntry, batch_nodes: np.ndarray, with_neighborhood: bo
     return receptive_field(entry, rows), batch, neigh
 
 
-def embed_views(inputs, params: ModelParams, stat: str = "mean"):
+def embed_views(inputs, params: ModelParams, stat: str):
     """Encode every view with the same parameters and project the batch
     rows into queries and keys.
 

@@ -213,8 +213,12 @@ def embed_all(graph: TemporalGraph, params: ModelParams) -> np.ndarray:
 
     Encodes the whole timespan as a single view and returns the
     pre-projection hidden matrix, one row per node in graph.node_ids
-    order. Isolated nodes see only their self-loop.
+    order. Isolated nodes see only their self-loop. Weights that overflow
+    the encoder raise NumericError.
     """
     rows = np.ones(graph.num_nodes, dtype=bool)  # the view goes before the encoder runs
-    h, _ = encode(receptive_field(view_entry(full_view(graph), graph.features), rows), params)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        h, _ = encode(receptive_field(view_entry(full_view(graph), graph.features), rows), params)
+    if not np.isfinite(h).all():
+        raise NumericError("non-finite embeddings: the weights overflow the encoder on this graph")
     return h

@@ -1057,9 +1057,67 @@ def _library_default(owner, name):
     return inspect.signature(owner).parameters[name].default
 
 
-@pytest.mark.parametrize("command,option", [(c, o) for c, opts in _LIBRARY_DEFAULTS.items()
-                                            for o in opts])
+_LIBRARY_OPTIONS = [(c, o) for c, opts in _LIBRARY_DEFAULTS.items() for o in opts]
+
+
+@pytest.mark.parametrize("command,option", _LIBRARY_OPTIONS)
 def test_a_cli_default_is_the_library_default_it_feeds(command, option):
     owner, name = _LIBRARY_DEFAULTS[command][option]
     cli_default, library_default = cli._SUBCOMMANDS[command][0][option][1], _library_default(owner, name)
     assert (cli_default, type(cli_default)) == (library_default, type(library_default))
+
+
+class _Reached(Exception):
+    """Raised by a spy when the run reaches the library call it stands in for."""
+
+
+def _spy(real, seen: dict):
+    """A stand-in for ``real`` (a function or config class) with its
+    signature, that records the arguments of its call by name and stops the run."""
+    signature = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        seen.update(signature.bind(*args, **kwargs).arguments)
+        raise _Reached
+
+    spy.__signature__ = signature
+    return spy
+
+
+def _required_args(command, tmp_path):
+    """The options a command requires, on small real inputs."""
+    if command == "grad-check":
+        return []
+    if command == "synth":
+        return ["--k", "3", "--n", "45", "--T", "6.0", "--events", "400",
+                "--ratio-in-out", "8.0", "--out-prefix", str(tmp_path / "toy")]
+    edges, labels = _synth(tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    if command == "sample-views":
+        return ["--edges", str(edges)]
+    if command == "train":
+        return ["--edges", str(edges), *out]
+    if command == "probe-invariance":
+        return ["--edges", str(edges), "--labels", str(labels), "--s", "3", *out]
+    embeddings = _features_file(tmp_path / "x.csv", 45, 4)  # linear-eval
+    return ["--embeddings", str(embeddings), "--labels", str(labels), *out]
+
+
+@pytest.mark.parametrize("command,option", _LIBRARY_OPTIONS)
+def test_a_cli_option_reaches_the_library_value_it_names(tmp_path, monkeypatch, command, option):
+    # a value other than the option's default; the spy stops the run at the
+    # library call, so no later check reads the value
+    owner, name = _LIBRARY_DEFAULTS[command][option]
+    _typ, default, _help, *choices = cli._SUBCOMMANDS[command][0][option]
+    if choices:
+        value = next(choice for choice in choices[0] if choice != default)
+    elif isinstance(default, tuple):
+        value = tuple(part + 1 for part in default)
+    else:
+        value = default + 1
+    argv = [command, *_required_args(command, tmp_path), f"--{option}", cli._fmt_value(value)]
+    seen = {}
+    monkeypatch.setattr(cli, owner.__name__, _spy(owner, seen))
+    with pytest.raises(_Reached):
+        dispatch(argv)
+    assert (seen[name], type(seen[name])) == (value, type(value))

@@ -250,7 +250,7 @@ def test_train_takes_batches_per_epoch_steps_and_logs_their_mean(monkeypatch):
 def test_a_non_finite_loss_stops_the_step_ahead_of_its_backward():
     # the grad-check fixture at the graph level: under the max readout a NaN
     # weight reaches the backward's segment max, which fails with an IndexError
-    graph = fixture_graph()
+    graph = fixture_graph(7)
     views = fixture_views(graph)
     cfg = TrainConfig(loss=LossConfig("graph", 0.5), d_hidden=16, d_out=8, readout_stat="max")
     params = init_params(graph.feature_dim, cfg.d_hidden, cfg.d_out, seed=7)
@@ -411,6 +411,17 @@ def test_embed_all_shapes_and_isolated():
     h = embed_all(GRAPH, params)
     assert h.shape == (GRAPH.num_nodes, 8)
     assert np.all(np.isfinite(h))
+
+
+@pytest.mark.filterwarnings("error")
+def test_embed_all_raises_numeric_error_without_a_warning_when_the_weights_overflow():
+    # as train and the probes do: the overflow is reported once, as an error
+    graph = generate_synthetic(k=3, n=45, T=6.0, p_in=8.0, p_out=1.0, events=400, seed=0)
+    params = init_params(graph.feature_dim, 8, 4, seed=0)
+    params.gcn_w1 *= 1e200
+    params.gcn_w2 *= 1e200
+    with pytest.raises(NumericError, match="non-finite embeddings"):
+        embed_all(graph, params)
 
 
 def test_embed_all_uses_whole_timespan():
